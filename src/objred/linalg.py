@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Vectors and matrices are plain tuples of ``fractions.Fraction``, so every
-value is immutable, hashable and exact.  The routines here are dense
-Gaussian-elimination style; problem sizes in this package are tiny (tens of
-rows at most), so exactness is worth far more than speed.
+value is immutable, hashable and exact.  All elimination runs in one
+fraction-free Gauss–Jordan routine on integers (Bareiss, Edmonds; as in
+``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
+division is exact; ``Fraction``s are built only when a result is returned.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -59,14 +61,6 @@ def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in u)
 
 
-def zeros(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def is_zero_vector(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
 def _normalized(u: Sequence[Fraction]) -> Vector:
     """Scale so the first nonzero component is +1 (zero vectors pass through)."""
     for a in u:
@@ -75,34 +69,50 @@ def _normalized(u: Sequence[Fraction]) -> Vector:
     return tuple(u)
 
 
-def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in m]
+def integer_rows(m: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the LCM of its denominators; keeps solutions and kernels."""
+    out = []
+    for row in m:
+        lcm = math.lcm(*(a.denominator for a in row))
+        out.append([a.numerator * (lcm // a.denominator) for a in row])
+    return out
+
+
+def eliminate(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss–Jordan on integer rows, in place.
+
+    Pivots are taken left to right in the first ``n_cols`` columns; later
+    columns ride along.  Returns (rows, pivot columns, final pivot d): row i
+    has pivot ``pivots[i]``, and ``rows[i] / d`` is row i of the reduced
+    row echelon form.
+    """
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * a for a in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+    return rows, pivots, prev
 
 
 def rank(m: Matrix) -> int:
-    """Dimension of the row space, by exact Gaussian elimination."""
-    return len(_rref(m)[1])
+    """Dimension of the row space."""
+    if not m:
+        return 0
+    return len(eliminate(integer_rows(m), len(m[0]))[1])
 
 
 def null_space(m: Matrix) -> list[Vector]:
@@ -114,12 +124,11 @@ def null_space(m: Matrix) -> list[Vector]:
     if not m:
         return []
     n_cols = len(m[0])
-    rows, pivots = _rref(m)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    rows, pivots, d = eliminate(integer_rows(m), n_cols)
     basis = []
-    for f in free_cols:
-        v = [ZERO] * n_cols
-        v[f] = ONE
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [0] * n_cols
+        v[f] = d
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
         basis.append(_normalized(v))
@@ -127,21 +136,11 @@ def null_space(m: Matrix) -> list[Vector]:
 
 
 def span_basis(vs: Sequence[Vector]) -> list[Vector]:
-    """Maximal linearly independent subset of vs, greedy in input order."""
-    kept: list[Vector] = []
-    echelon: list[list[Fraction]] = []
-    for v in vs:
-        residue = list(v)
-        for row in echelon:
-            lead = next(i for i, a in enumerate(row) if a != 0)
-            if residue[lead] != 0:
-                f = residue[lead] / row[lead]
-                residue = [a - f * b for a, b in zip(residue, row)]
-        if any(a != 0 for a in residue):
-            kept.append(v)
-            echelon.append(residue)
-            echelon.sort(key=lambda r: next(i for i, a in enumerate(r) if a != 0))
-    return kept
+    """Maximal linearly independent subset of vs, greedy in input order
+    (the pivot columns of the matrix whose columns are vs)."""
+    if not vs:
+        return []
+    return [vs[c] for c in eliminate(integer_rows(zip(*vs)), len(vs))[1]]
 
 
 def intersect_spans(b1: Sequence[Vector], b2: Sequence[Vector]) -> list[Vector]:
@@ -154,35 +153,23 @@ def intersect_spans(b1: Sequence[Vector], b2: Sequence[Vector]) -> list[Vector]:
     if not b1 or not b2:
         return []
     dim = len(b1[0])
-    assert all(len(v) == dim for v in b1) and all(len(v) == dim for v in b2)
+    if any(len(v) != dim for v in (*b1, *b2)):
+        raise ValueError("spanning vectors differ in dimension")
     stacked = tuple(
         tuple(v[i] for v in b1) + tuple(-v[i] for v in b2) for i in range(dim)
     )
-    members = []
-    for coeffs in null_space(stacked):
-        lam = coeffs[: len(b1)]
-        point = zeros(dim)
-        for c, v in zip(lam, b1):
-            point = vadd(point, vscale(c, v))
-        if not is_zero_vector(point):
-            members.append(point)
+    lams = [coeffs[: len(b1)] for coeffs in null_space(stacked)]
+    # Kernel vectors with lam = 0 give zero points, which span_basis skips.
+    members = [tuple(dot(lam, column) for column in zip(*b1)) for lam in lams]
     return [_normalized(v) for v in span_basis(members)]
 
 
 def solve_square(m: Matrix, rhs: Vector) -> Vector | None:
     """Unique solution of a square system m x = rhs, or None if singular."""
     n = len(m)
-    assert n == 0 or len(m[0]) == n
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(m)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return None
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        inv = ONE / rows[c][c]
-        rows[c] = [inv * a for a in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return tuple(rows[i][n] for i in range(n))
+    if any(len(row) != n for row in m) or len(rhs) != n:
+        raise ValueError("solve_square needs an n x n matrix and n right-hand sides")
+    rows, pivots, d = eliminate(integer_rows(tuple(r) + (b,) for r, b in zip(m, rhs)), n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(row[n], d) for row in rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleRegion, UnboundedObjective
-from .linalg import ONE, ZERO, Matrix, Vector, dot, solve_square
+from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows
 from .simplex import (
     Constraint,
     LpProblem,
@@ -55,30 +55,31 @@ def contains(p: Polytope, x: Vector) -> bool:
     return all(dot(row, x) <= rhs for row, rhs in zip(p.a, p.b))
 
 
-@functools.lru_cache(maxsize=512)
+# Small on purpose: one classify or reduce revisits only its own region.
+@functools.lru_cache(maxsize=16)
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically.
 
     Works on the slack form [A | I] y = b, y >= 0: every choice of m basic
     columns whose square system is nonsingular and solves nonnegatively is a
-    basic feasible solution, and its x-part is a vertex.  Cached because the
-    classifier revisits the same region several times along one path.
+    basic feasible solution, and its x-part is a vertex.  [A | I | b] is made
+    integer once; each basis is eliminated on integers, where y_c = num / d
+    is nonnegative iff num * d >= 0, so only feasible bases build Fractions.
     """
     m = len(p.a)
     k = p.dim
-    full = [
-        tuple(p.a[i]) + tuple(ONE if j == i else ZERO for j in range(m))
-        for i in range(m)
-    ]
+    full = integer_rows(
+        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
+        for i, row in enumerate(p.a)
+    )
     seen: set[Vector] = set()
     for cols in itertools.combinations(range(k + m), m):
-        square = tuple(tuple(full[i][c] for c in cols) for i in range(m))
-        sol = solve_square(square, p.b)
-        if sol is None or any(v < 0 for v in sol):
+        rows, pivots, d = eliminate([[r[c] for c in cols] + [r[-1]] for r in full], m)
+        if len(pivots) < m or any(r[m] * d < 0 for r in rows):
             continue
         y = [ZERO] * (k + m)
-        for c, v in zip(cols, sol):
-            y[c] = v
+        for c, r in zip(cols, rows):
+            y[c] = Fraction(r[m], d)
         seen.add(tuple(y[:k]))
     return tuple(sorted(seen))
 
@@ -129,7 +130,7 @@ def is_bounded(p: Polytope) -> bool:
     return out.status is not LpStatus.UNBOUNDED
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=16)  # see enumerate_vertices
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     """Vertex sets of every nonempty face of a bounded region, sorted.
 

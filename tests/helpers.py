@@ -1,5 +1,7 @@
-"""Fixture problems and the independent efficiency oracle shared by tests."""
+"""Fixture problems, the independent efficiency oracle and the plain
+``Fraction`` elimination references shared by tests."""
 
+import itertools
 from fractions import Fraction
 
 from objred import MolpProblem, ObjectiveStack, Polytope
@@ -122,3 +124,107 @@ def dominance_oracle(
     )
     assert out.status is LpStatus.OPTIMAL
     return out.value == 0
+
+
+# Plain Fraction Gauss-Jordan references.  The library eliminates on
+# integers instead; tests require its results to equal these exactly.
+
+
+def rref_reference(m):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def rank_reference(m):
+    return len(rref_reference(m)[1])
+
+
+def null_space_reference(m):
+    if not m:
+        return []
+    n_cols = len(m[0])
+    rows, pivots = rref_reference(m)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [ZERO] * n_cols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        lead = next(a for a in v if a != 0)
+        basis.append(tuple(a / lead for a in v))
+    return basis
+
+
+def span_basis_reference(vs):
+    kept = []
+    echelon = []
+    for v in vs:
+        residue = list(v)
+        for row in echelon:
+            lead = next(i for i, a in enumerate(row) if a != 0)
+            if residue[lead] != 0:
+                f = residue[lead] / row[lead]
+                residue = [a - f * b for a, b in zip(residue, row)]
+        if any(a != 0 for a in residue):
+            kept.append(v)
+            echelon.append(residue)
+            echelon.sort(key=lambda r: next(i for i, a in enumerate(r) if a != 0))
+    return kept
+
+
+def solve_square_reference(m, rhs):
+    n = len(m)
+    rows = [list(r) + [rhs[i]] for i, r in enumerate(m)]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return None
+        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        inv = ONE / rows[c][c]
+        rows[c] = [inv * a for a in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return tuple(rows[i][n] for i in range(n))
+
+
+def enumerate_vertices_reference(p):
+    """Every basis of [A | I] y = b solved in Fractions; feasible x-parts."""
+    m = len(p.a)
+    k = p.dim
+    full = [
+        tuple(p.a[i]) + tuple(ONE if j == i else ZERO for j in range(m))
+        for i in range(m)
+    ]
+    seen = set()
+    for cols in itertools.combinations(range(k + m), m):
+        square = tuple(tuple(full[i][c] for c in cols) for i in range(m))
+        sol = solve_square_reference(square, p.b)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        y = [ZERO] * (k + m)
+        for c, v in zip(cols, sol):
+            y[c] = v
+        seen.add(tuple(y[:k]))
+    return tuple(sorted(seen))

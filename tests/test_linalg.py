@@ -17,7 +17,14 @@ from objred.linalg import (
     vec,
 )
 
-from helpers import frows, fvec
+from helpers import (
+    frows,
+    fvec,
+    null_space_reference,
+    rank_reference,
+    solve_square_reference,
+    span_basis_reference,
+)
 
 
 def test_frac_coercions():
@@ -91,12 +98,24 @@ def test_intersect_spans_overlap():
     assert meet[0] == fvec([1, 1])
 
 
+def test_intersect_spans_rejects_mixed_dimensions():
+    with pytest.raises(ValueError):
+        intersect_spans((fvec([1, 0]),), (fvec([1, 0, 0]),))
+
+
 def test_solve_square():
     m = frows([2, 1], [1, 3])
     rhs = fvec([5, 10])
     x = solve_square(m, rhs)
     assert mat_vec(m, x) == rhs
     assert solve_square(frows([1, 2], [2, 4]), fvec([1, 1])) is None
+
+
+def test_solve_square_rejects_non_square():
+    with pytest.raises(ValueError):
+        solve_square(frows([1, 2, 3], [4, 5, 6]), fvec([1, 1]))
+    with pytest.raises(ValueError):
+        solve_square(frows([1, 2], [3, 4]), fvec([1]))
 
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -156,3 +175,43 @@ def test_solve_square_roundtrip(m, data):
         assert sol == x
     elif sol is not None:
         assert mat_vec(m, sol) == rhs
+
+
+# Inputs for the comparison with the plain Fraction references: fractional
+# entries (denominators up to 9), frequent zeros, zero leading columns that
+# force row swaps, and rows that are combinations of earlier rows.
+nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
+awkward_entries = st.one_of(st.just(Fraction(0)), nonzero)
+
+
+@st.composite
+def awkward_matrices(draw, max_rows=4, max_cols=5, square=False):
+    r = draw(st.integers(1, max_rows))
+    c = r if square else draw(st.integers(1, max_cols))
+    rows = [[draw(awkward_entries) for _ in range(c)] for _ in range(r)]
+    for i in range(draw(st.integers(0, r - 1))):
+        rows[i][0] = Fraction(0)
+    for i in range(1, r):
+        if draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, i - 1))
+            a, b = draw(awkward_entries), draw(awkward_entries)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[0])]
+    order = draw(st.permutations(range(r)))
+    return tuple(tuple(rows[i]) for i in order)
+
+
+@settings(deadline=None, max_examples=200)
+@given(awkward_matrices())
+def test_kernel_matches_fraction_reference(m):
+    assert rank(m) == rank_reference(m)
+    assert null_space(m) == null_space_reference(m)
+    assert span_basis(m) == span_basis_reference(m)
+    columns = tuple(zip(*m))
+    assert span_basis(columns) == span_basis_reference(columns)
+
+
+@settings(deadline=None, max_examples=200)
+@given(awkward_matrices(square=True), st.data())
+def test_solve_square_matches_fraction_reference(m, data):
+    rhs = tuple(data.draw(awkward_entries) for _ in m)
+    assert solve_square(m, rhs) == solve_square_reference(m, rhs)

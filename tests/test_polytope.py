@@ -18,7 +18,7 @@ from objred.polytope import (
     optimal_face_vertices,
 )
 
-from helpers import CUBE, SEGMENT, SQUARE, frows, fvec
+from helpers import CUBE, SEGMENT, SQUARE, enumerate_vertices_reference, frows, fvec
 
 
 def test_segment_vertices():
@@ -152,6 +152,34 @@ def polytopes(draw, max_rows=4, max_cols=3):
     a = frows(*[[draw(small_fracs) for _ in range(n)] for _ in range(m)])
     b = fvec([draw(st.integers(0, 4)) for _ in range(m)])
     return Polytope(a, b)
+
+
+@st.composite
+def degenerate_polytopes(draw, max_rows=4, max_cols=3):
+    """Fractional rows, zero leading entries, zero right-hand sides, and
+    often a row that is the sum of two others with the summed bound: it is
+    tight wherever both are, so several bases give one vertex."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    entries = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=9)
+    )
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    rhs = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-1, max_value=5, max_denominator=7)
+    )
+    b = [draw(rhs) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        a.append([x + y for x, y in zip(a[i], a[j])])
+        b.append(b[i] + b[j])
+    return Polytope(frows(*a), fvec(b))
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_polytopes())
+def test_vertices_match_fraction_reference(p):
+    assert enumerate_vertices(p) == enumerate_vertices_reference(p)
 
 
 @settings(deadline=None, max_examples=60)
