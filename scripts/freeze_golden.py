@@ -37,15 +37,22 @@ from objred.problem_io import reduce_to_jsonable, verdict_to_jsonable  # noqa: E
 GOLDEN = ROOT / "tests" / "golden_verdicts.json"
 
 
-def _outcome(run: Callable[[], Any], render: Callable[[Any], Any]) -> Any:
+def _classified(problem: Any, candidate: int | None = None) -> Any:
+    """``verdict_to_jsonable`` of the verdict, or the library error's name."""
     try:
-        return render(run())
+        return verdict_to_jsonable(classify(problem, candidate))
     except Error as exc:
         return {"error": type(exc).__name__}
 
 
-def _reduce_with_history(result: Any, names: list[str]) -> dict[str, Any]:
-    out = reduce_to_jsonable(result, names)
+def _reduced(problem: Any, names: list[str] | None = None) -> Any:
+    """``reduce_to_jsonable`` plus every verdict of the history, or the
+    library error's name."""
+    try:
+        result = reduce_objectives(problem)
+    except Error as exc:
+        return {"error": type(exc).__name__}
+    out = reduce_to_jsonable(result, names or [f"f{i + 1}" for i in range(problem.n_objectives)])
     out["verdicts"] = [verdict_to_jsonable(v) for _, v in result.history]
     return out
 
@@ -54,47 +61,26 @@ def problems_section() -> dict[str, Any]:
     out = {}
     for path in sorted((ROOT / "problems").glob("*.json")):
         doc = parse_document(path.read_bytes())
-        names = list(doc.objective_names)
         out[path.name] = {
-            "classify": [
-                _outcome(lambda k=k: classify(doc.problem, k), verdict_to_jsonable)
-                for k in range(doc.problem.n_objectives)
-            ],
-            "reduce": _outcome(
-                lambda: reduce_objectives(doc.problem),
-                lambda r: _reduce_with_history(r, names),
-            ),
+            "classify": [_classified(doc.problem, k) for k in range(doc.problem.n_objectives)],
+            "reduce": _reduced(doc.problem, list(doc.objective_names)),
         }
     return out
 
 
 def classify_section() -> list[Any]:
-    return [
-        _outcome(lambda s=s: classify(random_problem(random.Random(s))), verdict_to_jsonable)
-        for s in range(150)
-    ]
+    return [_classified(random_problem(random.Random(s))) for s in range(150)]
 
 
 def unbounded_section() -> list[Any]:
     return [
-        _outcome(
-            lambda s=s: classify(random_problem(random.Random(1000 + s), ensure_bounded=False)),
-            verdict_to_jsonable,
-        )
+        _classified(random_problem(random.Random(1000 + s), ensure_bounded=False))
         for s in range(30)
     ]
 
 
 def reduce_section() -> list[Any]:
-    def run(s: int) -> Any:
-        problem = random_problem(random.Random(2000 + s))
-        names = [f"f{i + 1}" for i in range(problem.n_objectives)]
-        return _outcome(
-            lambda: reduce_objectives(problem),
-            lambda r: _reduce_with_history(r, names),
-        )
-
-    return [run(s) for s in range(30)]
+    return [_reduced(random_problem(random.Random(2000 + s))) for s in range(30)]
 
 
 SECTIONS: dict[str, Callable[[], Any]] = {

@@ -14,7 +14,7 @@ import sys
 
 from .engine import classify, reduce_objectives
 from .errors import InfeasibleRegion, ParseError, UnboundedObjective, UnboundedRegion
-from .polytope import enumerate_vertices, optimal_face_vertices
+from .polytope import optimal_face_vertices
 from .problem_io import (
     ProblemDocument,
     format_outcome,
@@ -75,7 +75,7 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
         index = _objective_index(doc, args.face)
         points = optimal_face_vertices(region, doc.problem.objectives[index])
     else:
-        points = enumerate_vertices(region)
+        points = region.vertices
     for point in points:
         print("(" + ", ".join(str(c) for c in point) + ")")
     return 0

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleInput
-from .linalg import ONE, ZERO, Matrix, Vector, dot, mat_vec
-from .polytope import Polytope, contains, enumerate_vertices, face_vertex_sets
-from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, solve
+from .linalg import ONE, ZERO, Matrix, Vector, mat_vec
+from .polytope import Polytope, contains
+from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,7 @@ def find_cone_point(c: Matrix) -> Vector | None:
     rows.append(((ZERO,) * k + (ONE,) * p, Relation.LE, ONE))
     objective = (ZERO,) * k + (ONE,) * p
     kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,) * p
-    out = solve(LpProblem(objective, tuple(rows), kinds))
-    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
-        return None
-    assert out.point is not None
-    return out.point[:k]
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
 
 
 def cone_nonempty(c: Matrix) -> bool:
@@ -81,14 +77,15 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     feasible point dominates x0; x0 is efficient exactly when that optimum
     is zero (an unbounded auxiliary problem means domination without limit).
     """
+    key = (frozenset(f.rows), tuple(x0))
+    if key in p.efficient:
+        return p.efficient[key]
     if not contains(p, x0):
         raise InfeasibleInput("point is not in the region")
     k = p.dim
     n = f.count
     base = f.values(x0)
-    rows: list[Constraint] = []
-    for row, rhs in zip(p.a, p.b):
-        rows.append((tuple(row) + (ZERO,) * n, Relation.LE, Fraction(rhs)))
+    rows = [(row + (ZERO,) * n, rel, rhs) for row, rel, rhs in p.rows]
     for i, row in enumerate(f.rows):
         coeff = tuple(row) + tuple(
             Fraction(-1) if j == i else ZERO for j in range(n)
@@ -97,15 +94,14 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     objective = (ZERO,) * k + (ONE,) * n
     kinds = (VarKind.NONNEG,) * (k + n)
     out = solve(LpProblem(objective, tuple(rows), kinds))
-    if out.status is LpStatus.UNBOUNDED:
-        return False
-    assert out.status is LpStatus.OPTIMAL and out.value is not None
-    return out.value == 0
+    assert out.status is not LpStatus.INFEASIBLE  # x0 itself is feasible
+    p.efficient[key] = efficient = out.status is LpStatus.OPTIMAL and out.value == 0
+    return efficient
 
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:
     """The efficient vertices of the region, sorted lexicographically."""
-    return tuple(v for v in enumerate_vertices(p) if is_efficient(p, f, v))
+    return tuple(v for v in p.vertices if is_efficient(p, f, v))
 
 
 def efficient_point_outside(
@@ -124,7 +120,7 @@ def efficient_point_outside(
     for v in sorted(outer_eff):
         if not is_efficient(p, inner, v):
             return v
-    for face in face_vertex_sets(p):
+    for face in p.faces:
         if len(face) < 2 or not outer_eff.issuperset(face):
             continue
         size = Fraction(len(face))
@@ -154,8 +150,4 @@ def equalizing_weights(f: ObjectiveStack, points: tuple[Vector, ...]) -> Vector 
         rows.append((diff + (ZERO,), Relation.EQ, ZERO))
     objective = (ZERO,) * n + (ONE,)
     kinds = (VarKind.NONNEG,) * (n + 1)
-    out = solve(LpProblem(objective, tuple(rows), kinds))
-    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
-        return None
-    assert out.point is not None
-    return out.point[:n]
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), n)

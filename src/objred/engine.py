@@ -39,21 +39,14 @@ from .efficiency import (
     ObjectiveStack,
     cone_nonempty,
     efficient_point_outside,
+    efficient_vertices,
     equalizing_weights,
     find_cone_point,
     is_efficient,
 )
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import Matrix, Vector, intersect_spans, null_space, span_basis, vsub
-from .polytope import (
-    Polytope,
-    enumerate_vertices,
-    find_interior_point,
-    interior_nonempty,
-    is_bounded,
-    nonempty,
-    optimal_face_vertices,
-)
+from .polytope import Polytope, interior_nonempty, is_bounded, nonempty, optimal_face_vertices
 from .simplex import LpStatus, Relation, VarKind, feasible_point
 
 # Containment notes attached to verdicts.  The first one is proven on its
@@ -154,9 +147,7 @@ def kernel_separation(
     kernel = null_space(reduced.rows)
     if not kernel:
         return True, {"kernel": (), "differences": (), "intersection": ()}
-    efficient = tuple(
-        v for v in enumerate_vertices(region) if is_efficient(region, reduced, v)
-    )
+    efficient = efficient_vertices(region, reduced)
     diffs = tuple(vsub(v, efficient[0]) for v in efficient[1:]) if efficient else ()
     differences = span_basis(diffs)
     meet = intersect_spans(kernel, differences) if differences else ()
@@ -179,6 +170,34 @@ def _split(problem: MolpProblem, candidate: int) -> tuple[ObjectiveStack, Object
     return full, ObjectiveStack(others)
 
 
+def _require_bounded(region: Polytope, what: str) -> None:
+    if not is_bounded(region):
+        raise UnboundedRegion(f"{what} needs a bounded region, and this one is unbounded")
+
+
+def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: bool) -> TraceEntry:
+    """Step 4: a vertex the reduced stack leaves inefficient, or else strictly
+    positive weights equalizing the reduced stack across all vertices."""
+    bad = next((v for v in region.vertices if not is_efficient(region, reduced, v)), None)
+    if bad is not None:
+        return TraceEntry(Step.ALL_EFFICIENT, False, bad)
+    if check_bounded:
+        _require_bounded(region, "the equal-weight criterion")
+    weights = equalizing_weights(reduced, region.vertices)
+    return TraceEntry(Step.ALL_EFFICIENT, weights is not None, weights)
+
+
+def _face_efficient(
+    region: Polytope, reduced: ObjectiveStack, face: tuple[Vector, ...], check_bounded: bool
+) -> TraceEntry:
+    """Step 6: a vertex of the candidate's optimal face that stays efficient
+    for the reduced stack."""
+    witness = next((v for v in face if is_efficient(region, reduced, v)), None)
+    if witness is None and check_bounded:
+        _require_bounded(region, "the optimal-face separation argument")
+    return TraceEntry(Step.FACE_EFFICIENT, witness is not None, witness)
+
+
 def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     """Decide whether the candidate objective (default: the last one) is
     essential, nonessential, or undecidable by this procedure.
@@ -188,12 +207,16 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     the combination test at step 0 is region-independent and is reported
     before either check.
     """
+    return _classify(problem, candidate, problem.region())
+
+
+def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> Verdict:
+    """classify() on a region object whose facts may already be known."""
     if candidate is None:
         candidate = problem.n_objectives - 1
     if not 0 <= candidate < problem.n_objectives:
         raise ValueError(f"objective index {candidate} out of range")
     full, reduced = _split(problem, candidate)
-    region = problem.region()
     trace: list[TraceEntry] = []
 
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
@@ -206,13 +229,6 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
 
     if not nonempty(region):
         raise InfeasibleRegion("the region Ax <= b, x >= 0 is empty")
-    bounded = is_bounded(region)
-
-    def require_bounded(what: str) -> None:
-        if not bounded:
-            raise UnboundedRegion(
-                f"{what} needs a bounded region, and this one is unbounded"
-            )
 
     direction = find_cone_point(full.rows)
     trace.append(TraceEntry(Step.IMPROVEMENT_CONE, direction is not None, direction))
@@ -227,24 +243,15 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
         if reduced_direction is None:
             return verdict(Outcome.NONESSENTIAL, Step.REDUCED_CONE)
 
-        interior = find_interior_point(region)
+        interior = region.interior_point
         trace.append(TraceEntry(Step.INTERIOR, interior is not None, interior))
         if interior is not None:
             # Moving from the interior point along the improving direction
             # stays feasible and leaves the reduced efficient set.
             return verdict(Outcome.ESSENTIAL, Step.INTERIOR)
 
-        vertices = enumerate_vertices(region)
-        bad = next(
-            (v for v in vertices if not is_efficient(region, reduced, v)), None
-        )
-        if bad is not None:
-            trace.append(TraceEntry(Step.ALL_EFFICIENT, False, bad))
-            return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
-        require_bounded("the equal-weight criterion")
-        weights = equalizing_weights(reduced, vertices)
-        trace.append(TraceEntry(Step.ALL_EFFICIENT, weights is not None, weights))
-        if weights is not None:
+        trace.append(_all_efficient(region, reduced, check_bounded=True))
+        if trace[-1].answer:
             return verdict(Outcome.NONESSENTIAL, Step.ALL_EFFICIENT)
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
 
@@ -254,15 +261,12 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
         raise UnboundedRegion(str(exc)) from exc
     trace.append(TraceEntry(Step.OPTIMAL_FACE, True, face))
 
-    witness = next((v for v in face if is_efficient(region, reduced, v)), None)
-    if witness is None:
-        require_bounded("the optimal-face separation argument")
-        trace.append(TraceEntry(Step.FACE_EFFICIENT, False, None))
+    trace.append(_face_efficient(region, reduced, face, check_bounded=True))
+    if not trace[-1].answer:
         return verdict(Outcome.ESSENTIAL, Step.FACE_EFFICIENT)
-    trace.append(TraceEntry(Step.FACE_EFFICIENT, True, witness))
 
     separated, certificate = kernel_separation(region, reduced)
-    if separated and bounded:
+    if separated and is_bounded(region):
         # Separation gives one direction: every reduced-efficient point stays
         # efficient for the full stack.  Deletion preserves the efficient set
         # only if the other direction holds as well, so confirm it face by
@@ -303,11 +307,7 @@ def step3(region: Polytope) -> bool:
 
 
 def step4(region: Polytope, stack: ObjectiveStack) -> bool:
-    reduced = stack.drop(stack.count - 1)
-    vertices = enumerate_vertices(region)
-    if not all(is_efficient(region, reduced, v) for v in vertices):
-        return False
-    return equalizing_weights(reduced, vertices) is not None
+    return _all_efficient(region, stack.drop(stack.count - 1), check_bounded=False).answer
 
 
 def step5(region: Polytope, stack: ObjectiveStack) -> tuple[Vector, ...]:
@@ -317,10 +317,9 @@ def step5(region: Polytope, stack: ObjectiveStack) -> tuple[Vector, ...]:
 def step6(
     region: Polytope, stack: ObjectiveStack, face: tuple[Vector, ...] | None = None
 ) -> bool:
-    reduced = stack.drop(stack.count - 1)
     if face is None:
         face = step5(region, stack)
-    return any(is_efficient(region, reduced, v) for v in face)
+    return _face_efficient(region, stack.drop(stack.count - 1), face, check_bounded=False).answer
 
 
 def step7(region: Polytope, stack: ObjectiveStack) -> bool:
@@ -349,18 +348,20 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     Each pass tries candidates from the highest index down and restarts
     after a deletion, so later (typically auxiliary) objectives go first;
     history records every classification performed, keyed by the original
-    objective index.
+    objective index.  All classifications share one region object, so each
+    region fact is computed once per call.
     """
     rows = list(problem.objectives)
     labels = list(range(len(rows)))
     removals: list[Removal] = []
     history: list[tuple[int, Verdict]] = []
+    region = problem.region()
     removed = True
     while removed and len(rows) > 1:
         removed = False
         for pos in reversed(range(len(rows))):
             current = MolpProblem(tuple(rows), problem.a, problem.b)
-            result = classify(current, pos)
+            result = _classify(current, pos, region)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))

@@ -41,7 +41,8 @@ def mat(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 

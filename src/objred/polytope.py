@@ -3,31 +3,29 @@
 Vertices come from basis enumeration on the slack-extended system, so the
 results are exact rational points, deterministic, and sorted; nothing here
 depends on floating point.
+
+Each fact about a region is computed at most once per ``Polytope``, on
+first use, and lives exactly as long as that object; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleRegion, UnboundedObjective
 from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows
-from .simplex import (
-    Constraint,
-    LpProblem,
-    LpStatus,
-    Relation,
-    VarKind,
-    feasible_point,
-    solve,
-)
+from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Region Ax <= b together with x >= 0; may be empty or unbounded."""
+    """Region Ax <= b together with x >= 0; may be empty or unbounded.  Its
+    facts are the cached properties below, each computed once per object, on
+    first use, and kept only as long as the object is."""
 
     a: Matrix
     b: Vector
@@ -45,6 +43,35 @@ class Polytope:
     def dim(self) -> int:
         return len(self.a[0])
 
+    @cached_property
+    def rows(self) -> tuple[Constraint, ...]:
+        """The constraints Ax <= b, as used by every LP over the region."""
+        return tuple((tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(self.a, self.b))
+
+    @cached_property
+    def status(self) -> LpStatus:
+        """Status of max sum(x): INFEASIBLE iff the region is empty, and, as
+        x >= 0 makes sum(x) a gauge, UNBOUNDED iff it is unbounded."""
+        return solve(LpProblem((ONE,) * self.dim, self.rows, (VarKind.NONNEG,) * self.dim)).status
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        return enumerate_vertices(self)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[Vector, ...], ...]:
+        return face_vertex_sets(self)
+
+    @cached_property
+    def interior_point(self) -> Vector | None:
+        return find_interior_point(self)
+
+    @cached_property
+    def efficient(self) -> dict[tuple[frozenset[Vector], Vector], bool]:
+        """Answers of ``efficiency.is_efficient``, keyed by the set of stack
+        rows and the point: efficiency does not depend on row order."""
+        return {}
+
 
 def contains(p: Polytope, x: Vector) -> bool:
     """Exact membership test, no tolerance."""
@@ -55,8 +82,6 @@ def contains(p: Polytope, x: Vector) -> bool:
     return all(dot(row, x) <= rhs for row, rhs in zip(p.a, p.b))
 
 
-# Small on purpose: one classify or reduce revisits only its own region.
-@functools.lru_cache(maxsize=16)
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically.
 
@@ -91,46 +116,30 @@ def find_interior_point(p: Polytope) -> Vector | None:
     the interior is nonempty exactly when the optimal margin is positive.
     """
     k = p.dim
-    rows: list[Constraint] = []
-    for row, rhs in zip(p.a, p.b):
-        rows.append((tuple(row) + (ONE,), Relation.LE, Fraction(rhs)))
+    rows = [(row + (ONE,), rel, rhs) for row, rel, rhs in p.rows]
     for j in range(k):
         margin = tuple(ONE if i == j else ZERO for i in range(k)) + (Fraction(-1),)
         rows.append((margin, Relation.GE, ZERO))
     rows.append(((ZERO,) * k + (ONE,), Relation.LE, ONE))
     objective = (ZERO,) * k + (ONE,)
     kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,)
-    out = solve(LpProblem(objective, tuple(rows), kinds))
-    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
-        return None
-    assert out.point is not None
-    return out.point[:k]
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
 
 
 def interior_nonempty(p: Polytope) -> bool:
-    return find_interior_point(p) is not None
+    return p.interior_point is not None
 
 
 def nonempty(p: Polytope) -> bool:
     """True when some x >= 0 satisfies Ax <= b."""
-    rows: tuple[Constraint, ...] = tuple(
-        (tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(p.a, p.b)
-    )
-    out = feasible_point(rows, (VarKind.NONNEG,) * p.dim)
-    return out.status is LpStatus.OPTIMAL
+    return p.status is not LpStatus.INFEASIBLE
 
 
 def is_bounded(p: Polytope) -> bool:
-    """True when the region is bounded (x >= 0 makes sum(x) a valid gauge)."""
-    rows: tuple[Constraint, ...] = tuple(
-        (tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(p.a, p.b)
-    )
-    objective = (ONE,) * p.dim
-    out = solve(LpProblem(objective, rows, (VarKind.NONNEG,) * p.dim))
-    return out.status is not LpStatus.UNBOUNDED
+    """True when the region is bounded; an empty region counts as bounded."""
+    return p.status is not LpStatus.UNBOUNDED
 
 
-@functools.lru_cache(maxsize=16)  # see enumerate_vertices
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     """Vertex sets of every nonempty face of a bounded region, sorted.
 
@@ -143,7 +152,7 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     when the region is bounded, since an unbounded face is not spanned by its
     vertices.
     """
-    vertices = enumerate_vertices(p)
+    vertices = p.vertices
     everything = frozenset(range(len(vertices)))
     facets: list[frozenset[int]] = []
     for row, rhs in zip(p.a, p.b):
@@ -169,13 +178,10 @@ def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
     Raises InfeasibleRegion on an empty region and UnboundedObjective when
     c . x has no finite maximum.
     """
-    rows: tuple[Constraint, ...] = tuple(
-        (tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(p.a, p.b)
-    )
-    out = solve(LpProblem(tuple(c), rows, (VarKind.NONNEG,) * p.dim))
+    out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
     if out.status is LpStatus.INFEASIBLE:
         raise InfeasibleRegion("region is empty")
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedObjective("objective has no finite maximum on the region")
     assert out.value is not None
-    return tuple(v for v in enumerate_vertices(p) if dot(c, v) == out.value)
+    return tuple(v for v in p.vertices if dot(c, v) == out.value)

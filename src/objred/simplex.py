@@ -194,6 +194,16 @@ def solve(problem: LpProblem) -> LpOutcome:
     return LpOutcome(LpStatus.OPTIMAL, value=dot(problem.objective, x), point=x)
 
 
+def positive_optimum(problem: LpProblem, width: int) -> Vector | None:
+    """The first ``width`` coordinates of an optimal point when the optimum
+    is positive; None when it is not, or when there is no optimum."""
+    out = solve(problem)
+    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
+        return None
+    assert out.point is not None
+    return out.point[:width]
+
+
 def feasible_point(
     constraints: tuple[Constraint, ...], variable_kinds: tuple[VarKind, ...]
 ) -> LpOutcome:

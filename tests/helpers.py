@@ -1,12 +1,13 @@
-"""Fixture problems, the independent efficiency oracle and the plain
-``Fraction`` elimination references shared by tests."""
+"""Fixture problems, the independent efficiency oracle, the plain
+``Fraction`` elimination references and the two-LP region checks shared by
+tests."""
 
 import itertools
 from fractions import Fraction
 
 from objred import MolpProblem, ObjectiveStack, Polytope
 from objred.linalg import ONE, ZERO, dot
-from objred.simplex import LpProblem, LpStatus, Relation, VarKind, solve
+from objred.simplex import LpProblem, LpStatus, Relation, VarKind, feasible_point, solve
 
 
 def fvec(xs):
@@ -228,3 +229,23 @@ def enumerate_vertices_reference(p):
             y[c] = v
         seen.add(tuple(y[:k]))
     return tuple(sorted(seen))
+
+
+# The region checks as two separate LPs.  The library reads both from one
+# LP, max sum(x); tests require the answers to agree.
+
+
+def _region_rows(p):
+    return tuple((tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(p.a, p.b))
+
+
+def nonempty_reference(p):
+    """True when some x >= 0 satisfies Ax <= b (a phase-1 LP)."""
+    out = feasible_point(_region_rows(p), (VarKind.NONNEG,) * p.dim)
+    return out.status is LpStatus.OPTIMAL
+
+
+def is_bounded_reference(p):
+    """True when sum(x) has no unbounded maximum; x >= 0 makes it a gauge."""
+    out = solve(LpProblem((ONE,) * p.dim, _region_rows(p), (VarKind.NONNEG,) * p.dim))
+    return out.status is not LpStatus.UNBOUNDED

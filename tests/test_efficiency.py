@@ -185,3 +185,41 @@ def test_cone_point_certificate_property(rows):
     image = mat_vec(rows, x)
     assert all(a >= 0 for a in image)
     assert any(a > 0 for a in image)
+
+
+@st.composite
+def capped_problems(draw):
+    """A bounded region (a cap row sum(x) <= c closes it) and a stack."""
+    k = draw(st.integers(2, 3))
+    ints = st.integers(-3, 3)
+    a = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    b = [draw(st.integers(0, 4)) for _ in a]
+    objectives = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(2, 4)))]
+    return frows(*a, [1] * k), fvec(b + [draw(st.integers(1, 4))]), frows(*objectives)
+
+
+@settings(deadline=None, max_examples=40)
+@given(capped_problems(), st.data())
+def test_efficiency_answers_do_not_leak_between_stacks(problem, data):
+    # A region keeps is_efficient answers keyed by the set of stack rows and
+    # the point.  A region that has already answered for a row-permuted stack
+    # and for a reduced stack must still answer each stack as a fresh one does.
+    # The reduced stack with one row repeated has the reduced efficient set but
+    # the full row count, so a table keyed by row count would fail here.
+    a, b, rows = problem
+    stack = ObjectiveStack(rows)
+    order = data.draw(st.permutations(range(stack.count)))
+    permuted = ObjectiveStack(tuple(rows[i] for i in order))
+    reduced = stack.drop(data.draw(st.integers(0, stack.count - 1)))
+    padded = ObjectiveStack(reduced.rows + reduced.rows[:1])
+    warm = Polytope(a, b)
+    vertices = enumerate_vertices(warm)
+    centroid = tuple(sum(c) / len(vertices) for c in zip(*vertices))
+    points = vertices + (centroid,)
+    for x in points:
+        is_efficient(warm, padded, x)
+        is_efficient(warm, permuted, x)
+        is_efficient(warm, reduced, x)
+    for x in points:
+        assert is_efficient(warm, stack, x) == is_efficient(Polytope(a, b), stack, x)
+        assert is_efficient(warm, reduced, x) == is_efficient(Polytope(a, b), reduced, x)

@@ -1,3 +1,6 @@
+import collections
+import functools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from objred import (
     Polytope,
     Step,
     classify,
+    polytope,
     reduce_objectives,
 )
 from objred.engine import (
@@ -351,3 +355,64 @@ def test_reduce_keeps_single_objective_untouched():
     assert result.removals == ()
     assert result.survivors == (0,)
     assert result.history == ()
+
+
+def test_step_functions_answer_on_unbounded_regions():
+    # classify raises UnboundedRegion for both (see the tests above); the
+    # step functions share its step-4 and step-6 code but only answer.
+    assert step4(RAY, ObjectiveStack(frows([-1, -1], [1, 1]))) is True
+    assert step6(RAY, ObjectiveStack(frows([1, 0], [-1, -1]))) is False
+
+
+# Each region fact is computed at most once per classify or reduce call.
+
+REGION_FUNCTIONS = ("enumerate_vertices", "face_vertex_sets", "find_interior_point")
+
+
+@pytest.fixture
+def fact_counts(monkeypatch):
+    """Counts vertex enumeration, face enumeration and the interior-point LP
+    wherever objred calls them, and each computation of the status LP."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in REGION_FUNCTIONS:
+        original = getattr(polytope, name)
+        wrapper = counting(name, original)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    status = functools.cached_property(counting("status", Polytope.__dict__["status"].func))
+    status.__set_name__(Polytope, "status")
+    monkeypatch.setattr(Polytope, "status", status)
+    return counts
+
+
+@pytest.mark.parametrize("make", [box5_4obj, segment_4obj, cube_3obj, simplex_3obj])
+def test_reduce_computes_each_region_fact_once(fact_counts, make):
+    result = reduce_objectives(make())
+    assert len(result.history) > 1
+    assert fact_counts["status"] == 1
+    assert max(fact_counts.values()) == 1
+
+
+@pytest.mark.parametrize("make", [box5_4obj, segment_4obj, cube_3obj, simplex_3obj])
+def test_classify_computes_each_region_fact_once(fact_counts, make):
+    problem = make()
+    for candidate in range(problem.n_objectives):
+        fact_counts.clear()
+        classify(problem, candidate)
+        assert max(fact_counts.values(), default=0) <= 1
+
+
+def test_fact_counts_see_every_kind_of_fact(fact_counts):
+    # The fixtures above reach every counted fact, so the bound is not vacuous.
+    for make in (box5_4obj, segment_4obj):
+        reduce_objectives(make())
+    assert set(fact_counts) == {"status", *REGION_FUNCTIONS}

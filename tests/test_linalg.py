@@ -51,6 +51,14 @@ def test_dot_and_mat_vec():
     assert mat_vec(frows([1, 0], [0, 2]), fvec([3, 4])) == fvec([3, 8])
 
 
+def test_dot_rejects_mismatched_lengths():
+    # A ValueError, not an assert, so the check also holds under python -O.
+    with pytest.raises(ValueError):
+        dot(fvec([1, 2]), fvec([3]))
+    with pytest.raises(ValueError):
+        dot(fvec([1]), fvec([2, 3]))
+
+
 def test_rank_fixtures():
     assert rank(frows([1, 1, 1], [-1, 1, 1])) == 2
     assert rank(frows([1, 2], [2, 4])) == 1

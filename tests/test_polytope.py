@@ -18,7 +18,16 @@ from objred.polytope import (
     optimal_face_vertices,
 )
 
-from helpers import CUBE, SEGMENT, SQUARE, enumerate_vertices_reference, frows, fvec
+from helpers import (
+    CUBE,
+    SEGMENT,
+    SQUARE,
+    enumerate_vertices_reference,
+    frows,
+    fvec,
+    is_bounded_reference,
+    nonempty_reference,
+)
 
 
 def test_segment_vertices():
@@ -224,3 +233,48 @@ def test_optimal_face_value_dominates_all_vertices(p):
     assert face
     assert all(dot(c, v) == best for v in face)
     assert set(face) == {v for v in vs if dot(c, v) == best}
+
+
+@st.composite
+def regions_of_every_kind(draw, max_rows=4, max_cols=3):
+    """Empty, unbounded and bounded regions, each built on purpose, plus
+    free draws with right-hand sides of either sign.
+
+    - empty: one row made nonnegative with a negative right-hand side;
+    - unbounded: b >= 0 keeps the origin feasible and a nonpositive
+      column j makes the unit vector e_j a recession direction;
+    - bounded: b >= 0 and a cap row sum(x) <= c.
+    """
+    kind = draw(st.sampled_from(["free", "empty", "unbounded", "bounded"]))
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    a = [[draw(small_fracs) for _ in range(n)] for _ in range(m)]
+    b = [Fraction(draw(st.integers(-3, 4))) for _ in range(m)]
+    if kind != "free":
+        b = [abs(x) for x in b]
+    if kind == "empty":
+        i = draw(st.integers(0, m - 1))
+        a[i] = [abs(x) for x in a[i]]
+        b[i] = -Fraction(draw(st.integers(1, 3)))
+    elif kind == "unbounded":
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = -abs(row[j])
+    elif kind == "bounded":
+        a.append([Fraction(1)] * n)
+        b.append(Fraction(draw(st.integers(0, 4))))
+    return kind, Polytope(frows(*a), fvec(b))
+
+
+@settings(deadline=None, max_examples=200)
+@given(regions_of_every_kind())
+def test_one_status_lp_matches_two_lp_reference(drawn):
+    kind, p = drawn
+    expected = (nonempty_reference(p), is_bounded_reference(p))
+    if kind != "free":
+        assert expected == {
+            "empty": (False, True),
+            "unbounded": (True, False),
+            "bounded": (True, True),
+        }[kind]
+    assert (nonempty(p), is_bounded(p)) == expected
