@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
 """Classify seeded random instances, tally the verdicts, and cross-check
 every nonessential verdict against a direct comparison of the efficient
-vertex sets before and after deleting the candidate."""
+vertex sets before and after deleting the candidate.
+
+The efficient vertices are found by the vertex-image dominance LP of
+``tests/helpers.dominance_oracle``, not by ``objred.is_efficient``, so the
+cross-check does not rest on the efficiency test that ``classify`` uses.
+The instances are bounded, which that formulation needs.
+
+    python3 scripts/random_stress.py --count 30 --seed 1
+"""
 
 from __future__ import annotations
 
@@ -12,17 +20,22 @@ import random
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from objred import MolpProblem, Outcome, classify, efficient_vertices
-from objred.instances import random_problem
+from helpers import dominance_oracle  # noqa: E402
+from objred import MolpProblem, Outcome, classify  # noqa: E402
+from objred.instances import random_problem  # noqa: E402
 
 
 def check_nonessential(problem: MolpProblem, candidate: int) -> bool:
-    region = problem.region()
+    vertices = problem.region().vertices
     full = problem.stack()
     reduced = full.drop(candidate)
-    return efficient_vertices(region, full) == efficient_vertices(region, reduced)
+    return all(
+        dominance_oracle(vertices, full, v) == dominance_oracle(vertices, reduced, v)
+        for v in vertices
+    )
 
 
 def main() -> int:

@@ -1,9 +1,10 @@
 """Efficiency machinery for linear multiobjective maximization.
 
 Holds the objective stack, the cone test for directions that improve some
-objective without hurting any other, the vertex efficiency test (via the
-auxiliary slack-maximization LP), and the search for strictly positive
-weights that equalize the weighted objective value across vertices.
+objective without hurting any other, the point efficiency test (a phase-1
+feasibility problem over the normal cone of the constraints tight at the
+point, after Isermann 1974), and the search for strictly positive weights
+that equalize the weighted objective value across vertices.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from .errors import InfeasibleInput
 from .linalg import ONE, ZERO, Matrix, Vector, mat_vec
-from .polytope import Polytope, contains
-from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
+from .polytope import Polytope, tight_rows
+from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, feasible_point, positive_optimum
 
 
 @dataclass(frozen=True)
@@ -73,29 +74,35 @@ def cone_nonempty(c: Matrix) -> bool:
 
 
 def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
-    """Vertex efficiency test: maximize the total slack by which another
-    feasible point dominates x0; x0 is efficient exactly when that optimum
-    is zero (an unbounded auxiliary problem means domination without limit).
+    """Whether x0 is efficient: no feasible x has F(x) >= F(x0), F(x) != F(x0).
+
+    By Isermann's theorem x0 is efficient exactly when some strictly positive
+    weighting l of the objectives is maximized at x0, that is, when F^T l
+    lies in the normal cone of the region at x0.  That cone is spanned by
+    the rows a_i tight at x0 and by -e_j for the coordinates x0_j = 0.
+    Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
+    row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0.
+    Holds on unbounded regions as well as bounded ones.
     """
     key = (frozenset(f.rows), tuple(x0))
     if key in p.efficient:
         return p.efficient[key]
-    if not contains(p, x0):
+    active = tight_rows(p, x0)
+    if active is None:
         raise InfeasibleInput("point is not in the region")
-    k = p.dim
-    n = f.count
-    base = f.values(x0)
-    rows = [(row + (ZERO,) * n, rel, rhs) for row, rel, rhs in p.rows]
-    for i, row in enumerate(f.rows):
-        coeff = tuple(row) + tuple(
-            Fraction(-1) if j == i else ZERO for j in range(n)
+    tight = [p.a[i] for i in active]
+    at_zero = [j for j, value in enumerate(x0) if value == 0]
+    rows: list[Constraint] = []
+    for j in range(p.dim):
+        coeff = (
+            tuple(row[j] for row in f.rows)
+            + tuple(-row[j] for row in tight)
+            + tuple(ONE if i == j else ZERO for i in at_zero)
         )
-        rows.append((coeff, Relation.EQ, base[i]))
-    objective = (ZERO,) * k + (ONE,) * n
-    kinds = (VarKind.NONNEG,) * (k + n)
-    out = solve(LpProblem(objective, tuple(rows), kinds))
-    assert out.status is not LpStatus.INFEASIBLE  # x0 itself is feasible
-    p.efficient[key] = efficient = out.status is LpStatus.OPTIMAL and out.value == 0
+        rows.append((coeff, Relation.EQ, -sum((row[j] for row in f.rows), ZERO)))
+    kinds = (VarKind.NONNEG,) * (f.count + len(tight) + len(at_zero))
+    efficient = feasible_point(tuple(rows), kinds).status is LpStatus.OPTIMAL
+    p.efficient[key] = efficient
     return efficient
 
 

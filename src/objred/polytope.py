@@ -73,13 +73,24 @@ class Polytope:
         return {}
 
 
+def tight_rows(p: Polytope, x: Vector) -> tuple[int, ...] | None:
+    """Indices i of the rows with a_i . x = b_i, or None when x is not in
+    the region; exact, no tolerance."""
+    if len(x) != p.dim or any(c < 0 for c in x):
+        return None
+    tight = []
+    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
+        value = dot(row, x)
+        if value > rhs:
+            return None
+        if value == rhs:
+            tight.append(i)
+    return tuple(tight)
+
+
 def contains(p: Polytope, x: Vector) -> bool:
     """Exact membership test, no tolerance."""
-    if len(x) != p.dim:
-        return False
-    if any(c < 0 for c in x):
-        return False
-    return all(dot(row, x) <= rhs for row, rhs in zip(p.a, p.b))
+    return tight_rows(p, x) is not None
 
 
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
@@ -175,13 +186,17 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
     """Vertices of the region where c . x attains its maximum, sorted.
 
-    Raises InfeasibleRegion on an empty region and UnboundedObjective when
-    c . x has no finite maximum.
+    A finite maximum is attained at a vertex, so it is the best c . v over
+    the vertices; only an unbounded region needs the LP max c . x, to decide
+    whether the maximum is finite.  Raises InfeasibleRegion on an empty
+    region and UnboundedObjective when c . x has no finite maximum.
     """
-    out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
-    if out.status is LpStatus.INFEASIBLE:
+    if p.status is LpStatus.INFEASIBLE:
         raise InfeasibleRegion("region is empty")
-    if out.status is LpStatus.UNBOUNDED:
-        raise UnboundedObjective("objective has no finite maximum on the region")
-    assert out.value is not None
-    return tuple(v for v in p.vertices if dot(c, v) == out.value)
+    if p.status is LpStatus.UNBOUNDED:
+        out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
+        if out.status is LpStatus.UNBOUNDED:
+            raise UnboundedObjective("objective has no finite maximum on the region")
+    values = [dot(c, v) for v in p.vertices]
+    best = max(values)
+    return tuple(v for v, value in zip(p.vertices, values) if value == best)

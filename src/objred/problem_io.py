@@ -22,6 +22,8 @@ optional; defaults are x1..xk and f1..fn.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -37,6 +39,20 @@ class ProblemDocument:
     problem: MolpProblem
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _decimal(literal: str) -> Fraction:
+    """Fraction(literal), refusing an exponent larger in magnitude than the
+    interpreter's integer digit limit, which integer literals already obey:
+    Fraction builds 10**exponent, at a cost that grows without bound."""
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(literal)
+    if limit and match and abs(int(match.group(1))) > limit:
+        raise ValueError(f"exponent magnitude exceeds {limit}")
+    return Fraction(literal)
+
+
 def _rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):  # bool is an int; reject it explicitly
         raise ParseError(f"{where}: expected a rational, got a boolean")
@@ -44,7 +60,7 @@ def _rational(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational literal {value!r}") from exc
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
@@ -64,8 +80,8 @@ def parse_document(text: str | bytes) -> ProblemDocument:
     """Parse a problem document, exactly; see the module docstring for the
     format and the errors raised on malformed input."""
     try:
-        raw = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_float=_decimal)
+    except ValueError as exc:  # JSONDecodeError, or a number literal too long to read
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("top level must be a JSON object")

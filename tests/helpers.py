@@ -1,12 +1,14 @@
 """Fixture problems, the independent efficiency oracle, the plain
-``Fraction`` elimination references and the two-LP region checks shared by
-tests."""
+``Fraction`` elimination references, the two-LP region checks and the
+LP-based efficiency and optimal-face references shared by tests."""
 
 import itertools
 from fractions import Fraction
 
 from objred import MolpProblem, ObjectiveStack, Polytope
+from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
 from objred.linalg import ONE, ZERO, dot
+from objred.polytope import contains
 from objred.simplex import LpProblem, LpStatus, Relation, VarKind, feasible_point, solve
 
 
@@ -249,3 +251,41 @@ def is_bounded_reference(p):
     """True when sum(x) has no unbounded maximum; x >= 0 makes it a gauge."""
     out = solve(LpProblem((ONE,) * p.dim, _region_rows(p), (VarKind.NONNEG,) * p.dim))
     return out.status is not LpStatus.UNBOUNDED
+
+
+# The LP formulations the library used before it decided efficiency on the
+# normal cone of the tight constraints and read bounded optimal faces off
+# the vertex list; tests require the answers to agree exactly.
+
+
+def is_efficient_reference(p, f, x0):
+    """Maximize the total slack by which another feasible point dominates
+    x0; x0 is efficient exactly when that optimum is zero (an unbounded
+    auxiliary problem means domination without limit)."""
+    if not contains(p, x0):
+        raise InfeasibleInput("point is not in the region")
+    k = p.dim
+    n = f.count
+    base = f.values(x0)
+    rows = [(row + (ZERO,) * n, rel, rhs) for row, rel, rhs in p.rows]
+    for i, row in enumerate(f.rows):
+        coeff = tuple(row) + tuple(
+            Fraction(-1) if j == i else ZERO for j in range(n)
+        )
+        rows.append((coeff, Relation.EQ, base[i]))
+    objective = (ZERO,) * k + (ONE,) * n
+    kinds = (VarKind.NONNEG,) * (k + n)
+    out = solve(LpProblem(objective, tuple(rows), kinds))
+    assert out.status is not LpStatus.INFEASIBLE  # x0 itself is feasible
+    return out.status is LpStatus.OPTIMAL and out.value == 0
+
+
+def optimal_face_vertices_reference(p, c):
+    """Solve max c . x, then keep the vertices attaining the optimum."""
+    out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
+    if out.status is LpStatus.INFEASIBLE:
+        raise InfeasibleRegion("region is empty")
+    if out.status is LpStatus.UNBOUNDED:
+        raise UnboundedObjective("objective has no finite maximum on the region")
+    assert out.value is not None
+    return tuple(v for v in p.vertices if dot(c, v) == out.value)

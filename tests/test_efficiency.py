@@ -17,9 +17,19 @@ from objred.efficiency import (
 from objred.errors import InfeasibleInput
 from objred.instances import random_problem
 from objred.linalg import mat_vec
-from objred.polytope import Polytope, enumerate_vertices
+from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
 
-from helpers import CUBE, SEGMENT, cube_3obj, dominance_oracle, frows, fvec, segment_3obj, segment_4obj
+from helpers import (
+    CUBE,
+    SEGMENT,
+    cube_3obj,
+    dominance_oracle,
+    frows,
+    fvec,
+    is_efficient_reference,
+    segment_3obj,
+    segment_4obj,
+)
 
 
 def test_stack_validation():
@@ -223,3 +233,71 @@ def test_efficiency_answers_do_not_leak_between_stacks(problem, data):
     for x in points:
         assert is_efficient(warm, stack, x) == is_efficient(Polytope(a, b), stack, x)
         assert is_efficient(warm, reduced, x) == is_efficient(Polytope(a, b), reduced, x)
+
+
+@st.composite
+def regions_and_stacks(draw):
+    """A bounded or an unbounded region, possibly made degenerate, and a stack.
+
+    - bounded: b >= 0 and a cap row sum(x) <= c;
+    - unbounded: b >= 0 keeps the origin feasible, no cap row, and a
+      nonpositive column j makes e_j a recession direction;
+    - degenerate: a repeated row, or the sum of two rows with the sum of
+      their right-hand sides, which is redundant and tight wherever both
+      of its parts are.
+    """
+    kind = draw(st.sampled_from(["bounded", "unbounded"]))
+    k = draw(st.integers(2, 3))
+    ints = st.integers(-3, 3)
+    a = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    b = [draw(st.integers(0, 4)) for _ in a]
+    if kind == "bounded":
+        a.append([1] * k)
+        b.append(draw(st.integers(1, 4)))
+    else:
+        j = draw(st.integers(0, k - 1))
+        for row in a:
+            row[j] = -abs(row[j])
+    extra = draw(st.sampled_from(["none", "repeat", "redundant"]))
+    if extra == "repeat":
+        i = draw(st.integers(0, len(a) - 1))
+        a.append(list(a[i]))
+        b.append(b[i])
+    elif extra == "redundant" and len(a) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(a) - 1), min_size=2, max_size=2, unique=True))
+        a.append([x + y for x, y in zip(a[i], a[j])])
+        b.append(b[i] + b[j])
+    objectives = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    return kind, Polytope(frows(*a), fvec(b)), ObjectiveStack(frows(*objectives))
+
+
+def sample_points(p):
+    """Vertices, centroids of the vertex sets of faces, midpoints of the
+    two-vertex ones (edges), a strictly interior point when there is one,
+    and on an unbounded region each vertex moved along a recession ray."""
+    vertices = enumerate_vertices(p)
+    points = list(vertices)
+    for face in face_vertex_sets(p):
+        if len(face) >= 2:
+            size = Fraction(len(face))
+            points.append(tuple(sum(column) / size for column in zip(*face)))
+    if p.interior_point is not None:
+        points.append(p.interior_point)
+    if not is_bounded(p):
+        for j in range(p.dim):
+            if all(row[j] <= 0 for row in p.a):
+                points.extend(v[:j] + (v[j] + 1,) + v[j + 1 :] for v in vertices)
+    return points
+
+
+@settings(deadline=None, max_examples=80)
+@given(regions_and_stacks())
+def test_normal_cone_efficiency_matches_slack_lp_reference(drawn):
+    # Efficiency is decided on the normal cone of the constraints tight at
+    # the point (Isermann's theorem); the vertex oracle cannot check that at
+    # non-vertex points or on unbounded regions, so the old two-phase slack
+    # LP is the reference there, and the answers must be equal.
+    kind, p, stack = drawn
+    assert is_bounded(p) == (kind == "bounded")
+    for x in sample_points(p):
+        assert is_efficient(p, stack, x) == is_efficient_reference(p, stack, x), x

@@ -113,6 +113,32 @@ def test_parse_rejects_malformed_documents():
         )
 
 
+def _one_rhs(literal):
+    return '{"objectives": [[1]], "constraints": [{"coeffs": [1], "rhs": %s}]}' % literal
+
+
+def test_parse_rejects_over_long_integer_literal():
+    # Integer literals of more digits than the interpreter's limit raise
+    # ValueError inside json.loads; the parser reports it as ParseError.
+    with pytest.raises(ParseError):
+        parse_document(_one_rhs("1" * 4301))
+    assert parse_problem(_one_rhs("1" * 4300)).b == (Fraction("1" * 4300),)
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1E-5000", '"1e5000"', '"-2.5e-5000"', '"1e' + "9" * 5000 + '"'])
+def test_parse_rejects_huge_decimal_exponents(literal):
+    # Fraction builds 10**exponent, so an unchecked exponent of a few digits
+    # more would take minutes; these fail at once.
+    with pytest.raises(ParseError):
+        parse_document(_one_rhs(literal))
+
+
+@pytest.mark.parametrize("literal", ["1e4300", '"1e4300"', "1e-4300", '"-2.5E+4300"'])
+def test_parse_accepts_decimal_exponents_up_to_the_limit(literal):
+    expected = Fraction(literal.strip('"'))
+    assert parse_problem(_one_rhs(literal)).b == (expected,)
+
+
 def test_serialize_roundtrip_is_identity():
     doc = parse_document(CUBE_DOC)
     text = serialize_document(doc)

@@ -16,6 +16,7 @@ from objred.polytope import (
     is_bounded,
     nonempty,
     optimal_face_vertices,
+    tight_rows,
 )
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     fvec,
     is_bounded_reference,
     nonempty_reference,
+    optimal_face_vertices_reference,
 )
 
 
@@ -68,6 +70,17 @@ def test_contains():
     assert contains(SQUARE, fvec([1, 1]))
     assert not contains(SQUARE, fvec([1, 2]))
     assert not contains(SQUARE, fvec([-1, 0]))
+
+
+def test_tight_rows():
+    # The corner (1, 1) of this square lies on all three rows; (1, 0) only
+    # on the first, and the point outside has no answer.
+    p = Polytope(frows([1, 0], [0, 1], [1, 1]), fvec([1, 1, 2]))
+    assert tight_rows(p, fvec([1, 1])) == (0, 1, 2)
+    assert tight_rows(p, fvec([1, 0])) == (0,)
+    assert tight_rows(p, fvec([Fraction(1, 2), 0])) == ()
+    assert tight_rows(p, fvec([1, 2])) is None
+    assert tight_rows(p, fvec([1])) is None
 
 
 def test_interior_point_is_strict():
@@ -278,3 +291,37 @@ def test_one_status_lp_matches_two_lp_reference(drawn):
             "bounded": (True, True),
         }[kind]
     assert (nonempty(p), is_bounded(p)) == expected
+
+
+def _face_or_error(find, p, c):
+    try:
+        return find(p, c)
+    except (InfeasibleRegion, UnboundedObjective) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(regions_of_every_kind(), st.data())
+def test_optimal_face_matches_lp_reference(drawn, data):
+    # Bounded regions read the face off the vertex list; the reference
+    # solves max c . x on every region.  Faces and errors must agree.
+    _, p = drawn
+    c = fvec(data.draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
+    expected = _face_or_error(optimal_face_vertices_reference, p, c)
+    assert _face_or_error(optimal_face_vertices, p, c) == expected
+
+
+@pytest.mark.parametrize(
+    "p, c, expected",
+    [
+        # Unbounded region x1 + x2 >= 1 on which c is bounded: the LP decides
+        # the value, and both vertices attain it.
+        (Polytope(frows([-1, -1]), fvec([-1])), fvec([-1, -1]), (fvec([0, 1]), fvec([1, 0]))),
+        (Polytope(frows([-1, -1]), fvec([-1])), fvec([1, -1]), UnboundedObjective),
+        (Polytope(frows([1, 1]), fvec([-1])), fvec([1, 0]), InfeasibleRegion),
+    ],
+    ids=["unbounded-region-bounded-objective", "unbounded-objective", "empty-region"],
+)
+def test_optimal_face_pinned_cases_match_lp_reference(p, c, expected):
+    assert _face_or_error(optimal_face_vertices_reference, p, c) == expected
+    assert _face_or_error(optimal_face_vertices, p, c) == expected
