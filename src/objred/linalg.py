@@ -20,26 +20,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac(x: int | str | Fraction) -> Fraction:
-    """Coerce an exact rational literal (int, 'p/q', finite decimal string)."""
-    if isinstance(x, bool):
-        raise TypeError("booleans are not rational literals")
-    if isinstance(x, float):
-        raise TypeError("floats are inexact; pass a string or Fraction")
-    return Fraction(x)
-
-
-def vec(xs: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(frac(x) for x in xs)
-
-
-def mat(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
@@ -48,10 +28,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Matrix, x: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, x) for row in m)
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
@@ -107,13 +83,6 @@ def eliminate(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list
         prev = p
         pivots.append(c)
     return rows, pivots, prev
-
-
-def rank(m: Matrix) -> int:
-    """Dimension of the row space."""
-    if not m:
-        return 0
-    return len(eliminate(integer_rows(m), len(m[0]))[1])
 
 
 def null_space(m: Matrix) -> list[Vector]:

@@ -62,7 +62,10 @@ def _rational(value: Any, where: str) -> Fraction:
         try:
             return _decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational literal {value!r}") from exc
+            shown = repr(value)
+            if len(value) > 40:  # quote a prefix, not a line of any length
+                shown = f"{value[:40]!r}... ({len(value)} characters)"
+            raise ParseError(f"{where}: bad rational literal {shown}") from exc
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -83,6 +86,8 @@ def parse_document(text: str | bytes) -> ProblemDocument:
         raw = json.loads(text, parse_float=_decimal)
     except ValueError as exc:  # JSONDecodeError, or a number literal too long to read
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ParseError("top level must be a JSON object")
 

@@ -3,7 +3,9 @@
 Maximization problems with <=, ==, >= rows, nonnegative or free variables.
 Pivoting follows Bland's smallest-index rule, which guarantees termination
 even on degenerate (cycling-prone) instances; all arithmetic is Fraction,
-so feasibility and optimality are decided without tolerances.
+so feasibility and optimality are decided without tolerances.  The reduced
+costs live in the tableau as cost rows below the constraints, so each pivot
+reprices them and no iteration sums over the basis.
 """
 
 from __future__ import annotations
@@ -74,22 +76,16 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     basis[row] = col
 
 
-def _optimize(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> bool:
+def _optimize(tableau: list[list[Fraction]], basis: list[int]) -> bool:
     """Run simplex iterations in place; True when optimal, False when unbounded.
 
+    The reduced costs are the tableau's last row, kept current by ``_pivot``;
+    the ratio test reads only the first ``len(basis)`` (constraint) rows.
     Bland's rule: entering column is the smallest index with positive reduced
     cost, leaving row is the minimum-ratio row with the smallest basic index.
     """
-    n_cols = len(cost)
     for _ in range(_MAX_PIVOTS):
-        entering = None
-        for j in range(n_cols):
-            reduced = cost[j] - sum(
-                (cost[basis[i]] * tableau[i][j] for i in range(len(basis))), ZERO
-            )
-            if reduced > 0:
-                entering = j
-                break
+        entering = next((j for j, r in enumerate(tableau[-1][:-1]) if r > 0), None)
         if entering is None:
             return True
         leave = None
@@ -110,7 +106,6 @@ def _optimize(tableau: list[list[Fraction]], basis: list[int], cost: list[Fracti
 def solve(problem: LpProblem) -> LpOutcome:
     """Exact optimum of an LpProblem; status is always one of the three."""
     kinds = problem.variable_kinds
-    n_vars = len(kinds)
 
     # Column layout: nonnegative variables map to one column, free variables
     # split into a positive and a negative part; slacks come afterwards.
@@ -161,11 +156,14 @@ def solve(problem: LpProblem) -> LpOutcome:
     for i in range(m):
         tableau[i][width + i] = ONE
     basis = [width + i for i in range(m)]
+    # Cost rows: the phase-2 objective, then phase 1's -(sum of artificials)
+    # priced out against the starting basis; its last cell is that sum.
+    tableau.append(expand(problem.objective) + [ZERO] * (n_slacks + m + 1))
+    phase1 = [sum((row[j] for row in body), ZERO) for j in range(width)]
+    tableau.append(phase1 + [ZERO] * m + [sum(rhs_col, ZERO)])
 
-    phase1_cost = [ZERO] * width + [Fraction(-1)] * m
-    _optimize(tableau, basis, phase1_cost)  # bounded above by 0, never unbounded
-    artificial_sum = sum((tableau[i][-1] for i in range(m) if basis[i] >= width), ZERO)
-    if artificial_sum > 0:
+    _optimize(tableau, basis)  # bounded above by 0, never unbounded
+    if tableau.pop()[-1] > 0:
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive zero-valued artificials out of the basis; rows with no real
@@ -180,8 +178,7 @@ def solve(problem: LpProblem) -> LpOutcome:
                 _pivot(tableau, basis, i, pivot_col)
     tableau = [row[:width] + [row[-1]] for row in tableau]
 
-    phase2_cost = expand(problem.objective) + [ZERO] * n_slacks
-    if not _optimize(tableau, basis, phase2_cost):
+    if not _optimize(tableau, basis):
         return LpOutcome(LpStatus.UNBOUNDED)
 
     std_point = [ZERO] * width

@@ -1,15 +1,25 @@
 """Fixture problems, the independent efficiency oracle, the plain
-``Fraction`` elimination references, the two-LP region checks and the
-LP-based efficiency and optimal-face references shared by tests."""
+``Fraction`` elimination references, the two-LP region checks, the
+LP-based efficiency and optimal-face references and the externally priced
+simplex reference shared by tests."""
 
 import itertools
 from fractions import Fraction
 
 from objred import MolpProblem, ObjectiveStack, Polytope
 from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
-from objred.linalg import ONE, ZERO, dot
+from objred.linalg import ONE, ZERO, Vector, dot
 from objred.polytope import contains
-from objred.simplex import LpProblem, LpStatus, Relation, VarKind, feasible_point, solve
+from objred.simplex import (
+    _MAX_PIVOTS,
+    LpOutcome,
+    LpProblem,
+    LpStatus,
+    Relation,
+    VarKind,
+    feasible_point,
+    solve,
+)
 
 
 def fvec(xs):
@@ -289,3 +299,138 @@ def optimal_face_vertices_reference(p, c):
         raise UnboundedObjective("objective has no finite maximum on the region")
     assert out.value is not None
     return tuple(v for v in p.vertices if dot(c, v) == out.value)
+
+
+# The simplex as it was when phase 1 and phase 2 each repriced every column
+# from a cost vector outside the tableau on every iteration.  The library
+# carries the reduced costs as tableau rows; tests require equal outcomes.
+
+
+def _pivot_reference(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    inv = ONE / tableau[row][col]
+    tableau[row] = [inv * a for a in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            f = tableau[i][col]
+            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
+    basis[row] = col
+
+
+def _optimize_reference(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> bool:
+    """Run simplex iterations in place; True when optimal, False when unbounded.
+
+    Bland's rule: entering column is the smallest index with positive reduced
+    cost, leaving row is the minimum-ratio row with the smallest basic index.
+    """
+    n_cols = len(cost)
+    for _ in range(_MAX_PIVOTS):
+        entering = None
+        for j in range(n_cols):
+            reduced = cost[j] - sum(
+                (cost[basis[i]] * tableau[i][j] for i in range(len(basis))), ZERO
+            )
+            if reduced > 0:
+                entering = j
+                break
+        if entering is None:
+            return True
+        leave = None
+        best: Fraction | None = None
+        for i in range(len(basis)):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return False
+        _pivot_reference(tableau, basis, leave, entering)
+    raise RuntimeError("simplex failed to terminate")  # pragma: no cover
+
+
+def solve_reference(problem: LpProblem) -> LpOutcome:
+    """Exact optimum of an LpProblem; status is always one of the three."""
+    kinds = problem.variable_kinds
+    n_vars = len(kinds)
+
+    # Column layout: nonnegative variables map to one column, free variables
+    # split into a positive and a negative part; slacks come afterwards.
+    col_of: list[tuple[int, int | None]] = []
+    n_std = 0
+    for kind in kinds:
+        if kind is VarKind.FREE:
+            col_of.append((n_std, n_std + 1))
+            n_std += 2
+        else:
+            col_of.append((n_std, None))
+            n_std += 1
+
+    def expand(row: Vector) -> list[Fraction]:
+        out = [ZERO] * n_std
+        for j, a in enumerate(row):
+            pos, neg = col_of[j]
+            out[pos] = a
+            if neg is not None:
+                out[neg] = -a
+        return out
+
+    rows: list[tuple[list[Fraction], Relation, Fraction]] = []
+    for row, rel, rhs in problem.constraints:
+        if rel is Relation.GE:  # normalize to <= at ingestion
+            rows.append(([-a for a in expand(row)], Relation.LE, -rhs))
+        else:
+            rows.append((expand(row), rel, Fraction(rhs)))
+
+    n_slacks = sum(1 for _, rel, _ in rows if rel is Relation.LE)
+    width = n_std + n_slacks
+    body: list[list[Fraction]] = []
+    rhs_col: list[Fraction] = []
+    slack = n_std
+    for row, rel, rhs in rows:
+        full = row + [ZERO] * n_slacks
+        if rel is Relation.LE:
+            full[slack] = ONE
+            slack += 1
+        if rhs < 0:
+            full = [-a for a in full]
+            rhs = -rhs
+        body.append(full)
+        rhs_col.append(rhs)
+
+    m = len(body)
+    tableau = [body[i] + [ZERO] * m + [rhs_col[i]] for i in range(m)]
+    for i in range(m):
+        tableau[i][width + i] = ONE
+    basis = [width + i for i in range(m)]
+
+    phase1_cost = [ZERO] * width + [Fraction(-1)] * m
+    _optimize_reference(tableau, basis, phase1_cost)  # bounded above by 0, never unbounded
+    artificial_sum = sum((tableau[i][-1] for i in range(m) if basis[i] >= width), ZERO)
+    if artificial_sum > 0:
+        return LpOutcome(LpStatus.INFEASIBLE)
+
+    # Drive zero-valued artificials out of the basis; rows with no real
+    # pivot left are redundant and get dropped.
+    for i in reversed(range(len(basis))):
+        if basis[i] >= width:
+            pivot_col = next((j for j in range(width) if tableau[i][j] != 0), None)
+            if pivot_col is None:
+                del tableau[i]
+                del basis[i]
+            else:
+                _pivot_reference(tableau, basis, i, pivot_col)
+    tableau = [row[:width] + [row[-1]] for row in tableau]
+
+    phase2_cost = expand(problem.objective) + [ZERO] * n_slacks
+    if not _optimize_reference(tableau, basis, phase2_cost):
+        return LpOutcome(LpStatus.UNBOUNDED)
+
+    std_point = [ZERO] * width
+    for i, b in enumerate(basis):
+        std_point[b] = tableau[i][-1]
+    point = []
+    for pos, neg in col_of:
+        point.append(std_point[pos] - (std_point[neg] if neg is not None else ZERO))
+    x = tuple(point)
+    return LpOutcome(LpStatus.OPTIMAL, value=dot(problem.objective, x), point=x)

@@ -85,6 +85,11 @@ def test_input_errors_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "classify", bad)
     assert code == 2 and "not valid JSON" in err
 
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    code, _, err = run(capsys, "classify", nested)
+    assert code == 2 and "nested too deeply" in err
+
     code, _, err = run(
         capsys, "classify", PROBLEMS / "cube_3obj.json", "--objective", 9
     )

@@ -30,7 +30,7 @@ from objred.engine import (
     step7,
 )
 from objred.errors import InfeasibleRegion, UnboundedRegion
-from objred.linalg import dot, mat_vec, vadd
+from objred.linalg import dot, mat_vec
 from objred.polytope import enumerate_vertices
 
 from helpers import (
@@ -74,7 +74,7 @@ def test_step0_certificate_reconstructs_candidate():
     assert alpha is not None and all(a >= 0 for a in alpha)
     combo = fvec([0, 0])
     for a, row in zip(alpha, stack.rows[:-1]):
-        combo = vadd(combo, tuple(a * c for c in row))
+        combo = tuple(x + a * c for x, c in zip(combo, row))
     assert combo == stack.rows[-1]
 
 

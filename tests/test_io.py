@@ -113,6 +113,26 @@ def test_parse_rejects_malformed_documents():
         )
 
 
+def test_parse_rejects_deeply_nested_json():
+    # The json module recurses once per level and raises RecursionError.
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_document("[" * 100_000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_document("[" * 100_000 + "]" * 100_000)
+
+
+def test_parse_shortens_over_long_literals_in_errors():
+    literal = "1/" + "x" * 4998
+    doc = '{"objectives": [["%s"]], "constraints": [{"coeffs": [1], "rhs": 1}]}' % literal
+    with pytest.raises(ParseError) as info:
+        parse_document(doc)
+    message = str(info.value)
+    assert len(message) < 200
+    assert "objective 1" in message
+    assert "5000 characters" in message
+    assert literal[:40] in message
+
+
 def _one_rhs(literal):
     return '{"objectives": [[1]], "constraints": [{"coeffs": [1], "rhs": %s}]}' % literal
 

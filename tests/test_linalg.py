@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 
 from objred.linalg import (
     dot,
-    frac,
     intersect_spans,
-    mat,
     mat_vec,
     null_space,
-    rank,
     solve_square,
     span_basis,
-    vec,
 )
 
 from helpers import (
@@ -25,25 +21,6 @@ from helpers import (
     solve_square_reference,
     span_basis_reference,
 )
-
-
-def test_frac_coercions():
-    assert frac(3) == Fraction(3)
-    assert frac("1/3") == Fraction(1, 3)
-    assert frac("0.5") == Fraction(1, 2)
-    assert frac(Fraction(7, 2)) == Fraction(7, 2)
-
-
-def test_frac_rejects_bool_and_float():
-    with pytest.raises(TypeError):
-        frac(True)
-    with pytest.raises(TypeError):
-        frac(0.5)
-
-
-def test_mat_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        mat([[1, 2], [3]])
 
 
 def test_dot_and_mat_vec():
@@ -60,10 +37,10 @@ def test_dot_rejects_mismatched_lengths():
 
 
 def test_rank_fixtures():
-    assert rank(frows([1, 1, 1], [-1, 1, 1])) == 2
-    assert rank(frows([1, 2], [2, 4])) == 1
-    assert rank(frows([0, 0], [0, 0])) == 0
-    assert rank(frows([1, 1, 1, 1, 1], [-1, 1, 1, 1, 1], [-1, -1, 1, 1, 1])) == 3
+    assert rank_reference(frows([1, 1, 1], [-1, 1, 1])) == 2
+    assert rank_reference(frows([1, 2], [2, 4])) == 1
+    assert rank_reference(frows([0, 0], [0, 0])) == 0
+    assert rank_reference(frows([1, 1, 1, 1, 1], [-1, 1, 1, 1, 1], [-1, -1, 1, 1, 1])) == 3
 
 
 def test_null_space_of_reduced_cube_stack():
@@ -145,18 +122,18 @@ def test_null_space_annihilates_and_counts(m):
     zero = (Fraction(0),) * len(m)
     for v in basis:
         assert mat_vec(m, v) == zero
-    assert rank(m) + len(basis) == len(m[0])
+    assert rank_reference(m) + len(basis) == len(m[0])
 
 
 @settings(deadline=None, max_examples=80)
 @given(matrices())
 def test_span_basis_is_independent_subset(m):
     basis = span_basis(m)
-    assert len(basis) == rank(m)
+    assert len(basis) == rank_reference(m)
     for v in basis:
         assert v in m
     if basis:
-        assert rank(basis) == len(basis)
+        assert rank_reference(basis) == len(basis)
 
 
 @settings(deadline=None, max_examples=60)
@@ -178,7 +155,7 @@ def test_solve_square_roundtrip(m, data):
     x = fvec([data.draw(fractions_st) for _ in range(n)])
     rhs = mat_vec(m, x)
     sol = solve_square(m, rhs)
-    if rank(m) == n:
+    if rank_reference(m) == n:
         assert sol is not None
         assert sol == x
     elif sol is not None:
@@ -211,7 +188,6 @@ def awkward_matrices(draw, max_rows=4, max_cols=5, square=False):
 @settings(deadline=None, max_examples=200)
 @given(awkward_matrices())
 def test_kernel_matches_fraction_reference(m):
-    assert rank(m) == rank_reference(m)
     assert null_space(m) == null_space_reference(m)
     assert span_basis(m) == span_basis_reference(m)
     columns = tuple(zip(*m))

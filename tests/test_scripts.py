@@ -1,0 +1,29 @@
+"""The command-line scripts under scripts/ still run end to end."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_random_stress_finds_no_mismatch():
+    proc = run_script("random_stress.py", "--count", "10", "--seed", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "10 instances" in proc.stdout
+    assert " 0 mismatch(es)" in proc.stdout
+
+
+def test_run_sessions_reduces_every_problem():
+    proc = run_script("run_sessions.py", "--reduce")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "kept:" in proc.stdout

@@ -13,7 +13,7 @@ from objred.simplex import (
     solve,
 )
 
-from helpers import frows, fvec
+from helpers import frows, fvec, solve_reference
 
 NN = VarKind.NONNEG
 FR = VarKind.FREE
@@ -171,3 +171,52 @@ def test_strong_duality(data):
         assert d.status is LpStatus.INFEASIBLE
     else:
         assert d.status is not LpStatus.OPTIMAL
+
+
+def test_no_rows_unbounded_and_optimal():
+    up = solve(lp([1], []))
+    assert up.status is LpStatus.UNBOUNDED
+    down = solve(lp([-1], []))
+    assert down.status is LpStatus.OPTIMAL
+    assert down.value == 0
+    assert down.point == fvec([0])
+
+
+# Inputs for the comparison with the externally priced reference: LE, EQ and
+# GE rows with rhs of either sign, free and nonnegative variables, frequent
+# zeros, a repeated row (the artificial drive-out and the row deletion) and
+# problems with no constraint rows at all.
+entries = st.one_of(st.just(Fraction(0)), fractions_st)
+
+
+@st.composite
+def mixed_lps(draw):
+    n = draw(st.integers(1, 4))
+    kinds = tuple(draw(st.sampled_from([NN, NN, FR])) for _ in range(n))
+    rows = [
+        (
+            tuple(draw(entries) for _ in range(n)),
+            draw(st.sampled_from(list(Relation))),
+            draw(entries),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if rows and draw(st.booleans()):
+        row, rel, rhs = rows[draw(st.integers(0, len(rows) - 1))]
+        scale = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 2)]))
+        if scale < 0 and rel is not Relation.EQ:
+            rel = Relation.GE if rel is Relation.LE else Relation.LE
+        rows.insert(
+            draw(st.integers(0, len(rows))),
+            (tuple(scale * a for a in row), rel, scale * rhs),
+        )
+    objective = tuple(draw(entries) for _ in range(n))
+    return LpProblem(objective, tuple(rows), kinds)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_lps())
+def test_tableau_priced_simplex_matches_reference(problem):
+    out = solve(problem)
+    ref = solve_reference(problem)
+    assert (out.status, out.value, out.point) == (ref.status, ref.value, ref.point)
