@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Wall times outside the perfbench harness: vertex enumeration on a seeded
+size ladder, and classify and reduce on every document under problems/.
+
+Ladder rung k has k variables and k + 4 rows with entries in [0, 3] and
+right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Each time
+is the best of three runs on a fresh ``Polytope`` or problem, so no fact
+computed by one run is reused by the next.
+
+    python3 scripts/bench.py [--seed S] [--max-k K]
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import sys
+import time
+from typing import Callable
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from objred import Error, Polytope, classify, parse_document, reduce_objectives  # noqa: E402
+from objred.instances import ladder_region  # noqa: E402
+from objred.polytope import enumerate_vertices  # noqa: E402
+
+REPEATS = 3
+SMALLEST_K = 3
+
+
+def best_time(run: Callable[[], object]) -> tuple[object, float]:
+    """(result, best wall time in seconds) over REPEATS runs of ``run``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - started)
+    return result, best
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0, help="ladder seed")
+    parser.add_argument("--max-k", type=int, default=8, help="largest ladder rung")
+    args = parser.parse_args()
+    if args.max_k < SMALLEST_K:
+        parser.error(f"--max-k must be at least {SMALLEST_K}")
+
+    print(f"ladder (seed {args.seed}): k, m, vertices, seconds")
+    for k in range(SMALLEST_K, args.max_k + 1):
+        region = ladder_region(k, args.seed)
+        vertices, seconds = best_time(lambda: enumerate_vertices(Polytope(region.a, region.b)))
+        print(f"  k={k} m={len(region.a)} {len(vertices)} vertices {seconds:.4f} s")
+
+    print("problems/: classify (last objective) and reduce, seconds")
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        problem = parse_document(path.read_bytes()).problem
+        cells = []
+        for name, run in (("classify", classify), ("reduce", reduce_objectives)):
+            try:
+                _, seconds = best_time(lambda: run(problem))
+            except Error as exc:
+                cells.append(f"{name} {type(exc).__name__}")
+            else:
+                cells.append(f"{name} {seconds:.4f} s")
+        print(f"  {path.name}: " + ", ".join(cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

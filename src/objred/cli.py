@@ -139,9 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleRegion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

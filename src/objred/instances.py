@@ -1,7 +1,8 @@
 """Seeded random problem generation for stress and property tests.
 
 Instances keep the origin feasible (b >= 0) and are capped to a bounded
-region by default, so classify always runs to a verdict on them.
+region by default, so classify always runs to a verdict on them.  The
+regions of the vertex-enumeration size ladder come from ``ladder_region``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from .engine import MolpProblem
 from .linalg import Vector
-from .polytope import is_bounded
+from .polytope import Polytope, is_bounded
 
 
 def _row(rng: random.Random, width: int, spread: int) -> Vector:
@@ -65,3 +66,13 @@ def plant_combination(
     )
     extended = MolpProblem(base.objectives + (candidate,), base.a, base.b)
     return extended, alpha
+
+
+def ladder_region(k: int, seed: int = 0) -> Polytope:
+    """Rung k of the vertex-enumeration size ladder: k variables and k + 4
+    rows with integer entries in [0, 3] and right-hand sides in [3, 9].
+    Each rung draws from its own stream, keyed by seed and k."""
+    rng = random.Random(f"ladder:{seed}:{k}")
+    a = tuple(tuple(Fraction(rng.randint(0, 3)) for _ in range(k)) for _ in range(k + 4))
+    b = tuple(Fraction(rng.randint(3, 9)) for _ in range(k + 4))
+    return Polytope(a, b)

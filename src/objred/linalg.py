@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Vectors and matrices are plain tuples of ``fractions.Fraction``, so every
-value is immutable, hashable and exact.  All elimination runs in one
-fraction-free Gauss–Jordan routine on integers (Bareiss, Edmonds; as in
-``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
+value is immutable, hashable and exact.  All elimination runs on one
+fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
+in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
 """
 
@@ -55,6 +55,24 @@ def integer_rows(m: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
+def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss–Jordan step on rows[r][c], in place.
+
+    ``prev`` is the previous pivot (1 before the first).  Every other row
+    becomes ``(p * row - row[c] * top) // prev`` with ``top = rows[r]`` and
+    ``p = top[c]``; the pivot row is left as it is.  The other rows are new
+    lists, so a shallow copy of ``rows`` keeps the old state.  Returns p,
+    the ``prev`` of the next step.
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def eliminate(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss–Jordan on integer rows, in place.
 
@@ -74,13 +92,7 @@ def eliminate(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        p = top[c]
-        for i in range(n_rows):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
-        prev = p
+        prev = pivot(rows, r, c, prev)
         pivots.append(c)
     return rows, pivots, prev
 

@@ -1,8 +1,12 @@
 """Feasible regions of the form {x : Ax <= b, x >= 0} with exact geometry.
 
-Vertices come from basis enumeration on the slack-extended system, so the
-results are exact rational points, deterministic, and sorted; nothing here
-depends on floating point.
+Vertices come from a search over the feasible bases of the slack-extended
+system [A | I] y = b, y >= 0, which pivots from basis to adjacent basis on
+an integer dictionary (the feasible-basis graph of Avis & Fukuda's reverse
+search, on the fraction-free pivot of ``lrs``).  The work grows with the
+number of feasible bases, not with all C(k + m, m) bases.  The results are
+exact rational points, deterministic, and sorted; nothing here depends on
+floating point.
 
 Each fact about a region is computed at most once per ``Polytope``, on
 first use, and lives exactly as long as that object; nothing is cached at
@@ -15,9 +19,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InfeasibleRegion, UnboundedObjective
-from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows
+from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows, pivot
 from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
 
 
@@ -96,28 +101,90 @@ def contains(p: Polytope, x: Vector) -> bool:
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically.
 
-    Works on the slack form [A | I] y = b, y >= 0: every choice of m basic
-    columns whose square system is nonsingular and solves nonnegatively is a
-    basic feasible solution, and its x-part is a vertex.  [A | I | b] is made
-    integer once; each basis is eliminated on integers, where y_c = num / d
-    is nonnegative iff num * d >= 0, so only feasible bases build Fractions.
+    Works on the slack form [A | I] y = b, y >= 0, whose basic feasible
+    solutions have the vertices as their x-parts.  [A | I | b] is made
+    integer once.  The search starts from the slack basis when it is
+    feasible (b >= 0), else from the first feasible basis in
+    ``itertools.combinations`` order; with none, the region is empty.  From
+    each basis, every nonbasic column that is not a ray, paired with every
+    row that attains its minimum ratio, leads to an adjacent feasible basis.
+    Ties are all kept: at a degenerate vertex they are the steps between
+    its bases.  Each basis is visited once, keyed by its set of columns, and
+    each newly found one costs one ``pivot`` of its neighbour's integer
+    dictionary.
+
+    Every vertex is reached: for an objective whose only maximizer is a
+    chosen vertex, Bland's rule walks from any feasible basis to a basis of
+    that vertex without cycling, and each of its steps (an improving column,
+    the tied row of lowest index) is one of these pivots.
     """
     m = len(p.a)
     k = p.dim
+    n = k + m
     full = integer_rows(
         tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
         for i, row in enumerate(p.a)
     )
-    seen: set[Vector] = set()
-    for cols in itertools.combinations(range(k + m), m):
-        rows, pivots, d = eliminate([[r[c] for c in cols] + [r[-1]] for r in full], m)
-        if len(pivots) < m or any(r[m] * d < 0 for r in rows):
+    starts = itertools.chain([range(k, n)], itertools.combinations(range(n), m))
+    start = next(filter(None, (_feasible_dictionary(full, cols) for cols in starts)), None)
+    if start is None:
+        return ()
+    seen = {frozenset(start[0])}
+    stack = [start]
+    vertices: set[Vector] = set()
+    while stack:
+        basis, rows, d = stack.pop()
+        x = [ZERO] * k
+        for c, row in zip(basis, rows):
+            if c < k:
+                x[c] = Fraction(row[-1], d)
+        vertices.add(tuple(x))
+        basic = set(basis)
+        for j in range(n):
+            if j in basic:
+                continue
+            for r in _leaving_rows(rows, j, d):
+                neighbour = basis.copy()
+                neighbour[r] = j
+                key = frozenset(neighbour)
+                if key not in seen:
+                    seen.add(key)
+                    after = list(rows)
+                    stack.append((neighbour, after, pivot(after, r, j, d)))
+    return tuple(sorted(vertices))
+
+
+def _feasible_dictionary(
+    full: list[list[int]], cols: Sequence[int]
+) -> tuple[list[int], list[list[int]], int] | None:
+    """(basis, rows, d) for the basis ``cols`` of the integer rows ``full``,
+    or None when it is singular or infeasible.  ``rows[i] / d`` is the row
+    of basic column ``basis[i]``; its last entry is that column's value."""
+    m = len(cols)
+    rows, pivots, d = eliminate([[r[c] for c in cols] + r for r in full], m)
+    if len(pivots) < m or any(r[-1] * d < 0 for r in rows):
+        return None
+    return list(cols), [r[m:] for r in rows], d
+
+
+def _leaving_rows(rows: list[list[int]], j: int, d: int) -> list[int]:
+    """Rows with a positive entry in column j (``rows[i][j] / d > 0``) that
+    attain the minimum ratio ``rows[i][-1] / rows[i][j]``; none for a ray."""
+    best: list[int] = []
+    for i, row in enumerate(rows):
+        a = row[j]
+        if a * d <= 0:
             continue
-        y = [ZERO] * (k + m)
-        for c, r in zip(cols, rows):
-            y[c] = Fraction(r[m], d)
-        seen.add(tuple(y[:k]))
-    return tuple(sorted(seen))
+        if best:
+            top = rows[best[0]]
+            # a and top[j] have the sign of d, so cross-multiplying keeps the order.
+            diff = row[-1] * top[j] - top[-1] * a
+            if diff > 0:
+                continue
+            if diff < 0:
+                best = []
+        best.append(i)
+    return best
 
 
 def find_interior_point(p: Polytope) -> Vector | None:

@@ -141,7 +141,10 @@ def parse_document(text: str | bytes) -> ProblemDocument:
         a_rows.append(_coeffs(entry.get("coeffs"), width, where))
         b.append(_rational(entry.get("rhs"), where))
 
-    problem = MolpProblem(tuple(rows), tuple(a_rows), tuple(b))
+    try:
+        problem = MolpProblem(tuple(rows), tuple(a_rows), tuple(b))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return ProblemDocument(tuple(variables), tuple(names), problem)
 
 

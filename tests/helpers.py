@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from objred import MolpProblem, ObjectiveStack, Polytope
 from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
-from objred.linalg import ONE, ZERO, Vector, dot
+from objred.linalg import ONE, ZERO, Vector, dot, eliminate, integer_rows
 from objred.polytope import contains
 from objred.simplex import (
     _MAX_PIVOTS,
@@ -241,6 +241,23 @@ def enumerate_vertices_reference(p):
             y[c] = v
         seen.add(tuple(y[:k]))
     return tuple(sorted(seen))
+
+
+def count_feasible_bases(p):
+    """Number of feasible bases of [A | I] y = b, y >= 0, found by eliminating
+    every one of the C(k + m, m) bases on integers (the enumeration loop the
+    library used before its search over adjacent feasible bases)."""
+    m = len(p.a)
+    k = p.dim
+    full = integer_rows(
+        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
+        for i, row in enumerate(p.a)
+    )
+    count = 0
+    for cols in itertools.combinations(range(k + m), m):
+        rows, pivots, d = eliminate([[r[c] for c in cols] + [r[-1]] for r in full], m)
+        count += len(pivots) == m and all(r[m] * d >= 0 for r in rows)
+    return count
 
 
 # The region checks as two separate LPs.  The library reads both from one

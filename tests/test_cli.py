@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from objred import cli
 from objred.cli import main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -99,6 +102,17 @@ def test_input_errors_exit_code(capsys, tmp_path):
         capsys, "classify", PROBLEMS / "cube_3obj.json", "--objective", 0
     )
     assert code == 2
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # Exit code 2 means the document is at fault; a ValueError raised inside
+    # the library is a bug and must not be reported as one.
+    def broken(*args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["classify", str(PROBLEMS / "cube_3obj.json")])
 
 
 def test_reduce_output(capsys):

@@ -14,6 +14,7 @@ from objred import (
     serialize_document,
     verdict_to_jsonable,
 )
+from objred import problem_io
 from objred.errors import DimensionError, ParseError, RelationError
 from objred.problem_io import (
     ProblemDocument,
@@ -193,6 +194,16 @@ def test_verdict_jsonable_schema():
     assert "relation" not in payload
     assert payload["certificates"]["4"] == ["1/2", "1/4", "1/4"]
     json.dumps(payload)  # everything must be plain JSON types
+
+
+def test_parse_reports_a_rejected_problem_as_parse_error(monkeypatch):
+    # Whatever MolpProblem refuses is a fault of the document.
+    def refuse(*args):
+        raise ValueError("objective length != variable count")
+
+    monkeypatch.setattr(problem_io, "MolpProblem", refuse)
+    with pytest.raises(ParseError, match="objective length"):
+        parse_document(CUBE_DOC)
 
 
 def test_verdict_jsonable_includes_relation():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from objred import linalg, polytope
 from objred.errors import InfeasibleRegion, UnboundedObjective
+from objred.instances import ladder_region
 from objred.linalg import dot
 from objred.polytope import (
     Polytope,
@@ -23,6 +25,7 @@ from helpers import (
     CUBE,
     SEGMENT,
     SQUARE,
+    count_feasible_bases,
     enumerate_vertices_reference,
     frows,
     fvec,
@@ -325,3 +328,90 @@ def test_optimal_face_matches_lp_reference(drawn, data):
 def test_optimal_face_pinned_cases_match_lp_reference(p, c, expected):
     assert _face_or_error(optimal_face_vertices_reference, p, c) == expected
     assert _face_or_error(optimal_face_vertices, p, c) == expected
+
+
+# The feasible-basis search against the all-bases reference.
+
+
+@st.composite
+def regions_with_redundant_rows(draw):
+    """``regions_of_every_kind`` up to 6 rows x 4 columns, often with one
+    row repeated or the sum of two rows appended with the summed bound:
+    such a row is tight wherever its sources are, so vertices degenerate."""
+    kind, p = draw(regions_of_every_kind(max_rows=4, max_cols=4))
+    a, b = list(p.a), list(p.b)
+    extra = draw(st.sampled_from(["none", "repeat", "sum"]))
+    if extra == "repeat":
+        i = draw(st.integers(0, len(a) - 1))
+        a.append(a[i])
+        b.append(b[i])
+    elif extra == "sum" and len(a) >= 2:
+        i, j = draw(st.permutations(range(len(a))))[:2]
+        a.append(tuple(x + y for x, y in zip(a[i], a[j])))
+        b.append(b[i] + b[j])
+    return kind, Polytope(tuple(a), tuple(b))
+
+
+@settings(deadline=None, max_examples=150)
+@given(regions_with_redundant_rows())
+def test_vertex_search_matches_all_bases_reference(drawn):
+    # Free draws cover nonempty regions whose slack basis is infeasible
+    # (some b_i < 0), where the search starts from another basis.
+    _, p = drawn
+    assert enumerate_vertices(p) == enumerate_vertices_reference(p)
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # 1 <= x1 + x2 <= 2: nonempty, but b has a negative entry, so the
+        # slack basis is infeasible.
+        (
+            Polytope(frows([-1, -1], [1, 1]), fvec([-1, 2])),
+            (fvec([0, 1]), fvec([0, 2]), fvec([1, 0]), fvec([2, 0])),
+        ),
+        # A pyramid over the square [0, 2]^2 whose apex (1, 1, 1) lies on
+        # all four slanted rows: four bases, one vertex.
+        (
+            Polytope(
+                frows([-1, 0, 1], [0, -1, 1], [1, 0, 1], [0, 1, 1]), fvec([0, 0, 2, 2])
+            ),
+            (
+                fvec([0, 0, 0]),
+                fvec([0, 2, 0]),
+                fvec([1, 1, 1]),
+                fvec([2, 0, 0]),
+                fvec([2, 2, 0]),
+            ),
+        ),
+        # 0 <= x2 <= min(x1, 1): the origin lies on three planes in the
+        # plane, and the ray (1, 0) leaves it.
+        (Polytope(frows([-1, 1], [0, 1]), fvec([0, 1])), (fvec([0, 0]), fvec([1, 1]))),
+    ],
+    ids=["slack-basis-infeasible", "apex-with-four-tight-rows", "ray-from-degenerate-vertex"],
+)
+def test_vertex_search_pinned_cases(p, expected):
+    assert enumerate_vertices_reference(p) == expected
+    assert enumerate_vertices(p) == expected
+
+
+def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
+    # k = 6, m = 10: brute force eliminates all C(16, 10) = 8008 bases.  The
+    # search pivots m times onto its start basis, then once per other
+    # feasible basis it reaches.
+    p = ladder_region(6)
+    m = len(p.a)
+    feasible = count_feasible_bases(p)
+    original = linalg.pivot
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
+    monkeypatch.setattr(polytope, "pivot", counted)
+    assert len(enumerate_vertices(p)) > 1
+    assert m <= calls <= m + feasible
+    assert m + feasible < 8008 // 20

@@ -27,3 +27,11 @@ def test_run_sessions_reduces_every_problem():
     proc = run_script("run_sessions.py", "--reduce")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "kept:" in proc.stdout
+
+
+def test_bench_runs_its_smallest_rungs():
+    proc = run_script("bench.py", "--max-k", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "k=3 m=7 " in proc.stdout and "k=4 m=8 " in proc.stdout
+    assert "k=5" not in proc.stdout
+    assert "cube_3obj.json: classify " in proc.stdout
