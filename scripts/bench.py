@@ -3,9 +3,10 @@
 size ladder, and classify and reduce on every document under problems/.
 
 Ladder rung k has k variables and k + 4 rows with entries in [0, 3] and
-right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Each time
-is the best of three runs on a fresh ``Polytope`` or problem, so no fact
-computed by one run is reused by the next.
+right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Its empty
+variant adds the row -sum(x) <= -1000, and enumerating it proves it empty.
+Each time is the best of three runs on a fresh ``Polytope`` or problem, so
+no fact computed by one run is reused by the next.
 
     python3 scripts/bench.py [--seed S] [--max-k K]
 """
@@ -16,6 +17,7 @@ import argparse
 import pathlib
 import sys
 import time
+from fractions import Fraction
 from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -47,11 +49,17 @@ def main() -> int:
     if args.max_k < SMALLEST_K:
         parser.error(f"--max-k must be at least {SMALLEST_K}")
 
-    print(f"ladder (seed {args.seed}): k, m, vertices, seconds")
+    print(f"ladder (seed {args.seed}): k, m, vertices, seconds; the same for the empty variant")
     for k in range(SMALLEST_K, args.max_k + 1):
         region = ladder_region(k, args.seed)
         vertices, seconds = best_time(lambda: enumerate_vertices(Polytope(region.a, region.b)))
-        print(f"  k={k} m={len(region.a)} {len(vertices)} vertices {seconds:.4f} s")
+        empty_a = region.a + ((Fraction(-1),) * k,)
+        empty_b = region.b + (Fraction(-1000),)
+        left, empty_seconds = best_time(lambda: enumerate_vertices(Polytope(empty_a, empty_b)))
+        print(
+            f"  k={k} m={len(region.a)} {len(vertices)} vertices {seconds:.4f} s;"
+            f" empty variant {len(left)} vertices {empty_seconds:.4f} s"
+        )
 
     print("problems/: classify (last objective) and reduce, seconds")
     for path in sorted((ROOT / "problems").glob("*.json")):

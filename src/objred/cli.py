@@ -14,7 +14,7 @@ import sys
 
 from .engine import classify, reduce_objectives
 from .errors import InfeasibleRegion, ParseError, UnboundedObjective, UnboundedRegion
-from .polytope import optimal_face_vertices
+from .polytope import nonempty, optimal_face_vertices
 from .problem_io import (
     ProblemDocument,
     format_outcome,
@@ -71,6 +71,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_vertices(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     region = doc.problem.region()
+    if not nonempty(region):
+        raise InfeasibleRegion("region is empty")
     if args.face is not None:
         index = _objective_index(doc, args.face)
         points = optimal_face_vertices(region, doc.problem.objectives[index])

@@ -1,12 +1,15 @@
 """Feasible regions of the form {x : Ax <= b, x >= 0} with exact geometry.
 
-Vertices come from a search over the feasible bases of the slack-extended
-system [A | I] y = b, y >= 0, which pivots from basis to adjacent basis on
-an integer dictionary (the feasible-basis graph of Avis & Fukuda's reverse
-search, on the fraction-free pivot of ``lrs``).  The work grows with the
-number of feasible bases, not with all C(k + m, m) bases.  The results are
-exact rational points, deterministic, and sorted; nothing here depends on
-floating point.
+Everything here pivots one integer dictionary of the slack-extended system
+[A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  Whether the
+region is empty or unbounded is read from a walk by Bland's rule on it: a
+phase 1 with one auxiliary column when some b_i < 0, then max sum(x).
+Vertices come from a search over the feasible bases, started where that
+walk went, which pivots from basis to adjacent basis (the feasible-basis
+graph of Avis & Fukuda's reverse search).  The work grows with the number
+of feasible bases, not with all C(k + m, m) bases.  The results are exact
+rational points, deterministic, and sorted; nothing here depends on floating
+point.
 
 Each fact about a region is computed at most once per ``Polytope``, on
 first use, and lives exactly as long as that object; nothing is cached at
@@ -15,15 +18,17 @@ module level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InfeasibleRegion, UnboundedObjective
 from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows, pivot
 from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
+
+# (basis, rows, d): rows[i] / d is the dictionary row of basic column
+# basis[i], and its last entry is that column's value.
+Dictionary = tuple[list[int], list[list[int]], int]
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,19 @@ class Polytope:
         return tuple((tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(self.a, self.b))
 
     @cached_property
+    def walk(self) -> tuple[LpStatus, list[Dictionary]]:
+        """Bland's rule on the region's integer dictionary, maximizing
+        sum(x): the status it ends with, and the feasible dictionaries it
+        passes through, where the vertex search starts (none when the region
+        is empty)."""
+        return _bland_walk(self)
+
+    @property
     def status(self) -> LpStatus:
-        """Status of max sum(x): INFEASIBLE iff the region is empty, and, as
-        x >= 0 makes sum(x) a gauge, UNBOUNDED iff it is unbounded."""
-        return solve(LpProblem((ONE,) * self.dim, self.rows, (VarKind.NONNEG,) * self.dim)).status
+        """Status of max sum(x), read from where ``walk`` ends: INFEASIBLE
+        iff the region is empty, and, as x >= 0 makes sum(x) a gauge,
+        UNBOUNDED iff it is unbounded.  No LP is solved."""
+        return self.walk[0]
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
@@ -102,35 +116,25 @@ def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically.
 
     Works on the slack form [A | I] y = b, y >= 0, whose basic feasible
-    solutions have the vertices as their x-parts.  [A | I | b] is made
-    integer once.  The search starts from the slack basis when it is
-    feasible (b >= 0), else from the first feasible basis in
-    ``itertools.combinations`` order; with none, the region is empty.  From
-    each basis, every nonbasic column that is not a ray, paired with every
-    row that attains its minimum ratio, leads to an adjacent feasible basis.
-    Ties are all kept: at a degenerate vertex they are the steps between
-    its bases.  Each basis is visited once, keyed by its set of columns, and
+    solutions have the vertices as their x-parts.  The search starts from
+    the feasible bases that ``Polytope.walk`` passed through, the last being
+    the one it ends on; an empty region has none and no vertices.  From each
+    basis, every nonbasic column that is not a ray, paired with every row
+    that attains its minimum ratio, leads to an adjacent feasible basis.
+    Ties are all kept: at a degenerate vertex they are the steps between its
+    bases.  Each basis is visited once, keyed by its set of columns, and
     each newly found one costs one ``pivot`` of its neighbour's integer
-    dictionary.
+    dictionary, as each basis of the walk did.
 
     Every vertex is reached: for an objective whose only maximizer is a
     chosen vertex, Bland's rule walks from any feasible basis to a basis of
     that vertex without cycling, and each of its steps (an improving column,
     the tied row of lowest index) is one of these pivots.
     """
-    m = len(p.a)
     k = p.dim
-    n = k + m
-    full = integer_rows(
-        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
-        for i, row in enumerate(p.a)
-    )
-    starts = itertools.chain([range(k, n)], itertools.combinations(range(n), m))
-    start = next(filter(None, (_feasible_dictionary(full, cols) for cols in starts)), None)
-    if start is None:
-        return ()
-    seen = {frozenset(start[0])}
-    stack = [start]
+    n = k + len(p.a)
+    stack = list(p.walk[1])
+    seen = {frozenset(basis) for basis, _, _ in stack}
     vertices: set[Vector] = set()
     while stack:
         basis, rows, d = stack.pop()
@@ -154,17 +158,76 @@ def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     return tuple(sorted(vertices))
 
 
-def _feasible_dictionary(
-    full: list[list[int]], cols: Sequence[int]
-) -> tuple[list[int], list[list[int]], int] | None:
-    """(basis, rows, d) for the basis ``cols`` of the integer rows ``full``,
-    or None when it is singular or infeasible.  ``rows[i] / d`` is the row
-    of basic column ``basis[i]``; its last entry is that column's value."""
-    m = len(cols)
-    rows, pivots, d = eliminate([[r[c] for c in cols] + r for r in full], m)
-    if len(pivots) < m or any(r[-1] * d < 0 for r in rows):
-        return None
-    return list(cols), [r[m:] for r in rows], d
+def _bland_walk(p: Polytope) -> tuple[LpStatus, list[Dictionary]]:
+    """Status of max sum(x) over the region, and the feasible dictionaries
+    that phase 2 of Bland's rule passes through, in order (none when the
+    region is empty).
+
+    The slack-basis dictionary of [A | I | b] is made integer once, with the
+    cost row of sum(x) below it.  When some b_i < 0, phase 1 adds one
+    auxiliary column x0 = n with -1 in every row and its own cost row for
+    max -x0; x0 enters on the row of the most negative b_i, which makes the
+    dictionary feasible, and Bland's rule then drives x0 to its least value.
+    A positive least value proves the region empty.  Otherwise a
+    zero-valued x0 still basic is pivoted out on the lowest nonzero column of
+    its row (one exists: [A | I] has full row rank), its column and cost row
+    are dropped, and phase 2 runs Bland's rule on sum(x).
+    """
+    m = len(p.a)
+    k = p.dim
+    n = k + m
+    full = integer_rows(
+        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
+        for i, row in enumerate(p.a)
+    )
+    full.append([1] * k + [0] * (m + 1))
+    rows, _, d = eliminate([row[k:n] + row for row in full], m)
+    rows = [row[m:] for row in rows]
+    basis = list(range(k, n))
+    # d > 0 here: the slack pivots are the positive row scales.
+    if any(row[-1] < 0 for row in rows[:m]):
+        rows = [row[:n] + [-d if i < m else 0] + row[n:] for i, row in enumerate(rows)]
+        rows.append([0] * n + [-d, 0])
+        r = min(range(m), key=lambda i: rows[i][-1])
+        d = pivot(rows, r, n, d)
+        basis[r] = n
+        d, _ = _bland(rows, basis, d, m + 1, [])  # max -x0 <= 0 is never unbounded
+        # The phase-1 cost row ends holding x0's least value times d.
+        if rows.pop()[-1] * d > 0:
+            return LpStatus.INFEASIBLE, []
+        if n in basis:
+            r = basis.index(n)
+            j = next(j for j in range(n) if rows[r][j])
+            d = pivot(rows, r, j, d)
+            basis[r] = j
+        rows = [row[:n] + row[-1:] for row in rows]
+    path: list[Dictionary] = []
+    _, bounded = _bland(rows, basis, d, m, path)
+    return (LpStatus.OPTIMAL if bounded else LpStatus.UNBOUNDED), path
+
+
+def _bland(
+    rows: list[list[int]], basis: list[int], d: int, cost: int, path: list[Dictionary]
+) -> tuple[int, bool]:
+    """Bland's rule on the dictionary ``rows[:len(basis)]`` over ``d``,
+    maximizing the cost row ``rows[cost]``, in place.  Every row below the
+    dictionary rides along in each pivot but stays out of the ratio test.
+    The entering column is the lowest one whose reduced cost ``rows[cost][j]
+    / d`` is positive, and the leaving row the tied row of lowest basic index.
+    Each dictionary reached, the first included, is appended to ``path``.
+    Returns the final pivot and True at an optimum, False on a ray."""
+    m = len(basis)
+    while True:
+        path.append((basis.copy(), rows[:m], d))
+        j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
+        if j is None:
+            return d, True
+        tied = _leaving_rows(rows[:m], j, d)
+        if not tied:
+            return d, False
+        r = min(tied, key=basis.__getitem__)
+        d = pivot(rows, r, j, d)
+        basis[r] = j
 
 
 def _leaving_rows(rows: list[list[int]], j: int, d: int) -> list[int]:

@@ -152,6 +152,15 @@ def test_vertices_face(capsys):
     assert out.splitlines() == ["(1, 1, 0)", "(1, 1, 1)"]
 
 
+def test_vertices_empty_region_exit_code(capsys):
+    # Exit code 3 means an empty region, with or without --face.
+    for extra in ((), ("--face", 1)):
+        code, out, err = run(capsys, "vertices", PROBLEMS / "empty_region.json", *extra)
+        assert code == 3
+        assert out == ""
+        assert "empty" in err
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(
         capsys, "classify", PROBLEMS / "simplex_3obj.json", "--seed", 7

@@ -372,7 +372,7 @@ REGION_FUNCTIONS = ("enumerate_vertices", "face_vertex_sets", "find_interior_poi
 @pytest.fixture
 def fact_counts(monkeypatch):
     """Counts vertex enumeration, face enumeration and the interior-point LP
-    wherever objred calls them, and each computation of the status LP."""
+    wherever objred calls them, and each run of the status walk."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -388,9 +388,9 @@ def fact_counts(monkeypatch):
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    status = functools.cached_property(counting("status", Polytope.__dict__["status"].func))
-    status.__set_name__(Polytope, "status")
-    monkeypatch.setattr(Polytope, "status", status)
+    walk = functools.cached_property(counting("status", Polytope.__dict__["walk"].func))
+    walk.__set_name__(Polytope, "walk")
+    monkeypatch.setattr(Polytope, "walk", walk)
     return counts
 
 

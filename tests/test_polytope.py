@@ -282,20 +282,6 @@ def regions_of_every_kind(draw, max_rows=4, max_cols=3):
     return kind, Polytope(frows(*a), fvec(b))
 
 
-@settings(deadline=None, max_examples=200)
-@given(regions_of_every_kind())
-def test_one_status_lp_matches_two_lp_reference(drawn):
-    kind, p = drawn
-    expected = (nonempty_reference(p), is_bounded_reference(p))
-    if kind != "free":
-        assert expected == {
-            "empty": (False, True),
-            "unbounded": (True, False),
-            "bounded": (True, True),
-        }[kind]
-    assert (nonempty(p), is_bounded(p)) == expected
-
-
 def _face_or_error(find, p, c):
     try:
         return find(p, c)
@@ -352,6 +338,23 @@ def regions_with_redundant_rows(draw):
     return kind, Polytope(tuple(a), tuple(b))
 
 
+@settings(deadline=None, max_examples=200)
+@given(regions_with_redundant_rows())
+def test_one_status_lp_matches_two_lp_reference(drawn):
+    # The status walk against a phase-1 LP and the LP max sum(x).  Repeated
+    # and summed rows give tied ratios in phase 1, and an auxiliary column
+    # that ends basic at zero and is pivoted out.
+    kind, p = drawn
+    expected = (nonempty_reference(p), is_bounded_reference(p))
+    if kind != "free":
+        assert expected == {
+            "empty": (False, True),
+            "unbounded": (True, False),
+            "bounded": (True, True),
+        }[kind]
+    assert (nonempty(p), is_bounded(p)) == expected
+
+
 @settings(deadline=None, max_examples=150)
 @given(regions_with_redundant_rows())
 def test_vertex_search_matches_all_bases_reference(drawn):
@@ -397,8 +400,8 @@ def test_vertex_search_pinned_cases(p, expected):
 
 def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
     # k = 6, m = 10: brute force eliminates all C(16, 10) = 8008 bases.  The
-    # search pivots m times onto its start basis, then once per other
-    # feasible basis it reaches.
+    # slack dictionary takes m pivots; after that, each other feasible basis
+    # costs one pivot, whether the status walk or the search reaches it.
     p = ladder_region(6)
     m = len(p.a)
     feasible = count_feasible_bases(p)
@@ -415,3 +418,26 @@ def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
     assert len(enumerate_vertices(p)) > 1
     assert m <= calls <= m + feasible
     assert m + feasible < 8008 // 20
+
+
+def test_empty_region_is_proved_empty_in_few_pivots(monkeypatch):
+    # The k = 6 ladder region has rows in [0, 3] and b <= 9 and is bounded,
+    # so sum(x) <= 54 on it, and adding -sum(x) <= -1000 empties it.  Phase
+    # 1 of the status walk proves that; a scan for a feasible basis would
+    # eliminate all C(17, 11) = 12376 bases.
+    ladder = ladder_region(6)
+    p = Polytope(ladder.a + ((Fraction(-1),) * 6,), ladder.b + (Fraction(-1000),))
+    m = len(p.a)
+    original = linalg.pivot
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
+    monkeypatch.setattr(polytope, "pivot", counted)
+    assert enumerate_vertices(p) == ()
+    assert not nonempty(p)
+    assert calls < 10 * (m + 1)
