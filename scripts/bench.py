@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Wall times outside the perfbench harness: vertex enumeration on a seeded
-size ladder, and classify and reduce on every document under problems/.
+"""Wall times outside the perfbench harness: vertex enumeration and the
+efficient vertices on a seeded size ladder, and classify and reduce on every
+document under problems/.
 
 Ladder rung k has k variables and k + 4 rows with entries in [0, 3] and
 right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Its empty
 variant adds the row -sum(x) <= -1000, and enumerating it proves it empty.
-Each time is the best of three runs on a fresh ``Polytope`` or problem, so
-no fact computed by one run is reused by the next.
+Its efficient vertices are those of a seeded stack of 3 objectives with
+integer entries in [-3, 3]; that time leaves out enumeration, which runs
+before the clock starts.  Each time is the best of three runs on a fresh
+``Polytope`` or problem, so no fact computed by one run is reused by the
+next.
 
     python3 scripts/bench.py [--seed S] [--max-k K]
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import random
 import sys
 import time
 from fractions import Fraction
@@ -23,7 +28,15 @@ from typing import Callable
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from objred import Error, Polytope, classify, parse_document, reduce_objectives  # noqa: E402
+from objred import (  # noqa: E402
+    Error,
+    ObjectiveStack,
+    Polytope,
+    classify,
+    efficient_vertices,
+    parse_document,
+    reduce_objectives,
+)
 from objred.instances import ladder_region  # noqa: E402
 from objred.polytope import enumerate_vertices  # noqa: E402
 
@@ -41,6 +54,14 @@ def best_time(run: Callable[[], object]) -> tuple[object, float]:
     return result, best
 
 
+def ladder_stack(k: int, seed: int) -> ObjectiveStack:
+    """The 3-objective stack of rung k, drawn from its own stream."""
+    rng = random.Random(f"ladder-stack:{seed}:{k}")
+    return ObjectiveStack(
+        tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)) for _ in range(3))
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="ladder seed")
@@ -49,16 +70,25 @@ def main() -> int:
     if args.max_k < SMALLEST_K:
         parser.error(f"--max-k must be at least {SMALLEST_K}")
 
-    print(f"ladder (seed {args.seed}): k, m, vertices, seconds; the same for the empty variant")
+    print(
+        f"ladder (seed {args.seed}): k, m, vertices, seconds; the same for the empty"
+        " variant and for the efficient vertices"
+    )
     for k in range(SMALLEST_K, args.max_k + 1):
         region = ladder_region(k, args.seed)
         vertices, seconds = best_time(lambda: enumerate_vertices(Polytope(region.a, region.b)))
         empty_a = region.a + ((Fraction(-1),) * k,)
         empty_b = region.b + (Fraction(-1000),)
         left, empty_seconds = best_time(lambda: enumerate_vertices(Polytope(empty_a, empty_b)))
+        stack = ladder_stack(k, args.seed)
+        enumerated = [Polytope(region.a, region.b) for _ in range(REPEATS)]
+        for fresh in enumerated:
+            fresh.vertices  # enumerated and cached before the clock starts
+        efficient, efficient_seconds = best_time(lambda: efficient_vertices(enumerated.pop(), stack))
         print(
             f"  k={k} m={len(region.a)} {len(vertices)} vertices {seconds:.4f} s;"
-            f" empty variant {len(left)} vertices {empty_seconds:.4f} s"
+            f" empty variant {len(left)} vertices {empty_seconds:.4f} s;"
+            f" {len(efficient)} efficient {efficient_seconds:.4f} s"
         )
 
     print("problems/: classify (last objective) and reduce, seconds")

@@ -5,6 +5,11 @@ objective without hurting any other, the point efficiency test (a phase-1
 feasibility problem over the normal cone of the constraints tight at the
 point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
+
+The efficiency test solves no LP: its phase 1 runs ``linalg.bland`` on an
+integer dictionary, the kernel that the region's walk and vertex search use.
+The cone test and the weight search produce certificates (a direction, the
+weights) and still run on the ``Fraction`` simplex of ``objred.simplex``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleInput
-from .linalg import ONE, ZERO, Matrix, Vector, mat_vec
+from .linalg import ONE, ZERO, Matrix, Vector, bland, integer_rows, mat_vec
 from .polytope import Polytope, tight_rows
-from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, feasible_point, positive_optimum
+from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,11 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     lies in the normal cone of the region at x0.  That cone is spanned by
     the rows a_i tight at x0 and by -e_j for the coordinates x0_j = 0.
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
-    row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0.
-    Holds on unbounded regions as well as bounded ones.
+    row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
+    decided on integers by ``_has_nonnegative_solution``; no LP is solved.
+    F and A_T enter with each row scaled to integers: a positive scale of
+    an objective keeps the efficient set, and one of a tight row keeps the
+    normal cone.  Holds on unbounded regions as well as bounded ones.
     """
     key = (frozenset(f.rows), tuple(x0))
     if key in p.efficient:
@@ -90,20 +98,39 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     active = tight_rows(p, x0)
     if active is None:
         raise InfeasibleInput("point is not in the region")
-    tight = [p.a[i] for i in active]
+    objectives = integer_rows(f.rows)
+    tight = [p.int_rows[i] for i in active]
     at_zero = [j for j, value in enumerate(x0) if value == 0]
-    rows: list[Constraint] = []
-    for j in range(p.dim):
-        coeff = (
-            tuple(row[j] for row in f.rows)
-            + tuple(-row[j] for row in tight)
-            + tuple(ONE if i == j else ZERO for i in at_zero)
-        )
-        rows.append((coeff, Relation.EQ, -sum((row[j] for row in f.rows), ZERO)))
-    kinds = (VarKind.NONNEG,) * (f.count + len(tight) + len(at_zero))
-    efficient = feasible_point(tuple(rows), kinds).status is LpStatus.OPTIMAL
+    rows = [
+        [row[j] for row in objectives]
+        + [-row[j] for row in tight]
+        + [int(i == j) for i in at_zero]
+        + [-sum(row[j] for row in objectives)]
+        for j in range(p.dim)
+    ]
+    efficient = _has_nonnegative_solution(rows)
     p.efficient[key] = efficient
     return efficient
+
+
+def _has_nonnegative_solution(rows: list[list[int]]) -> bool:
+    """Whether some y >= 0 solves the integer system whose rows are
+    ``row[:-1] . y = row[-1]``.
+
+    Phase 1 of Bland's rule: each row with a negative right-hand side is
+    negated, and one unit artificial column is added per row.  Starting from
+    the basis of those columns (d = 1), it maximizes minus their sum, whose
+    cost row starts as the column sums.  Its last cell ends at the least sum
+    of the artificials times d, which is zero exactly when a solution exists.
+    """
+    m = len(rows)
+    rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
+    sums = [sum(column) for column in zip(*rows)]
+    n = len(sums) - 1
+    tableau = [row[:-1] + [int(i == r) for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
+    tableau.append(sums[:-1] + [0] * m + sums[-1:])
+    bland(tableau, list(range(n, n + m)), 1, m, [])  # max -sum <= 0 is never unbounded
+    return tableau[m][-1] == 0
 
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:

@@ -5,6 +5,9 @@ value is immutable, hashable and exact.  All elimination runs on one
 fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
 in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
+``bland`` runs Bland's rule on such an integer dictionary with that step.
+It is the one pivoting kernel of the region's status walk, of the vertex
+search (with ``leaving_rows``) and of the point-efficiency phase 1.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# (basis, rows, d): rows[i] / d is the dictionary row of basic column
+# basis[i], and its last entry is that column's value.
+Dictionary = tuple[list[int], list[list[int]], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,6 +77,50 @@ def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
             f = row[c]
             rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
     return p
+
+
+def bland(
+    rows: list[list[int]], basis: list[int], d: int, cost: int, path: list[Dictionary]
+) -> tuple[int, bool]:
+    """Bland's rule on the dictionary ``rows[:len(basis)]`` over ``d``,
+    maximizing the cost row ``rows[cost]``, in place.  Every row below the
+    dictionary rides along in each pivot but stays out of the ratio test.
+    The entering column is the lowest one whose reduced cost ``rows[cost][j]
+    / d`` is positive, and the leaving row the tied row of lowest basic index.
+    Each dictionary reached, the first included, is appended to ``path``.
+    Returns the final pivot and True at an optimum, False on a ray."""
+    m = len(basis)
+    while True:
+        path.append((basis.copy(), rows[:m], d))
+        j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
+        if j is None:
+            return d, True
+        tied = leaving_rows(rows[:m], j, d)
+        if not tied:
+            return d, False
+        r = min(tied, key=basis.__getitem__)
+        d = pivot(rows, r, j, d)
+        basis[r] = j
+
+
+def leaving_rows(rows: list[list[int]], j: int, d: int) -> list[int]:
+    """Rows with a positive entry in column j (``rows[i][j] / d > 0``) that
+    attain the minimum ratio ``rows[i][-1] / rows[i][j]``; none for a ray."""
+    best: list[int] = []
+    for i, row in enumerate(rows):
+        a = row[j]
+        if a * d <= 0:
+            continue
+        if best:
+            top = rows[best[0]]
+            # a and top[j] have the sign of d, so cross-multiplying keeps the order.
+            diff = row[-1] * top[j] - top[-1] * a
+            if diff > 0:
+                continue
+            if diff < 0:
+                best = []
+        best.append(i)
+    return best
 
 
 def eliminate(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list[int], int]:

@@ -9,7 +9,12 @@ walk went, which pivots from basis to adjacent basis (the feasible-basis
 graph of Avis & Fukuda's reverse search).  The work grows with the number
 of feasible bases, not with all C(k + m, m) bases.  The results are exact
 rational points, deterministic, and sorted; nothing here depends on floating
-point.
+point.  The Bland kernel itself lives in ``linalg``.
+
+Which rows are tight at a point is decided on integers too: the rows of
+[A | b] are scaled to integers once per region, and the point is put over its
+common denominator.  The facets of the face lattice are read from the tight
+sets of the vertices.
 
 Each fact about a region is computed at most once per ``Polytope``, on
 first use, and lives exactly as long as that object; nothing is cached at
@@ -18,17 +23,26 @@ module level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleRegion, UnboundedObjective
-from .linalg import ONE, ZERO, Matrix, Vector, dot, eliminate, integer_rows, pivot
+from .linalg import (
+    ONE,
+    ZERO,
+    Dictionary,
+    Matrix,
+    Vector,
+    bland,
+    dot,
+    eliminate,
+    integer_rows,
+    leaving_rows,
+    pivot,
+)
 from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
-
-# (basis, rows, d): rows[i] / d is the dictionary row of basic column
-# basis[i], and its last entry is that column's value.
-Dictionary = tuple[list[int], list[list[int]], int]
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,13 @@ class Polytope:
     def rows(self) -> tuple[Constraint, ...]:
         """The constraints Ax <= b, as used by every LP over the region."""
         return tuple((tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(self.a, self.b))
+
+    @cached_property
+    def int_rows(self) -> list[list[int]]:
+        """The rows of [A | b], each scaled to integers by ``integer_rows``;
+        the scale is positive, so every comparison a_i . x <= b_i keeps its
+        answer."""
+        return integer_rows(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
 
     @cached_property
     def walk(self) -> tuple[LpStatus, list[Dictionary]]:
@@ -94,15 +115,21 @@ class Polytope:
 
 def tight_rows(p: Polytope, x: Vector) -> tuple[int, ...] | None:
     """Indices i of the rows with a_i . x = b_i, or None when x is not in
-    the region; exact, no tolerance."""
-    if len(x) != p.dim or any(c < 0 for c in x):
+    the region; exact, no tolerance.  x is put over its common denominator
+    once, and each row is compared in integers."""
+    if len(x) != p.dim:
+        return None
+    scale = math.lcm(*(c.denominator for c in x))
+    xs = [c.numerator * (scale // c.denominator) for c in x]
+    if min(xs) < 0:
         return None
     tight = []
-    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
-        value = dot(row, x)
-        if value > rhs:
+    for i, row in enumerate(p.int_rows):
+        # zip stops at len(xs), so row[-1] (b_i) is left out of the sum.
+        slack = row[-1] * scale - sum(a * c for a, c in zip(row, xs))
+        if slack < 0:
             return None
-        if value == rhs:
+        if slack == 0:
             tight.append(i)
     return tuple(tight)
 
@@ -147,7 +174,7 @@ def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
         for j in range(n):
             if j in basic:
                 continue
-            for r in _leaving_rows(rows, j, d):
+            for r in leaving_rows(rows, j, d):
                 neighbour = basis.copy()
                 neighbour[r] = j
                 key = frozenset(neighbour)
@@ -191,7 +218,7 @@ def _bland_walk(p: Polytope) -> tuple[LpStatus, list[Dictionary]]:
         r = min(range(m), key=lambda i: rows[i][-1])
         d = pivot(rows, r, n, d)
         basis[r] = n
-        d, _ = _bland(rows, basis, d, m + 1, [])  # max -x0 <= 0 is never unbounded
+        d, _ = bland(rows, basis, d, m + 1, [])  # max -x0 <= 0 is never unbounded
         # The phase-1 cost row ends holding x0's least value times d.
         if rows.pop()[-1] * d > 0:
             return LpStatus.INFEASIBLE, []
@@ -202,52 +229,8 @@ def _bland_walk(p: Polytope) -> tuple[LpStatus, list[Dictionary]]:
             basis[r] = j
         rows = [row[:n] + row[-1:] for row in rows]
     path: list[Dictionary] = []
-    _, bounded = _bland(rows, basis, d, m, path)
+    _, bounded = bland(rows, basis, d, m, path)
     return (LpStatus.OPTIMAL if bounded else LpStatus.UNBOUNDED), path
-
-
-def _bland(
-    rows: list[list[int]], basis: list[int], d: int, cost: int, path: list[Dictionary]
-) -> tuple[int, bool]:
-    """Bland's rule on the dictionary ``rows[:len(basis)]`` over ``d``,
-    maximizing the cost row ``rows[cost]``, in place.  Every row below the
-    dictionary rides along in each pivot but stays out of the ratio test.
-    The entering column is the lowest one whose reduced cost ``rows[cost][j]
-    / d`` is positive, and the leaving row the tied row of lowest basic index.
-    Each dictionary reached, the first included, is appended to ``path``.
-    Returns the final pivot and True at an optimum, False on a ray."""
-    m = len(basis)
-    while True:
-        path.append((basis.copy(), rows[:m], d))
-        j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
-        if j is None:
-            return d, True
-        tied = _leaving_rows(rows[:m], j, d)
-        if not tied:
-            return d, False
-        r = min(tied, key=basis.__getitem__)
-        d = pivot(rows, r, j, d)
-        basis[r] = j
-
-
-def _leaving_rows(rows: list[list[int]], j: int, d: int) -> list[int]:
-    """Rows with a positive entry in column j (``rows[i][j] / d > 0``) that
-    attain the minimum ratio ``rows[i][-1] / rows[i][j]``; none for a ray."""
-    best: list[int] = []
-    for i, row in enumerate(rows):
-        a = row[j]
-        if a * d <= 0:
-            continue
-        if best:
-            top = rows[best[0]]
-            # a and top[j] have the sign of d, so cross-multiplying keeps the order.
-            diff = row[-1] * top[j] - top[-1] * a
-            if diff > 0:
-                continue
-            if diff < 0:
-                best = []
-        best.append(i)
-    return best
 
 
 def find_interior_point(p: Polytope) -> Vector | None:
@@ -295,11 +278,18 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     """
     vertices = p.vertices
     everything = frozenset(range(len(vertices)))
-    facets: list[frozenset[int]] = []
-    for row, rhs in zip(p.a, p.b):
-        facets.append(frozenset(i for i, v in enumerate(vertices) if dot(row, v) == rhs))
-    for j in range(p.dim):
-        facets.append(frozenset(i for i, v in enumerate(vertices) if v[j] == ZERO))
+    m = len(p.a)
+    # The facet of row i holds the vertices tight on it, and the facet of
+    # x_j >= 0 those with v_j = 0; a vertex lies in the region, so its
+    # tight set is never None.
+    on_facet: list[set[int]] = [set() for _ in range(m + p.dim)]
+    for index, v in enumerate(vertices):
+        for i in tight_rows(p, v):
+            on_facet[i].add(index)
+        for j, c in enumerate(v):
+            if c == 0:
+                on_facet[m + j].add(index)
+    facets = [frozenset(s) for s in on_facet]
     closed: set[frozenset[int]] = {everything} if vertices else set()
     queue = [everything] if vertices else []
     while queue:

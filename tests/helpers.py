@@ -1,7 +1,8 @@
 """Fixture problems, the independent efficiency oracle, the plain
 ``Fraction`` elimination references, the two-LP region checks, the
-LP-based efficiency and optimal-face references and the externally priced
-simplex reference shared by tests."""
+LP-based efficiency and optimal-face references, the ``Fraction`` tight-set
+and face references and the externally priced simplex reference shared by
+tests."""
 
 import itertools
 from fractions import Fraction
@@ -282,7 +283,8 @@ def is_bounded_reference(p):
 
 # The LP formulations the library used before it decided efficiency on the
 # normal cone of the tight constraints and read bounded optimal faces off
-# the vertex list; tests require the answers to agree exactly.
+# the vertex list, and the Fraction tight sets and facets it used before it
+# compared in integers; tests require the answers to agree exactly.
 
 
 def is_efficient_reference(p, f, x0):
@@ -305,6 +307,44 @@ def is_efficient_reference(p, f, x0):
     out = solve(LpProblem(objective, tuple(rows), kinds))
     assert out.status is not LpStatus.INFEASIBLE  # x0 itself is feasible
     return out.status is LpStatus.OPTIMAL and out.value == 0
+
+
+def tight_rows_reference(p, x):
+    """Indices of the rows with a_i . x = b_i, or None when x is not in the
+    region, from one Fraction dot product per row."""
+    if len(x) != p.dim or any(c < 0 for c in x):
+        return None
+    tight = []
+    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
+        value = dot(row, x)
+        if value > rhs:
+            return None
+        if value == rhs:
+            tight.append(i)
+    return tuple(tight)
+
+
+def face_vertex_sets_reference(p):
+    """The facet vertex sets from a Fraction dot product of every row with
+    every vertex (and the zero coordinates), closed under intersection."""
+    vertices = p.vertices
+    everything = frozenset(range(len(vertices)))
+    facets = []
+    for row, rhs in zip(p.a, p.b):
+        facets.append(frozenset(i for i, v in enumerate(vertices) if dot(row, v) == rhs))
+    for j in range(p.dim):
+        facets.append(frozenset(i for i, v in enumerate(vertices) if v[j] == ZERO))
+    closed = {everything} if vertices else set()
+    queue = [everything] if vertices else []
+    while queue:
+        current = queue.pop()
+        for facet in facets:
+            meet = current & facet
+            if meet and meet not in closed:
+                closed.add(meet)
+                queue.append(meet)
+    faces = [tuple(vertices[i] for i in sorted(members)) for members in closed]
+    return tuple(sorted(faces, key=lambda face: (len(face), face)))
 
 
 def optimal_face_vertices_reference(p, c):

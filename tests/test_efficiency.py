@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from objred import polytope, simplex
 from objred.efficiency import (
     ObjectiveStack,
     cone_nonempty,
@@ -22,6 +23,7 @@ from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_b
 from helpers import (
     CUBE,
     SEGMENT,
+    box5_4obj,
     cube_3obj,
     dominance_oracle,
     frows,
@@ -130,6 +132,75 @@ def test_escaping_efficient_point_inside_an_edge():
     out = efficient_point_outside(region, full, full.drop(2))
     assert out == fvec(["1/2", "1/2", 0])
     assert out not in enumerate_vertices(region)
+
+
+@pytest.mark.parametrize(
+    "a, b, objectives, vertex, expected",
+    [
+        # With its denominators dropped, the objective (1/3, 1) would enter
+        # as (1, 1), and the answer would turn to False.
+        (
+            frows(["1/2", 1], [0, 3], [1, 1]),
+            fvec([3, 1, 4]),
+            frows([0, -1], ["1/3", 1]),
+            fvec(["11/3", "1/3"]),
+            True,
+        ),
+        # Likewise the tight row (-1/2, 1) would enter as (-1, 1), and the
+        # answer would turn to True.
+        (
+            frows([-1, 1], ["-1/2", 1], [1, 1]),
+            fvec([1, 0, 1]),
+            frows([-3, "3/2"], ["-1/2", 1]),
+            fvec(["2/3", "1/3"]),
+            False,
+        ),
+    ],
+    ids=["fractional-objective", "fractional-tight-row"],
+)
+def test_efficiency_with_mixed_denominators(a, b, objectives, vertex, expected):
+    # Each row is scaled to integers by the LCM of its own denominators; the
+    # hypothesis property divides whole rows by one number, which leaves
+    # such scaling faults mostly unseen.
+    p = Polytope(a, b)
+    stack = ObjectiveStack(objectives)
+    assert vertex in enumerate_vertices(p)
+    assert is_efficient_reference(p, stack, vertex) == expected
+    assert is_efficient(p, stack, vertex) == expected
+
+
+def _raise_on_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+@pytest.mark.parametrize(
+    "make, expected_vertices, expected_outside",
+    [
+        (
+            cube_3obj,
+            (fvec([0, 1, 1]), fvec([1, 1, 1])),
+            (None, fvec([0, 1, 1]), None),
+        ),
+        (
+            box5_4obj,
+            (fvec([0, 0, 1, 1, 1]), fvec([0, 1, 1, 1, 1]), fvec([1, 1, 1, 1, 1])),
+            (None, None, fvec([0, 0, 1, 1, 1]), None),
+        ),
+    ],
+    ids=["cube_3obj", "box5_4obj"],
+)
+def test_efficiency_solves_no_lp(monkeypatch, make, expected_vertices, expected_outside):
+    # Vertices, faces and every efficiency answer come from integer pivots
+    # on the region and on the normal-cone system, never from the simplex.
+    # The pinned answers are the ones the LP-based test gave.
+    problem = make()
+    stack = problem.stack()
+    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
+    monkeypatch.setattr(polytope, "solve", _raise_on_lp)
+    region = problem.region()
+    assert efficient_vertices(region, stack) == expected_vertices
+    for i, expected in enumerate(expected_outside):
+        assert efficient_point_outside(region, stack, stack.drop(i)) == expected
 
 
 def test_equalizing_weights_found():
@@ -244,7 +315,10 @@ def regions_and_stacks(draw):
       nonpositive column j makes e_j a recession direction;
     - degenerate: a repeated row, or the sum of two rows with the sum of
       their right-hand sides, which is redundant and tight wherever both
-      of its parts are.
+      of its parts are;
+    - fractional: one row and its b_i, or one objective, divided by 2 or 3,
+      which changes neither the region nor the efficient set but makes the
+      efficiency test scale rows and points to integers.
     """
     kind = draw(st.sampled_from(["bounded", "unbounded"]))
     k = draw(st.integers(2, 3))
@@ -268,6 +342,15 @@ def regions_and_stacks(draw):
         a.append([x + y for x, y in zip(a[i], a[j])])
         b.append(b[i] + b[j])
     objectives = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    divided = draw(st.sampled_from(["none", "row", "objective"]))
+    divisor = Fraction(draw(st.sampled_from([2, 3])))
+    if divided == "row":
+        i = draw(st.integers(0, len(a) - 1))
+        a[i] = [x / divisor for x in a[i]]
+        b[i] /= divisor
+    elif divided == "objective":
+        i = draw(st.integers(0, len(objectives) - 1))
+        objectives[i] = [x / divisor for x in objectives[i]]
     return kind, Polytope(frows(*a), fvec(b)), ObjectiveStack(frows(*objectives))
 
 

@@ -27,11 +27,13 @@ from helpers import (
     SQUARE,
     count_feasible_bases,
     enumerate_vertices_reference,
+    face_vertex_sets_reference,
     frows,
     fvec,
     is_bounded_reference,
     nonempty_reference,
     optimal_face_vertices_reference,
+    tight_rows_reference,
 )
 
 
@@ -84,6 +86,13 @@ def test_tight_rows():
     assert tight_rows(p, fvec([Fraction(1, 2), 0])) == ()
     assert tight_rows(p, fvec([1, 2])) is None
     assert tight_rows(p, fvec([1])) is None
+    # Fractional rows and points: x1/2 + x2/3 <= 5/6 and 3x1/4 <= 1/2 are
+    # both tight at (2/3, 3/2), and (1, 0) violates the second.
+    q = Polytope(frows(["1/2", "1/3"], ["3/4", 0]), fvec(["5/6", "1/2"]))
+    assert tight_rows(q, fvec(["2/3", "3/2"])) == (0, 1)
+    assert tight_rows(q, fvec(["1/3", "1/2"])) == ()
+    assert tight_rows(q, fvec([0, "5/2"])) == (0,)
+    assert tight_rows(q, fvec([1, 0])) is None
 
 
 def test_interior_point_is_strict():
@@ -205,6 +214,21 @@ def degenerate_polytopes(draw, max_rows=4, max_cols=3):
 @given(degenerate_polytopes())
 def test_vertices_match_fraction_reference(p):
     assert enumerate_vertices(p) == enumerate_vertices_reference(p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_polytopes(), st.lists(small_fracs, min_size=3, max_size=3))
+def test_tight_sets_and_faces_match_fraction_reference(p, shift):
+    # Integer tight sets against one Fraction dot product per row, at the
+    # vertices, at the centroids of the faces and at those points moved by
+    # a shift that may leave the region; and the faces built from the
+    # vertices' tight sets against the facets built from dot products.
+    faces = face_vertex_sets(p)
+    assert faces == face_vertex_sets_reference(p)
+    points = [tuple(sum(column) / Fraction(len(face)) for column in zip(*face)) for face in faces]
+    points += [tuple(c + s for c, s in zip(x, shift)) for x in points]
+    for x in points:
+        assert tight_rows(p, x) == tight_rows_reference(p, x), x
 
 
 @settings(deadline=None, max_examples=60)
