@@ -93,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="problem document (JSON)")
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved; ignored by the core"
-    )
 
     p_classify = sub.add_parser(
         "classify", parents=[common], help="classify one objective"

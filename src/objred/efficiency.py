@@ -7,7 +7,7 @@ point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
 
 The efficiency test solves no LP: its phase 1 runs ``linalg.bland`` on an
-integer dictionary, the kernel that the region's walk and vertex search use.
+integer dictionary, the kernel of the region's own phase 1.
 The cone test and the weight search produce certificates (a direction, the
 weights) and still run on the ``Fraction`` simplex of ``objred.simplex``.
 """
@@ -129,7 +129,7 @@ def _has_nonnegative_solution(rows: list[list[int]]) -> bool:
     n = len(sums) - 1
     tableau = [row[:-1] + [int(i == r) for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
     tableau.append(sums[:-1] + [0] * m + sums[-1:])
-    bland(tableau, list(range(n, n + m)), 1, m, [])  # max -sum <= 0 is never unbounded
+    bland(tableau, list(range(n, n + m)), 1, m)  # max -sum <= 0 is never unbounded
     return tableau[m][-1] == 0
 
 

@@ -6,8 +6,9 @@ fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
 in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
-It is the one pivoting kernel of the region's status walk, of the vertex
-search (with ``leaving_rows``) and of the point-efficiency phase 1.
+It runs the phase 1 that finds a region's first feasible basis and the
+point-efficiency phase 1; the vertex search pivots on the same step and
+tests its columns with ``leaving_rows``.
 """
 
 from __future__ import annotations
@@ -79,25 +80,22 @@ def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def bland(
-    rows: list[list[int]], basis: list[int], d: int, cost: int, path: list[Dictionary]
-) -> tuple[int, bool]:
+def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
     """Bland's rule on the dictionary ``rows[:len(basis)]`` over ``d``,
     maximizing the cost row ``rows[cost]``, in place.  Every row below the
     dictionary rides along in each pivot but stays out of the ratio test.
     The entering column is the lowest one whose reduced cost ``rows[cost][j]
     / d`` is positive, and the leaving row the tied row of lowest basic index.
-    Each dictionary reached, the first included, is appended to ``path``.
-    Returns the final pivot and True at an optimum, False on a ray."""
+    Stops at an optimum, or at a ray, which callers rule out by maximizing a
+    cost bounded above.  Returns the final pivot."""
     m = len(basis)
     while True:
-        path.append((basis.copy(), rows[:m], d))
         j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
         if j is None:
-            return d, True
+            return d
         tied = leaving_rows(rows[:m], j, d)
         if not tied:
-            return d, False
+            return d
         r = min(tied, key=basis.__getitem__)
         d = pivot(rows, r, j, d)
         basis[r] = j

@@ -1,24 +1,21 @@
 """Feasible regions of the form {x : Ax <= b, x >= 0} with exact geometry.
 
 Everything here pivots one integer dictionary of the slack-extended system
-[A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  Whether the
-region is empty or unbounded is read from a walk by Bland's rule on it: a
-phase 1 with one auxiliary column when some b_i < 0, then max sum(x).
-Vertices come from a search over the feasible bases, started where that
-walk went, which pivots from basis to adjacent basis (the feasible-basis
-graph of Avis & Fukuda's reverse search).  The work grows with the number
-of feasible bases, not with all C(k + m, m) bases.  The results are exact
-rational points, deterministic, and sorted; nothing here depends on floating
-point.  The Bland kernel itself lives in ``linalg``.
+[A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  ``start`` is
+its first feasible basis, found by a phase 1 of Bland's rule when some
+b_i < 0; there is none iff the region is empty.  From it, ``search`` pivots
+from basis to adjacent feasible basis (the feasible-basis graph of Avis &
+Fukuda's reverse search) and yields the vertices and the rays it meets: the
+region is bounded iff it meets none, and c . x has no finite maximum iff
+c . r > 0 for one of them.  Its work grows with the number of feasible
+bases, not with all C(k + m, m) bases.  The results are exact, deterministic
+and sorted.  The Bland kernel lives in ``linalg``; only the step-3 interior
+point is an LP.
 
 Which rows are tight at a point is decided on integers too: the rows of
 [A | b] are scaled to integers once per region, and the point is put over its
 common denominator.  The facets of the face lattice are read from the tight
 sets of the vertices.
-
-Each fact about a region is computed at most once per ``Polytope``, on
-first use, and lives exactly as long as that object; nothing is cached at
-module level.
 """
 
 from __future__ import annotations
@@ -42,14 +39,15 @@ from .linalg import (
     leaving_rows,
     pivot,
 )
-from .simplex import Constraint, LpProblem, LpStatus, Relation, VarKind, positive_optimum, solve
+from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
 
 @dataclass(frozen=True)
 class Polytope:
     """Region Ax <= b together with x >= 0; may be empty or unbounded.  Its
     facts are the cached properties below, each computed once per object, on
-    first use, and kept only as long as the object is."""
+    first use, and kept only as long as the object is; nothing is cached at
+    module level."""
 
     a: Matrix
     b: Vector
@@ -80,19 +78,16 @@ class Polytope:
         return integer_rows(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
 
     @cached_property
-    def walk(self) -> tuple[LpStatus, list[Dictionary]]:
-        """Bland's rule on the region's integer dictionary, maximizing
-        sum(x): the status it ends with, and the feasible dictionaries it
-        passes through, where the vertex search starts (none when the region
-        is empty)."""
-        return _bland_walk(self)
+    def start(self) -> Dictionary | None:
+        """The first feasible dictionary of [A | I] y = b, where the vertex
+        search starts, or None iff the region is empty."""
+        return _first_feasible(self)
 
-    @property
-    def status(self) -> LpStatus:
-        """Status of max sum(x), read from where ``walk`` ends: INFEASIBLE
-        iff the region is empty, and, as x >= 0 makes sum(x) a gauge,
-        UNBOUNDED iff it is unbounded.  No LP is solved."""
-        return self.walk[0]
+    @cached_property
+    def search(self) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
+        """The vertices, sorted, and the x-parts of the rays met by the
+        search over the feasible bases from ``start``."""
+        return _search(self)
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
@@ -140,29 +135,38 @@ def contains(p: Polytope, x: Vector) -> bool:
 
 
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
-    """All vertices of the region, sorted lexicographically.
+    """All vertices of the region, sorted lexicographically, as found by its
+    vertex search (``Polytope.search``)."""
+    return p.search[0]
 
-    Works on the slack form [A | I] y = b, y >= 0, whose basic feasible
-    solutions have the vertices as their x-parts.  The search starts from
-    the feasible bases that ``Polytope.walk`` passed through, the last being
-    the one it ends on; an empty region has none and no vertices.  From each
-    basis, every nonbasic column that is not a ray, paired with every row
-    that attains its minimum ratio, leads to an adjacent feasible basis.
-    Ties are all kept: at a degenerate vertex they are the steps between its
-    bases.  Each basis is visited once, keyed by its set of columns, and
-    each newly found one costs one ``pivot`` of its neighbour's integer
-    dictionary, as each basis of the walk did.
 
-    Every vertex is reached: for an objective whose only maximizer is a
-    chosen vertex, Bland's rule walks from any feasible basis to a basis of
-    that vertex without cycling, and each of its steps (an improving column,
-    the tied row of lowest index) is one of these pivots.
+def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
+    """The sorted vertices, and the x-parts of the rays met, by a search
+    over the feasible bases of [A | I] y = b from ``Polytope.start``.
+
+    From each basis, every nonbasic column j paired with every row that
+    attains its minimum ratio leads to an adjacent feasible basis; tied rows
+    are all kept, as at a degenerate vertex they are the steps between its
+    bases.  Each basis is visited once, keyed by its set of columns, at the
+    cost of one ``pivot``.  A column j with no leaving row is a ray, with
+    x-part r_j = 1 if j < k and r_c = -rows[i][j] / d for each basic
+    x-column c = basis[i].
+
+    Bland's rule on any c from ``start`` takes only these steps (an
+    improving column, the tied row of lowest basic index).  So every vertex
+    is reached, as some c is maximized there alone, and when c . x has no
+    finite maximum the ray it ends on, with c . r > 0, is met.  As sum(x)
+    grows along every recession direction, a ray is met iff the region is
+    unbounded.
     """
+    if p.start is None:
+        return (), frozenset()
     k = p.dim
     n = k + len(p.a)
-    stack = list(p.walk[1])
-    seen = {frozenset(basis) for basis, _, _ in stack}
+    stack = [p.start]
+    seen = {frozenset(p.start[0])}
     vertices: set[Vector] = set()
+    rays: set[Vector] = set()
     while stack:
         basis, rows, d = stack.pop()
         x = [ZERO] * k
@@ -174,31 +178,34 @@ def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
         for j in range(n):
             if j in basic:
                 continue
-            for r in leaving_rows(rows, j, d):
+            tied = leaving_rows(rows, j, d)
+            if not tied:
+                r = [ONE if c == j else ZERO for c in range(k)]
+                for c, row in zip(basis, rows):
+                    if c < k:
+                        r[c] = Fraction(-row[j], d)
+                rays.add(tuple(r))
+            for i in tied:
                 neighbour = basis.copy()
-                neighbour[r] = j
+                neighbour[i] = j
                 key = frozenset(neighbour)
                 if key not in seen:
                     seen.add(key)
                     after = list(rows)
-                    stack.append((neighbour, after, pivot(after, r, j, d)))
-    return tuple(sorted(vertices))
+                    stack.append((neighbour, after, pivot(after, i, j, d)))
+    return tuple(sorted(vertices)), frozenset(rays)
 
 
-def _bland_walk(p: Polytope) -> tuple[LpStatus, list[Dictionary]]:
-    """Status of max sum(x) over the region, and the feasible dictionaries
-    that phase 2 of Bland's rule passes through, in order (none when the
-    region is empty).
-
-    The slack-basis dictionary of [A | I | b] is made integer once, with the
-    cost row of sum(x) below it.  When some b_i < 0, phase 1 adds one
-    auxiliary column x0 = n with -1 in every row and its own cost row for
-    max -x0; x0 enters on the row of the most negative b_i, which makes the
-    dictionary feasible, and Bland's rule then drives x0 to its least value.
-    A positive least value proves the region empty.  Otherwise a
-    zero-valued x0 still basic is pivoted out on the lowest nonzero column of
-    its row (one exists: [A | I] has full row rank), its column and cost row
-    are dropped, and phase 2 runs Bland's rule on sum(x).
+def _first_feasible(p: Polytope) -> Dictionary | None:
+    """A feasible dictionary of [A | I] y = b, or None iff the region is
+    empty.  The slack-basis dictionary of [A | I | b] is made integer once;
+    it is feasible when b >= 0.  Otherwise phase 1 adds one auxiliary column
+    x0 = n with -1 in every row and a cost row for max -x0; x0 enters on the
+    row of the most negative b_i, which makes the dictionary feasible, and
+    Bland's rule then drives x0 to its least value.  A positive least value
+    proves the region empty.  Otherwise a zero-valued x0 still basic is
+    pivoted out on the lowest nonzero column of its row (one exists:
+    [A | I] has full row rank), and its column and cost row are dropped.
     """
     m = len(p.a)
     k = p.dim
@@ -207,30 +214,27 @@ def _bland_walk(p: Polytope) -> tuple[LpStatus, list[Dictionary]]:
         tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
         for i, row in enumerate(p.a)
     )
-    full.append([1] * k + [0] * (m + 1))
     rows, _, d = eliminate([row[k:n] + row for row in full], m)
     rows = [row[m:] for row in rows]
     basis = list(range(k, n))
     # d > 0 here: the slack pivots are the positive row scales.
-    if any(row[-1] < 0 for row in rows[:m]):
-        rows = [row[:n] + [-d if i < m else 0] + row[n:] for i, row in enumerate(rows)]
+    if any(row[-1] < 0 for row in rows):
+        rows = [row[:n] + [-d] + row[n:] for row in rows]
         rows.append([0] * n + [-d, 0])
         r = min(range(m), key=lambda i: rows[i][-1])
         d = pivot(rows, r, n, d)
         basis[r] = n
-        d, _ = bland(rows, basis, d, m + 1, [])  # max -x0 <= 0 is never unbounded
-        # The phase-1 cost row ends holding x0's least value times d.
+        d = bland(rows, basis, d, m)  # max -x0 <= 0 is never unbounded
+        # The cost row ends holding x0's least value times d.
         if rows.pop()[-1] * d > 0:
-            return LpStatus.INFEASIBLE, []
+            return None
         if n in basis:
             r = basis.index(n)
             j = next(j for j in range(n) if rows[r][j])
             d = pivot(rows, r, j, d)
             basis[r] = j
         rows = [row[:n] + row[-1:] for row in rows]
-    path: list[Dictionary] = []
-    _, bounded = bland(rows, basis, d, m, path)
-    return (LpStatus.OPTIMAL if bounded else LpStatus.UNBOUNDED), path
+    return basis, rows, d
 
 
 def find_interior_point(p: Polytope) -> Vector | None:
@@ -256,12 +260,13 @@ def interior_nonempty(p: Polytope) -> bool:
 
 def nonempty(p: Polytope) -> bool:
     """True when some x >= 0 satisfies Ax <= b."""
-    return p.status is not LpStatus.INFEASIBLE
+    return p.start is not None
 
 
 def is_bounded(p: Polytope) -> bool:
-    """True when the region is bounded; an empty region counts as bounded."""
-    return p.status is not LpStatus.UNBOUNDED
+    """True when the region is bounded; an empty region counts as bounded.
+    It is bounded iff its vertex search meets no ray."""
+    return not p.search[1]
 
 
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
@@ -306,17 +311,16 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
     """Vertices of the region where c . x attains its maximum, sorted.
 
-    A finite maximum is attained at a vertex, so it is the best c . v over
-    the vertices; only an unbounded region needs the LP max c . x, to decide
-    whether the maximum is finite.  Raises InfeasibleRegion on an empty
-    region and UnboundedObjective when c . x has no finite maximum.
+    c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
+    search (see ``_search``); otherwise the maximum is attained at a vertex,
+    so it is the best c . v over the vertices.  Raises InfeasibleRegion on
+    an empty region and UnboundedObjective when c . x has no finite maximum.
     """
-    if p.status is LpStatus.INFEASIBLE:
+    if p.start is None:
         raise InfeasibleRegion("region is empty")
-    if p.status is LpStatus.UNBOUNDED:
-        out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
-        if out.status is LpStatus.UNBOUNDED:
-            raise UnboundedObjective("objective has no finite maximum on the region")
-    values = [dot(c, v) for v in p.vertices]
+    vertices = p.vertices
+    if any(dot(c, r) > 0 for r in p.search[1]):
+        raise UnboundedObjective("objective has no finite maximum on the region")
+    values = [dot(c, v) for v in vertices]
     best = max(values)
-    return tuple(v for v, value in zip(p.vertices, values) if value == best)
+    return tuple(v for v, value in zip(vertices, values) if value == best)

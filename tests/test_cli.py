@@ -161,14 +161,6 @@ def test_vertices_empty_region_exit_code(capsys):
         assert "empty" in err
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, out, _ = run(
-        capsys, "classify", PROBLEMS / "simplex_3obj.json", "--seed", 7
-    )
-    assert code == 0
-    assert "essential (step 3)" in out
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "objred", "classify", str(PROBLEMS / "cube_3obj.json")],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objred import polytope, simplex
+from objred import simplex
 from objred.efficiency import (
     ObjectiveStack,
     cone_nonempty,
@@ -196,7 +196,6 @@ def test_efficiency_solves_no_lp(monkeypatch, make, expected_vertices, expected_
     problem = make()
     stack = problem.stack()
     monkeypatch.setattr(simplex, "solve", _raise_on_lp)
-    monkeypatch.setattr(polytope, "solve", _raise_on_lp)
     region = problem.region()
     assert efficient_vertices(region, stack) == expected_vertices
     for i, expected in enumerate(expected_outside):

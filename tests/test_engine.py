@@ -367,12 +367,14 @@ def test_step_functions_answer_on_unbounded_regions():
 # Each region fact is computed at most once per classify or reduce call.
 
 REGION_FUNCTIONS = ("enumerate_vertices", "face_vertex_sets", "find_interior_point")
+REGION_PROPERTIES = ("start", "search")
 
 
 @pytest.fixture
 def fact_counts(monkeypatch):
     """Counts vertex enumeration, face enumeration and the interior-point LP
-    wherever objred calls them, and each run of the status walk."""
+    wherever objred calls them, and each computation of the region's first
+    feasible dictionary and of its vertex search."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -388,9 +390,10 @@ def fact_counts(monkeypatch):
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    walk = functools.cached_property(counting("status", Polytope.__dict__["walk"].func))
-    walk.__set_name__(Polytope, "walk")
-    monkeypatch.setattr(Polytope, "walk", walk)
+    for name in REGION_PROPERTIES:
+        fact = functools.cached_property(counting(name, Polytope.__dict__[name].func))
+        fact.__set_name__(Polytope, name)
+        monkeypatch.setattr(Polytope, name, fact)
     return counts
 
 
@@ -398,7 +401,7 @@ def fact_counts(monkeypatch):
 def test_reduce_computes_each_region_fact_once(fact_counts, make):
     result = reduce_objectives(make())
     assert len(result.history) > 1
-    assert fact_counts["status"] == 1
+    assert fact_counts["start"] == 1
     assert max(fact_counts.values()) == 1
 
 
@@ -415,4 +418,4 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     # The fixtures above reach every counted fact, so the bound is not vacuous.
     for make in (box5_4obj, segment_4obj):
         reduce_objectives(make())
-    assert set(fact_counts) == {"status", *REGION_FUNCTIONS}
+    assert set(fact_counts) == {*REGION_PROPERTIES, *REGION_FUNCTIONS}

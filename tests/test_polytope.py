@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objred import linalg, polytope
+from objred import linalg, polytope, simplex
 from objred.errors import InfeasibleRegion, UnboundedObjective
 from objred.instances import ladder_region
 from objred.linalg import dot
@@ -313,36 +313,6 @@ def _face_or_error(find, p, c):
         return type(exc)
 
 
-@settings(deadline=None, max_examples=150)
-@given(regions_of_every_kind(), st.data())
-def test_optimal_face_matches_lp_reference(drawn, data):
-    # Bounded regions read the face off the vertex list; the reference
-    # solves max c . x on every region.  Faces and errors must agree.
-    _, p = drawn
-    c = fvec(data.draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
-    expected = _face_or_error(optimal_face_vertices_reference, p, c)
-    assert _face_or_error(optimal_face_vertices, p, c) == expected
-
-
-@pytest.mark.parametrize(
-    "p, c, expected",
-    [
-        # Unbounded region x1 + x2 >= 1 on which c is bounded: the LP decides
-        # the value, and both vertices attain it.
-        (Polytope(frows([-1, -1]), fvec([-1])), fvec([-1, -1]), (fvec([0, 1]), fvec([1, 0]))),
-        (Polytope(frows([-1, -1]), fvec([-1])), fvec([1, -1]), UnboundedObjective),
-        (Polytope(frows([1, 1]), fvec([-1])), fvec([1, 0]), InfeasibleRegion),
-    ],
-    ids=["unbounded-region-bounded-objective", "unbounded-objective", "empty-region"],
-)
-def test_optimal_face_pinned_cases_match_lp_reference(p, c, expected):
-    assert _face_or_error(optimal_face_vertices_reference, p, c) == expected
-    assert _face_or_error(optimal_face_vertices, p, c) == expected
-
-
-# The feasible-basis search against the all-bases reference.
-
-
 @st.composite
 def regions_with_redundant_rows(draw):
     """``regions_of_every_kind`` up to 6 rows x 4 columns, often with one
@@ -362,12 +332,91 @@ def regions_with_redundant_rows(draw):
     return kind, Polytope(tuple(a), tuple(b))
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(regions_of_every_kind(), regions_with_redundant_rows()), st.data())
+def test_optimal_face_matches_lp_reference(drawn, data):
+    # The face is read off the vertex list, and an unbounded objective off
+    # the rays the vertex search meets; the reference solves max c . x on
+    # every region.  Faces and errors must agree.  Repeated and summed rows
+    # give degenerate vertices with rays leaving them.
+    _, p = drawn
+    c = fvec(data.draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
+    expected = _face_or_error(optimal_face_vertices_reference, p, c)
+    assert _face_or_error(optimal_face_vertices, p, c) == expected
+
+
+def _raise_on_lp(*args, **kwargs):
+    raise AssertionError("an LP or a Bland phase 1 was run")
+
+
+@pytest.mark.parametrize(
+    "p, bounded, faces",
+    [
+        (
+            Polytope(CUBE.a, CUBE.b),
+            True,
+            {(1, 1, 1): (fvec([1, 1, 1]),), (1, -1, 0): (fvec([1, 0, 0]), fvec([1, 0, 1]))},
+        ),
+        # 0 <= x2 <= min(x1, 1): the ray (1, 0) leaves the degenerate origin.
+        (
+            Polytope(frows([-1, 1], [0, 1]), fvec([0, 1])),
+            False,
+            {
+                (-1, 0): (fvec([0, 0]),),
+                (-1, 1): (fvec([0, 0]), fvec([1, 1])),
+                (1, 0): UnboundedObjective,
+            },
+        ),
+    ],
+    ids=["cube", "ray-from-degenerate-vertex"],
+)
+def test_region_facts_run_no_lp_when_b_is_nonnegative(monkeypatch, p, bounded, faces):
+    # With b >= 0 the slack basis is feasible: emptiness, boundedness and
+    # unbounded objectives are all read off the vertex search, with no phase
+    # 1 and no LP.  Each region is fresh, so no fact is cached yet.
+    monkeypatch.setattr(linalg, "bland", _raise_on_lp)
+    monkeypatch.setattr(polytope, "bland", _raise_on_lp)
+    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
+    assert nonempty(p)
+    assert is_bounded(p) is bounded
+    for c, expected in faces.items():
+        assert _face_or_error(optimal_face_vertices, p, fvec(c)) == expected
+
+
+@pytest.mark.parametrize(
+    "p, c, expected",
+    [
+        # Unbounded region x1 + x2 >= 1 on which c is bounded: the LP decides
+        # the value, and both vertices attain it.
+        (Polytope(frows([-1, -1]), fvec([-1])), fvec([-1, -1]), (fvec([0, 1]), fvec([1, 0]))),
+        (Polytope(frows([-1, -1]), fvec([-1])), fvec([1, -1]), UnboundedObjective),
+        (Polytope(frows([1, 1]), fvec([-1])), fvec([1, 0]), InfeasibleRegion),
+        # The cone x2 <= x1 / 2, its row repeated twice over: every basis
+        # sits at the degenerate origin, and the ray (2, 1) is met only with
+        # x1 or x2 basic at value 0.
+        (Polytope(frows([-1, 2], [-2, 4]), fvec([0, 0])), fvec([0, 1]), UnboundedObjective),
+    ],
+    ids=[
+        "unbounded-region-bounded-objective",
+        "unbounded-objective",
+        "empty-region",
+        "ray-with-degenerate-basic-column",
+    ],
+)
+def test_optimal_face_pinned_cases_match_lp_reference(p, c, expected):
+    assert _face_or_error(optimal_face_vertices_reference, p, c) == expected
+    assert _face_or_error(optimal_face_vertices, p, c) == expected
+
+
+# The feasible-basis search against the all-bases reference.
+
+
 @settings(deadline=None, max_examples=200)
 @given(regions_with_redundant_rows())
 def test_one_status_lp_matches_two_lp_reference(drawn):
-    # The status walk against a phase-1 LP and the LP max sum(x).  Repeated
-    # and summed rows give tied ratios in phase 1, and an auxiliary column
-    # that ends basic at zero and is pivoted out.
+    # Phase 1 and the rays of the vertex search against a phase-1 LP and the
+    # LP max sum(x).  Repeated and summed rows give tied ratios in phase 1,
+    # and an auxiliary column that ends basic at zero and is pivoted out.
     kind, p = drawn
     expected = (nonempty_reference(p), is_bounded_reference(p))
     if kind != "free":
@@ -425,7 +474,7 @@ def test_vertex_search_pinned_cases(p, expected):
 def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
     # k = 6, m = 10: brute force eliminates all C(16, 10) = 8008 bases.  The
     # slack dictionary takes m pivots; after that, each other feasible basis
-    # costs one pivot, whether the status walk or the search reaches it.
+    # costs one pivot of the search.
     p = ladder_region(6)
     m = len(p.a)
     feasible = count_feasible_bases(p)
@@ -446,9 +495,9 @@ def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
 
 def test_empty_region_is_proved_empty_in_few_pivots(monkeypatch):
     # The k = 6 ladder region has rows in [0, 3] and b <= 9 and is bounded,
-    # so sum(x) <= 54 on it, and adding -sum(x) <= -1000 empties it.  Phase
-    # 1 of the status walk proves that; a scan for a feasible basis would
-    # eliminate all C(17, 11) = 12376 bases.
+    # so sum(x) <= 54 on it, and adding -sum(x) <= -1000 empties it.  The
+    # phase 1 behind Polytope.start proves that; a scan for a feasible basis
+    # would eliminate all C(17, 11) = 12376 bases.
     ladder = ladder_region(6)
     p = Polytope(ladder.a + ((Fraction(-1),) * 6,), ladder.b + (Fraction(-1000),))
     m = len(p.a)
