@@ -12,6 +12,12 @@ before the clock starts.  Each time is the best of three runs on a fresh
 ``Polytope`` or problem, so no fact computed by one run is reused by the
 next.
 
+Two degenerate families follow the ladder: the cube [0, 1]^k plus
+x_i + x_j <= 2 for every pair (``objred.instances.degenerate_cube``), for
+k = 3 up to the largest ladder rung, and the cone x_i <= x_j for i < j
+(``objred.instances.ordered_cone``), for k = 3 to 6.  Each line gives the
+vertices and the rays the vertex search meets, and its time.
+
     python3 scripts/bench.py [--seed S] [--max-k K]
 """
 
@@ -37,11 +43,13 @@ from objred import (  # noqa: E402
     parse_document,
     reduce_objectives,
 )
-from objred.instances import ladder_region  # noqa: E402
+from objred.instances import degenerate_cube, ladder_region, ordered_cone  # noqa: E402
 from objred.polytope import enumerate_vertices  # noqa: E402
 
 REPEATS = 3
 SMALLEST_K = 3
+# The cone's search still grows fast: k = 7 takes about 15 s.
+LARGEST_CONE_K = 6
 
 
 def best_time(run: Callable[[], object]) -> tuple[object, float]:
@@ -90,6 +98,19 @@ def main() -> int:
             f" empty variant {len(left)} vertices {empty_seconds:.4f} s;"
             f" {len(efficient)} efficient {efficient_seconds:.4f} s"
         )
+
+    print("degenerate families: k, m, vertices, rays met, seconds")
+    for name, make, largest in (
+        ("cube", degenerate_cube, args.max_k),
+        ("cone", ordered_cone, LARGEST_CONE_K),
+    ):
+        for k in range(SMALLEST_K, largest + 1):
+            region = make(k)
+            (vertices, rays), seconds = best_time(lambda: Polytope(region.a, region.b).search)
+            print(
+                f"  {name} k={k} m={len(region.a)} {len(vertices)} vertices"
+                f" {len(rays)} rays {seconds:.4f} s"
+            )
 
     print("problems/: classify (last objective) and reduce, seconds")
     for path in sorted((ROOT / "problems").glob("*.json")):

@@ -43,6 +43,9 @@ def _objective_index(doc: ProblemDocument, number: int | None) -> int | None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     doc = _load(args.file)
+    count = doc.problem.n_objectives
+    if count < 2:
+        raise ParseError(f"classify needs at least 2 objectives, and the document has {count}")
     verdict = classify(doc.problem, _objective_index(doc, args.objective))
     if args.json:
         print(json.dumps(verdict_to_jsonable(verdict), ensure_ascii=False, indent=2))

@@ -2,13 +2,15 @@
 
 Instances keep the origin feasible (b >= 0) and are capped to a bounded
 region by default, so classify always runs to a verdict on them.  The
-regions of the vertex-enumeration size ladder come from ``ladder_region``.
+regions of the vertex-enumeration size ladder come from ``ladder_region``,
+and two degenerate families from ``degenerate_cube`` and ``ordered_cone``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .engine import MolpProblem
 from .linalg import Vector
@@ -76,3 +78,21 @@ def ladder_region(k: int, seed: int = 0) -> Polytope:
     a = tuple(tuple(Fraction(rng.randint(0, 3)) for _ in range(k)) for _ in range(k + 4))
     b = tuple(Fraction(rng.randint(3, 9)) for _ in range(k + 4))
     return Polytope(a, b)
+
+
+def degenerate_cube(k: int) -> Polytope:
+    """The unit cube [0, 1]^k plus the row x_i + x_j <= 2 for every pair
+    i < j: its 2^k vertices are those of the cube, and each pair row is
+    tight at every vertex with x_i = x_j = 1, so most of them are degenerate."""
+    unit = [tuple(Fraction(int(c == i)) for c in range(k)) for i in range(k)]
+    pairs = [tuple(a + b for a, b in zip(unit[i], unit[j])) for i, j in combinations(range(k), 2)]
+    return Polytope(tuple(unit + pairs), (Fraction(1),) * k + (Fraction(2),) * len(pairs))
+
+
+def ordered_cone(k: int) -> Polytope:
+    """The cone x_i - x_j <= 0 for every pair i < j: one vertex, the origin,
+    on which every row is tight, and the rays of 0 <= x_1 <= ... <= x_k."""
+    rows = tuple(
+        tuple(Fraction((c == i) - (c == j)) for c in range(k)) for i, j in combinations(range(k), 2)
+    )
+    return Polytope(rows, (Fraction(0),) * len(rows))

@@ -7,8 +7,9 @@ in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis and the
-point-efficiency phase 1; the vertex search pivots on the same step and
-tests its columns with ``leaving_rows``.
+point-efficiency phase 1.  Its tie-break, the minimum-ratio row of lowest
+basic index, is ``leaving_row``; the vertex search steps along the same
+rows, so it follows exactly the edges Bland's rule can take.
 """
 
 from __future__ import annotations
@@ -85,39 +86,37 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
     maximizing the cost row ``rows[cost]``, in place.  Every row below the
     dictionary rides along in each pivot but stays out of the ratio test.
     The entering column is the lowest one whose reduced cost ``rows[cost][j]
-    / d`` is positive, and the leaving row the tied row of lowest basic index.
-    Stops at an optimum, or at a ray, which callers rule out by maximizing a
-    cost bounded above.  Returns the final pivot."""
-    m = len(basis)
+    / d`` is positive, and the leaving row is ``leaving_row``'s.  Stops at an
+    optimum, or at a ray, which callers rule out by maximizing a cost bounded
+    above.  Returns the final pivot."""
     while True:
         j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
         if j is None:
             return d
-        tied = leaving_rows(rows[:m], j, d)
-        if not tied:
+        r = leaving_row(rows, basis, j, d)
+        if r is None:
             return d
-        r = min(tied, key=basis.__getitem__)
         d = pivot(rows, r, j, d)
         basis[r] = j
 
 
-def leaving_rows(rows: list[list[int]], j: int, d: int) -> list[int]:
-    """Rows with a positive entry in column j (``rows[i][j] / d > 0``) that
-    attain the minimum ratio ``rows[i][-1] / rows[i][j]``; none for a ray."""
-    best: list[int] = []
-    for i, row in enumerate(rows):
+def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:
+    """Bland's leaving row for column j of the dictionary ``rows[:len(basis)]``
+    over d: of the rows with a positive entry (``rows[i][j] / d > 0``) that
+    attain the minimum ratio ``rows[i][-1] / rows[i][j]``, the one of lowest
+    basic index ``basis[i]``; None for a ray."""
+    best = None
+    for i, (c, row) in enumerate(zip(basis, rows)):
         a = row[j]
         if a * d <= 0:
             continue
-        if best:
-            top = rows[best[0]]
+        if best is not None:
+            top = rows[best]
             # a and top[j] have the sign of d, so cross-multiplying keeps the order.
             diff = row[-1] * top[j] - top[-1] * a
-            if diff > 0:
+            if diff > 0 or diff == 0 and c > basis[best]:
                 continue
-            if diff < 0:
-                best = []
-        best.append(i)
+        best = i
     return best
 
 

@@ -4,13 +4,13 @@ Everything here pivots one integer dictionary of the slack-extended system
 [A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  ``start`` is
 its first feasible basis, found by a phase 1 of Bland's rule when some
 b_i < 0; there is none iff the region is empty.  From it, ``search`` pivots
-from basis to adjacent feasible basis (the feasible-basis graph of Avis &
-Fukuda's reverse search) and yields the vertices and the rays it meets: the
-region is bounded iff it meets none, and c . x has no finite maximum iff
-c . r > 0 for one of them.  Its work grows with the number of feasible
-bases, not with all C(k + m, m) bases.  The results are exact, deterministic
-and sorted.  The Bland kernel lives in ``linalg``; only the step-3 interior
-point is an LP.
+from basis to adjacent feasible basis on the edges Bland's rule can take
+(in the feasible-basis graph of Avis & Fukuda's reverse search) and yields
+the vertices and the rays it meets: the region is bounded iff it meets none,
+and c . x has no finite maximum iff c . r > 0 for one of them.  Its work
+grows with the feasible bases those edges reach, not with all C(k + m, m)
+bases.  The results are exact, deterministic and sorted.  The Bland kernel
+lives in ``linalg``; only the step-3 interior point is an LP.
 
 Which rows are tight at a point is decided on integers too: the rows of
 [A | b] are scaled to integers once per region, and the point is put over its
@@ -36,7 +36,7 @@ from .linalg import (
     dot,
     eliminate,
     integer_rows,
-    leaving_rows,
+    leaving_row,
     pivot,
 )
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
@@ -144,20 +144,19 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
     """The sorted vertices, and the x-parts of the rays met, by a search
     over the feasible bases of [A | I] y = b from ``Polytope.start``.
 
-    From each basis, every nonbasic column j paired with every row that
-    attains its minimum ratio leads to an adjacent feasible basis; tied rows
-    are all kept, as at a degenerate vertex they are the steps between its
-    bases.  Each basis is visited once, keyed by its set of columns, at the
-    cost of one ``pivot``.  A column j with no leaving row is a ray, with
-    x-part r_j = 1 if j < k and r_c = -rows[i][j] / d for each basic
-    x-column c = basis[i].
+    Each nonbasic column j of a basis enters on Bland's row, the tied
+    minimum-ratio row of lowest basic index (``linalg.leaving_row``), or is
+    a ray if it has none: x-part r_j = 1 if j < k and r_c = -rows[i][j] / d
+    for each basic x-column c = basis[i].  Each basis is visited once, keyed
+    by its set of columns, at the cost of one ``pivot``.
 
-    Bland's rule on any c from ``start`` takes only these steps (an
-    improving column, the tied row of lowest basic index).  So every vertex
-    is reached, as some c is maximized there alone, and when c . x has no
-    finite maximum the ray it ends on, with c . r > 0, is met.  As sum(x)
-    grows along every recession direction, a ray is met iff the region is
-    unbounded.
+    Bland's rule on any c from ``start`` takes only these edges, so every
+    path it takes lies in the search: every vertex is reached, as some c is
+    maximized there alone, and when c . x has no finite maximum the ray it
+    ends on, with c . r > 0, is met.  As sum(x) grows along every recession
+    direction, a ray is met iff the region is unbounded.  The work still
+    grows with the bases these edges reach: 6,867 pivots for the one vertex
+    of ``instances.ordered_cone(6)``.
     """
     if p.start is None:
         return (), frozenset()
@@ -178,21 +177,21 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
         for j in range(n):
             if j in basic:
                 continue
-            tied = leaving_rows(rows, j, d)
-            if not tied:
+            i = leaving_row(rows, basis, j, d)
+            if i is None:
                 r = [ONE if c == j else ZERO for c in range(k)]
                 for c, row in zip(basis, rows):
                     if c < k:
                         r[c] = Fraction(-row[j], d)
                 rays.add(tuple(r))
-            for i in tied:
-                neighbour = basis.copy()
-                neighbour[i] = j
-                key = frozenset(neighbour)
-                if key not in seen:
-                    seen.add(key)
-                    after = list(rows)
-                    stack.append((neighbour, after, pivot(after, i, j, d)))
+                continue
+            neighbour = basis.copy()
+            neighbour[i] = j
+            key = frozenset(neighbour)
+            if key not in seen:
+                seen.add(key)
+                after = list(rows)
+                stack.append((neighbour, after, pivot(after, i, j, d)))
     return tuple(sorted(vertices)), frozenset(rays)
 
 

@@ -103,6 +103,13 @@ def test_input_errors_exit_code(capsys, tmp_path):
     )
     assert code == 2
 
+    single = tmp_path / "single.json"
+    document = json.loads((PROBLEMS / "cube_3obj.json").read_text())
+    document["objectives"] = document["objectives"][:1]
+    single.write_text(json.dumps(document))
+    code, _, err = run(capsys, "classify", single)
+    assert code == 2 and "error:" in err and "has 1" in err
+
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     # Exit code 2 means the document is at fault; a ValueError raised inside

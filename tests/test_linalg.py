@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from objred.linalg import (
     dot,
     intersect_spans,
+    leaving_row,
     mat_vec,
     null_space,
     solve_square,
@@ -94,6 +95,22 @@ def test_solve_square():
     x = solve_square(m, rhs)
     assert mat_vec(m, x) == rhs
     assert solve_square(frows([1, 2], [2, 4]), fvec([1, 1])) is None
+
+
+def test_leaving_row_is_blands_row():
+    # Rows [column 0, column 1, value] over d = 1.  Column 0 attains its
+    # minimum ratio 2 on the rows of basic columns 5, 3 and 6: Bland's row
+    # is that of column 3, neither the first nor the last of the tie.  The
+    # row of column 2 has a negative entry and that of column 4 ratio 3.
+    # Column 1 has no positive entry, a ray.  The cost row below the
+    # dictionary is not read, and negating every row with d keeps both
+    # answers.
+    basis = [5, 2, 3, 4, 6]
+    rows = [[1, 0, 2], [-1, -1, 0], [2, 0, 4], [1, -2, 3], [3, 0, 6], [1, 1, 0]]
+    negated = [[-a for a in row] for row in rows]
+    assert leaving_row(rows, basis, 0, 1) == leaving_row(negated, basis, 0, -1) == 2
+    assert leaving_row(rows, basis, 1, 1) is None
+    assert leaving_row(negated, basis, 1, -1) is None
 
 
 def test_solve_square_rejects_non_square():

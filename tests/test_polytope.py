@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from objred import linalg, polytope, simplex
 from objred.errors import InfeasibleRegion, UnboundedObjective
-from objred.instances import ladder_region
+from objred.instances import degenerate_cube, ladder_region, ordered_cone
 from objred.linalg import dot
 from objred.polytope import (
     Polytope,
@@ -332,13 +333,33 @@ def regions_with_redundant_rows(draw):
     return kind, Polytope(tuple(a), tuple(b))
 
 
+@st.composite
+def pair_row_regions(draw):
+    """Rows, in drawn order, of ``degenerate_cube(k)`` and ``ordered_cone(k)``
+    together for k <= 4: unit, sum and difference rows that tie for the
+    minimum ratio at many bases of one vertex, so the search's tie-break
+    decides which bases it visits.  Up to 8 rows for k <= 3 and 6 for k = 4
+    keep the all-bases reference to at most C(11, 8) = 165 and C(10, 6) = 210
+    bases."""
+    k = draw(st.integers(2, 4))
+    cube, cone = degenerate_cube(k), ordered_cone(k)
+    rows = list(zip(cube.a + cone.a, cube.b + cone.b))
+    most = 8 if k < 4 else 6
+    chosen = draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=most, unique=True))
+    a, b = zip(*(rows[i] for i in chosen))
+    return "pair-rows", Polytope(a, b)
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(regions_of_every_kind(), regions_with_redundant_rows()), st.data())
+@given(
+    st.one_of(regions_of_every_kind(), regions_with_redundant_rows(), pair_row_regions()),
+    st.data(),
+)
 def test_optimal_face_matches_lp_reference(drawn, data):
     # The face is read off the vertex list, and an unbounded objective off
     # the rays the vertex search meets; the reference solves max c . x on
-    # every region.  Faces and errors must agree.  Repeated and summed rows
-    # give degenerate vertices with rays leaving them.
+    # every region.  Faces and errors must agree.  Repeated, summed and
+    # pair rows give degenerate vertices with rays leaving them.
     _, p = drawn
     c = fvec(data.draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
     expected = _face_or_error(optimal_face_vertices_reference, p, c)
@@ -367,8 +388,19 @@ def _raise_on_lp(*args, **kwargs):
                 (1, 0): UnboundedObjective,
             },
         ),
+        # 0 <= x1 <= ... <= x5: c = 0 is optimal on every vertex, and the
+        # origin is the only one.
+        (
+            ordered_cone(5),
+            False,
+            {
+                (0, 0, 0, 0, 0): (fvec([0] * 5),),
+                (-1, -1, -1, -1, -1): (fvec([0] * 5),),
+                (0, 0, 0, 0, 1): UnboundedObjective,
+            },
+        ),
     ],
-    ids=["cube", "ray-from-degenerate-vertex"],
+    ids=["cube", "ray-from-degenerate-vertex", "ordered-cone-5"],
 )
 def test_region_facts_run_no_lp_when_b_is_nonnegative(monkeypatch, p, bounded, faces):
     # With b >= 0 the slack basis is feasible: emptiness, boundedness and
@@ -429,10 +461,11 @@ def test_one_status_lp_matches_two_lp_reference(drawn):
 
 
 @settings(deadline=None, max_examples=150)
-@given(regions_with_redundant_rows())
+@given(st.one_of(regions_with_redundant_rows(), pair_row_regions()))
 def test_vertex_search_matches_all_bases_reference(drawn):
     # Free draws cover nonempty regions whose slack basis is infeasible
-    # (some b_i < 0), where the search starts from another basis.
+    # (some b_i < 0), where the search starts from another basis; pair rows
+    # cover vertices where many bases tie.
     _, p = drawn
     assert enumerate_vertices(p) == enumerate_vertices_reference(p)
 
@@ -463,37 +496,54 @@ def test_vertex_search_matches_all_bases_reference(drawn):
         # 0 <= x2 <= min(x1, 1): the origin lies on three planes in the
         # plane, and the ray (1, 0) leaves it.
         (Polytope(frows([-1, 1], [0, 1]), fvec([0, 1])), (fvec([0, 0]), fvec([1, 1]))),
+        # Many bases at each vertex: three rows per pair i, j meet where
+        # x_i = x_j = 1 on the cube, and every row meets at the cone's origin.
+        (degenerate_cube(4), tuple(fvec(v) for v in product((0, 1), repeat=4))),
+        (ordered_cone(4), (fvec([0] * 4),)),
     ],
-    ids=["slack-basis-infeasible", "apex-with-four-tight-rows", "ray-from-degenerate-vertex"],
+    ids=[
+        "slack-basis-infeasible",
+        "apex-with-four-tight-rows",
+        "ray-from-degenerate-vertex",
+        "degenerate-cube-4",
+        "ordered-cone-4",
+    ],
 )
 def test_vertex_search_pinned_cases(p, expected):
     assert enumerate_vertices_reference(p) == expected
     assert enumerate_vertices(p) == expected
 
 
-def test_vertex_search_pivots_grow_with_feasible_bases(monkeypatch):
+@pytest.fixture
+def pivots(monkeypatch):
+    """A one-item list that counts the calls of ``linalg.pivot``: the
+    elimination behind ``Polytope.start``, its phase 1 and the search."""
+    count = [0]
+    original = linalg.pivot
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
+    monkeypatch.setattr(polytope, "pivot", counted)
+    return count
+
+
+def test_vertex_search_pivots_grow_with_feasible_bases(pivots):
     # k = 6, m = 10: brute force eliminates all C(16, 10) = 8008 bases.  The
     # slack dictionary takes m pivots; after that, each other feasible basis
     # costs one pivot of the search.
     p = ladder_region(6)
     m = len(p.a)
     feasible = count_feasible_bases(p)
-    original = linalg.pivot
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(linalg, "pivot", counted)
-    monkeypatch.setattr(polytope, "pivot", counted)
+    pivots[0] = 0  # the reference's own eliminations
     assert len(enumerate_vertices(p)) > 1
-    assert m <= calls <= m + feasible
+    assert m <= pivots[0] <= m + feasible
     assert m + feasible < 8008 // 20
 
 
-def test_empty_region_is_proved_empty_in_few_pivots(monkeypatch):
+def test_empty_region_is_proved_empty_in_few_pivots(pivots):
     # The k = 6 ladder region has rows in [0, 3] and b <= 9 and is bounded,
     # so sum(x) <= 54 on it, and adding -sum(x) <= -1000 empties it.  The
     # phase 1 behind Polytope.start proves that; a scan for a feasible basis
@@ -501,16 +551,17 @@ def test_empty_region_is_proved_empty_in_few_pivots(monkeypatch):
     ladder = ladder_region(6)
     p = Polytope(ladder.a + ((Fraction(-1),) * 6,), ladder.b + (Fraction(-1000),))
     m = len(p.a)
-    original = linalg.pivot
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(linalg, "pivot", counted)
-    monkeypatch.setattr(polytope, "pivot", counted)
     assert enumerate_vertices(p) == ()
     assert not nonempty(p)
-    assert calls < 10 * (m + 1)
+    assert pivots[0] < 10 * (m + 1)
+
+
+def test_degenerate_cube_takes_one_pivot_per_vertex(pivots):
+    # k = 6: 6 unit rows and 15 pair rows.  Each vertex with x_i = x_j = 1
+    # lies on three rows per pair, so it has many bases, and a search that
+    # pivots on every tied row visits 32,963 of them.  Bland's edges reach
+    # each of the 64 vertices by 63 pivots after the 21 of the slack
+    # dictionary.
+    p = degenerate_cube(6)
+    assert enumerate_vertices(p) == tuple(fvec(v) for v in product((0, 1), repeat=6))
+    assert pivots[0] < 200
