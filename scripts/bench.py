@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Wall times outside the perfbench harness: vertex enumeration and the
-efficient vertices on a seeded size ladder, and classify and reduce on every
-document under problems/.
+"""Wall times outside the perfbench harness: vertex enumeration, the
+efficient vertices and classify on a seeded size ladder, and classify and
+reduce on every document under problems/.
 
 Ladder rung k has k variables and k + 4 rows with entries in [0, 3] and
 right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Its empty
@@ -12,7 +12,13 @@ before the clock starts.  Each time is the best of three runs on a fresh
 ``Polytope`` or problem, so no fact computed by one run is reused by the
 next.
 
-Two degenerate families follow the ladder: the cube [0, 1]^k plus
+The classify ladder follows: for each rung, ``classify`` on its region with
+k + 1 objectives drawn from ``random.Random(f"{k}:{seed}")`` with integer
+entries in [-2, 3], the last one the candidate.  Each line gives the verdict,
+the step that decided it, the faces of the region and the time; step 7
+sweeps the faces, so its cost grows with them.
+
+Two degenerate families follow: the cube [0, 1]^k plus
 x_i + x_j <= 2 for every pair (``objred.instances.degenerate_cube``), for
 k = 3 up to the largest ladder rung, and the cone x_i <= x_j for i < j
 (``objred.instances.ordered_cone``), for k = 3 to 6.  Each line gives the
@@ -36,10 +42,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from objred import (  # noqa: E402
     Error,
+    MolpProblem,
     ObjectiveStack,
     Polytope,
     classify,
     efficient_vertices,
+    face_vertex_sets,
     parse_document,
     reduce_objectives,
 )
@@ -70,6 +78,16 @@ def ladder_stack(k: int, seed: int) -> ObjectiveStack:
     )
 
 
+def ladder_problem(k: int, seed: int) -> MolpProblem:
+    """Rung k's region with k + 1 objectives, drawn from their own stream."""
+    region = ladder_region(k, seed)
+    rng = random.Random(f"{k}:{seed}")
+    objectives = tuple(
+        tuple(Fraction(rng.randint(-2, 3)) for _ in range(k)) for _ in range(k + 1)
+    )
+    return MolpProblem(objectives, region.a, region.b)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="ladder seed")
@@ -97,6 +115,16 @@ def main() -> int:
             f"  k={k} m={len(region.a)} {len(vertices)} vertices {seconds:.4f} s;"
             f" empty variant {len(left)} vertices {empty_seconds:.4f} s;"
             f" {len(efficient)} efficient {efficient_seconds:.4f} s"
+        )
+
+    print("classify ladder: k, n = k + 1 objectives, verdict, step, faces, seconds")
+    for k in range(SMALLEST_K, args.max_k + 1):
+        problem = ladder_problem(k, args.seed)
+        verdict, seconds = best_time(lambda: classify(problem))
+        faces = face_vertex_sets(problem.region())
+        print(
+            f"  k={k} n={k + 1} {verdict.outcome.value} at step {int(verdict.decided_at)}"
+            f" {len(faces)} faces {seconds:.4f} s"
         )
 
     print("degenerate families: k, m, vertices, rays met, seconds")

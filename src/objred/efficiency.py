@@ -6,8 +6,8 @@ feasibility problem over the normal cone of the constraints tight at the
 point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
 
-The efficiency test solves no LP: its phase 1 runs ``linalg.bland`` on an
-integer dictionary, the kernel of the region's own phase 1.
+The efficiency test reads only the point's zero set, and solves no LP: its
+phase 1 runs ``linalg.bland`` on an integer dictionary.
 The cone test and the weight search produce certificates (a direction, the
 weights) and still run on the ``Fraction`` simplex of ``objred.simplex``.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleInput
 from .linalg import ONE, ZERO, Matrix, Vector, bland, integer_rows, mat_vec
-from .polytope import Polytope, tight_rows
+from .polytope import Polytope, zero_set
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
 
@@ -84,23 +84,31 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     By Isermann's theorem x0 is efficient exactly when some strictly positive
     weighting l of the objectives is maximized at x0, that is, when F^T l
     lies in the normal cone of the region at x0.  That cone is spanned by
-    the rows a_i tight at x0 and by -e_j for the coordinates x0_j = 0.
+    the rows a_i tight at x0 and by -e_j for x0_j = 0: by x0's zero set.
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
     decided on integers by ``_has_nonnegative_solution``; no LP is solved.
     F and A_T enter with each row scaled to integers: a positive scale of
     an objective keeps the efficient set, and one of a tight row keeps the
     normal cone.  Holds on unbounded regions as well as bounded ones.
+    Raises ValueError when the stack's width is not the region's dimension.
     """
-    key = (frozenset(f.rows), tuple(x0))
+    zeros = zero_set(p, x0)
+    if zeros is None:
+        raise InfeasibleInput("point is not in the region")
+    return _efficient(p, f, zeros)
+
+
+def _efficient(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
+    """``is_efficient`` at a point of zero set ``zeros``, kept in ``p.efficient``."""
+    if f.dim != p.dim:
+        raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
+    key = (frozenset(f.rows), zeros)
     if key in p.efficient:
         return p.efficient[key]
-    active = tight_rows(p, x0)
-    if active is None:
-        raise InfeasibleInput("point is not in the region")
     objectives = integer_rows(f.rows)
-    tight = [p.int_rows[i] for i in active]
-    at_zero = [j for j, value in enumerate(x0) if value == 0]
+    tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
+    at_zero = [c for c in zeros if c < p.dim]
     rows = [
         [row[j] for row in objectives]
         + [-row[j] for row in tight]
@@ -135,7 +143,7 @@ def _has_nonnegative_solution(rows: list[list[int]]) -> bool:
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:
     """The efficient vertices of the region, sorted lexicographically."""
-    return tuple(v for v in p.vertices if is_efficient(p, f, v))
+    return tuple(v for v, zeros in p.search[0].items() if _efficient(p, f, zeros))
 
 
 def efficient_point_outside(
@@ -145,22 +153,23 @@ def efficient_point_outside(
     or None when every outer-efficient point is inner-efficient.
 
     The efficient set of a bounded region is a union of faces, and a face is
-    efficient exactly when the centroid of its vertices is, so sweeping one
-    relative-interior representative per face decides the containment
-    exactly.  Faces whose vertices are not all outer-efficient cannot be
+    efficient exactly when the centroid of its vertices is, whose zero set is
+    the meet of theirs: a centroid is built only for the face returned.
+    Faces whose vertices are not all outer-efficient cannot be
     outer-efficient and are skipped.  Only valid on bounded regions.
     """
-    outer_eff = set(efficient_vertices(p, outer))
-    for v in sorted(outer_eff):
-        if not is_efficient(p, inner, v):
+    outer_eff = {v: zeros for v, zeros in p.search[0].items() if _efficient(p, outer, zeros)}
+    for v, zeros in outer_eff.items():
+        if not _efficient(p, inner, zeros):
             return v
     for face in p.faces:
-        if len(face) < 2 or not outer_eff.issuperset(face):
+        sets = [outer_eff.get(v) for v in face]
+        if len(face) < 2 or None in sets:
             continue
-        size = Fraction(len(face))
-        centroid = tuple(sum(column) / size for column in zip(*face))
-        if is_efficient(p, outer, centroid) and not is_efficient(p, inner, centroid):
-            return centroid
+        zeros = frozenset.intersection(*sets)
+        if _efficient(p, outer, zeros) and not _efficient(p, inner, zeros):
+            size = Fraction(len(face))
+            return tuple(sum(column) / size for column in zip(*face))
     return None
 
 

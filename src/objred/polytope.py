@@ -12,10 +12,10 @@ grows with the feasible bases those edges reach, not with all C(k + m, m)
 bases.  The results are exact, deterministic and sorted.  The Bland kernel
 lives in ``linalg``; only the step-3 interior point is an LP.
 
-Which rows are tight at a point is decided on integers too: the rows of
-[A | b] are scaled to integers once per region, and the point is put over its
-common denominator.  The facets of the face lattice are read from the tight
-sets of the vertices.
+A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
+is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
+it: ``search`` reads each vertex's off a dictionary, and ``zero_set`` compares
+any point with the integer rows of [A | b].  Faces are read from these sets.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .linalg import (
     Matrix,
     Vector,
     bland,
+    _normalized,
     dot,
     eliminate,
     integer_rows,
@@ -84,9 +85,9 @@ class Polytope:
         return _first_feasible(self)
 
     @cached_property
-    def search(self) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
-        """The vertices, sorted, and the x-parts of the rays met by the
-        search over the feasible bases from ``start``."""
+    def search(self) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector]]:
+        """The vertices, sorted, each with its zero set, and the x-parts of
+        the rays met by the search over the feasible bases from ``start``."""
         return _search(self)
 
     @cached_property
@@ -102,53 +103,56 @@ class Polytope:
         return find_interior_point(self)
 
     @cached_property
-    def efficient(self) -> dict[tuple[frozenset[Vector], Vector], bool]:
-        """Answers of ``efficiency.is_efficient``, keyed by the set of stack
-        rows and the point: efficiency does not depend on row order."""
+    def efficient(self) -> dict[tuple[frozenset[Vector], frozenset[int]], bool]:
+        """Answers of the efficiency test, keyed by the set of stack rows and
+        the zero set of the point: they depend on nothing else."""
         return {}
 
 
-def tight_rows(p: Polytope, x: Vector) -> tuple[int, ...] | None:
-    """Indices i of the rows with a_i . x = b_i, or None when x is not in
-    the region; exact, no tolerance.  x is put over its common denominator
-    once, and each row is compared in integers."""
+def zero_set(p: Polytope, x: Vector) -> frozenset[int] | None:
+    """The zero set of x, or None when x is not in the region; exact, no
+    tolerance.  x is put over its common denominator once, and each row is
+    compared in integers."""
     if len(x) != p.dim:
         return None
     scale = math.lcm(*(c.denominator for c in x))
     xs = [c.numerator * (scale // c.denominator) for c in x]
     if min(xs) < 0:
         return None
-    tight = []
+    zeros = [j for j, c in enumerate(xs) if c == 0]
     for i, row in enumerate(p.int_rows):
         # zip stops at len(xs), so row[-1] (b_i) is left out of the sum.
         slack = row[-1] * scale - sum(a * c for a, c in zip(row, xs))
         if slack < 0:
             return None
         if slack == 0:
-            tight.append(i)
-    return tuple(tight)
+            zeros.append(p.dim + i)
+    return frozenset(zeros)
 
 
 def contains(p: Polytope, x: Vector) -> bool:
     """Exact membership test, no tolerance."""
-    return tight_rows(p, x) is not None
+    return zero_set(p, x) is not None
 
 
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically, as found by its
     vertex search (``Polytope.search``)."""
-    return p.search[0]
+    return tuple(p.search[0])
 
 
-def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
-    """The sorted vertices, and the x-parts of the rays met, by a search
-    over the feasible bases of [A | I] y = b from ``Polytope.start``.
+def _search(p: Polytope) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector]]:
+    """The vertices, sorted, each with its zero set (the columns not basic
+    at a nonzero value, in any of its bases), and the x-parts of the rays
+    met, by a search over the feasible bases of [A | I] y = b from ``start``.
 
     Each nonbasic column j of a basis enters on Bland's row, the tied
     minimum-ratio row of lowest basic index (``linalg.leaving_row``), or is
     a ray if it has none: x-part r_j = 1 if j < k and r_c = -rows[i][j] / d
-    for each basic x-column c = basis[i].  Each basis is visited once, keyed
-    by its set of columns, at the cost of one ``pivot``.
+    for each basic x-column c = basis[i], scaled so that its first nonzero
+    entry is 1 (r >= 0, as x >= 0), so that each direction is kept once.
+    Each basis is visited once, keyed by its set of columns, at the cost of
+    one ``pivot``.
 
     Bland's rule on any c from ``start`` takes only these edges, so every
     path it takes lies in the search: every vertex is reached, as some c is
@@ -159,12 +163,12 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
     of ``instances.ordered_cone(6)``.
     """
     if p.start is None:
-        return (), frozenset()
+        return {}, frozenset()
     k = p.dim
     n = k + len(p.a)
     stack = [p.start]
     seen = {frozenset(p.start[0])}
-    vertices: set[Vector] = set()
+    vertices: dict[Vector, frozenset[int]] = {}
     rays: set[Vector] = set()
     while stack:
         basis, rows, d = stack.pop()
@@ -172,7 +176,7 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
         for c, row in zip(basis, rows):
             if c < k:
                 x[c] = Fraction(row[-1], d)
-        vertices.add(tuple(x))
+        vertices[tuple(x)] = frozenset(range(n)).difference(c for c, row in zip(basis, rows) if row[-1])
         basic = set(basis)
         for j in range(n):
             if j in basic:
@@ -183,7 +187,7 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
                 for c, row in zip(basis, rows):
                     if c < k:
                         r[c] = Fraction(-row[j], d)
-                rays.add(tuple(r))
+                rays.add(_normalized(r))
                 continue
             neighbour = basis.copy()
             neighbour[i] = j
@@ -192,7 +196,7 @@ def _search(p: Polytope) -> tuple[tuple[Vector, ...], frozenset[Vector]]:
                 seen.add(key)
                 after = list(rows)
                 stack.append((neighbour, after, pivot(after, i, j, d)))
-    return tuple(sorted(vertices)), frozenset(rays)
+    return dict(sorted(vertices.items())), frozenset(rays)
 
 
 def _first_feasible(p: Polytope) -> Dictionary | None:
@@ -271,28 +275,21 @@ def is_bounded(p: Polytope) -> bool:
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     """Vertex sets of every nonempty face of a bounded region, sorted.
 
-    Each constraint row (including the sign bounds x_j >= 0) supports a face
-    whose vertices are exactly the vertices lying on that hyperplane, and the
-    remaining faces are intersections of those, so the full face lattice is
-    the closure of the facet vertex sets under intersection.  The region
-    itself appears as the set of all vertices.  Faces are returned as tuples
-    of vertices, ordered by size and then lexicographically; only meaningful
-    when the region is bounded, since an unbounded face is not spanned by its
-    vertices.
+    Each column c of [A | I] y = b (a sign bound x_c >= 0 or a constraint
+    row) supports a face whose vertices are exactly those with c in their
+    zero set, read from the vertex search, and the remaining faces are
+    intersections of those, so the full face lattice is the closure of the
+    facet vertex sets under intersection.  The region itself appears as the
+    set of all vertices.  Faces are returned as tuples of vertices, ordered
+    by size and then lexicographically; only meaningful when the region is
+    bounded, since an unbounded face is not spanned by its vertices.
     """
     vertices = p.vertices
     everything = frozenset(range(len(vertices)))
-    m = len(p.a)
-    # The facet of row i holds the vertices tight on it, and the facet of
-    # x_j >= 0 those with v_j = 0; a vertex lies in the region, so its
-    # tight set is never None.
-    on_facet: list[set[int]] = [set() for _ in range(m + p.dim)]
-    for index, v in enumerate(vertices):
-        for i in tight_rows(p, v):
-            on_facet[i].add(index)
-        for j, c in enumerate(v):
-            if c == 0:
-                on_facet[m + j].add(index)
+    on_facet: list[set[int]] = [set() for _ in range(p.dim + len(p.a))]
+    for index, zeros in enumerate(p.search[0].values()):
+        for c in zeros:
+            on_facet[c].add(index)
     facets = [frozenset(s) for s in on_facet]
     closed: set[frozenset[int]] = {everything} if vertices else set()
     queue = [everything] if vertices else []

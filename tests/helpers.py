@@ -1,6 +1,6 @@
 """Fixture problems, the independent efficiency oracle, the plain
 ``Fraction`` elimination references, the two-LP region checks, the
-LP-based efficiency and optimal-face references, the ``Fraction`` tight-set
+LP-based efficiency and optimal-face references, the ``Fraction`` zero-set
 and face references and the externally priced simplex reference shared by
 tests."""
 
@@ -283,7 +283,7 @@ def is_bounded_reference(p):
 
 # The LP formulations the library used before it decided efficiency on the
 # normal cone of the tight constraints and read bounded optimal faces off
-# the vertex list, and the Fraction tight sets and facets it used before it
+# the vertex list, and the Fraction zero sets and facets it used before it
 # compared in integers; tests require the answers to agree exactly.
 
 
@@ -309,19 +309,15 @@ def is_efficient_reference(p, f, x0):
     return out.status is LpStatus.OPTIMAL and out.value == 0
 
 
-def tight_rows_reference(p, x):
-    """Indices of the rows with a_i . x = b_i, or None when x is not in the
-    region, from one Fraction dot product per row."""
+def zero_set_reference(p, x):
+    """The columns of [A | I] y = b at which y = (x, b - Ax) is 0, or None
+    when x is not in the region, from one Fraction dot product per row."""
     if len(x) != p.dim or any(c < 0 for c in x):
         return None
-    tight = []
-    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
-        value = dot(row, x)
-        if value > rhs:
-            return None
-        if value == rhs:
-            tight.append(i)
-    return tuple(tight)
+    slacks = [rhs - dot(row, x) for row, rhs in zip(p.a, p.b)]
+    if any(s < 0 for s in slacks):
+        return None
+    return {c for c, value in enumerate(tuple(x) + tuple(slacks)) if value == 0}
 
 
 def face_vertex_sets_reference(p):

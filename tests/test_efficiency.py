@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objred import simplex
+from objred import efficiency, simplex
 from objred.efficiency import (
     ObjectiveStack,
     cone_nonempty,
@@ -23,6 +23,7 @@ from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_b
 from helpers import (
     CUBE,
     SEGMENT,
+    SQUARE,
     box5_4obj,
     cube_3obj,
     dominance_oracle,
@@ -41,6 +42,17 @@ def test_stack_validation():
         ObjectiveStack((fvec([1, 2]), fvec([1])))
     with pytest.raises(IndexError):
         ObjectiveStack(frows([1, 2])).drop(1)
+
+
+def test_stack_width_must_match_region():
+    # A wider stack was cut to the region's first columns, and a narrower
+    # one ran off the end of its rows.
+    for rows in (frows([1, 0, 1], [0, 1, 1]), frows([1], [2])):
+        f = ObjectiveStack(rows)
+        with pytest.raises(ValueError):
+            is_efficient(SQUARE, f, fvec([1, 1]))
+        with pytest.raises(ValueError):
+            efficient_vertices(SQUARE, f)
 
 
 def test_stack_values_and_drop():
@@ -111,6 +123,22 @@ def test_whole_segment_efficient_under_opposing_objectives():
 def test_no_efficient_point_escapes_on_cube():
     full = cube_3obj().stack()
     assert efficient_point_outside(CUBE, full, full.drop(2)) is None
+
+
+def test_vertices_and_faces_are_tested_on_search_zero_sets(monkeypatch):
+    # Every vertex and every face of the cube is tested on the zero sets the
+    # vertex search recorded, so no point is scanned and no centroid built.
+    def scanned(*args):
+        raise AssertionError("a zero set was scanned")
+
+    monkeypatch.setattr(efficiency, "zero_set", scanned)
+    region = Polytope(CUBE.a, CUBE.b)
+    full = cube_3obj().stack()
+    assert efficient_vertices(region, full) == (fvec([0, 1, 1]), fvec([1, 1, 1]))
+    assert efficient_point_outside(region, full, full.drop(2)) is None
+    # The edge between them, x2 = x3 = 1, was tested on its own zero set.
+    tested = {zeros for _, zeros in region.efficient}
+    assert tested - set(region.search[0].values()) == {frozenset({4, 5})}
 
 
 def test_escaping_efficient_vertex_found():
@@ -282,8 +310,9 @@ def capped_problems(draw):
 @given(capped_problems(), st.data())
 def test_efficiency_answers_do_not_leak_between_stacks(problem, data):
     # A region keeps is_efficient answers keyed by the set of stack rows and
-    # the point.  A region that has already answered for a row-permuted stack
-    # and for a reduced stack must still answer each stack as a fresh one does.
+    # the point's zero set.  A region that has already answered for a
+    # row-permuted stack and for a reduced stack must still answer each
+    # stack as a fresh one does.
     # The reduced stack with one row repeated has the reduced efficient set but
     # the full row count, so a table keyed by row count would fail here.
     a, b, rows = problem

@@ -19,7 +19,7 @@ from objred.polytope import (
     is_bounded,
     nonempty,
     optimal_face_vertices,
-    tight_rows,
+    zero_set,
 )
 
 from helpers import (
@@ -34,7 +34,7 @@ from helpers import (
     is_bounded_reference,
     nonempty_reference,
     optimal_face_vertices_reference,
-    tight_rows_reference,
+    zero_set_reference,
 )
 
 
@@ -78,22 +78,23 @@ def test_contains():
     assert not contains(SQUARE, fvec([-1, 0]))
 
 
-def test_tight_rows():
-    # The corner (1, 1) of this square lies on all three rows; (1, 0) only
-    # on the first, and the point outside has no answer.
+def test_zero_set():
+    # Columns 0 and 1 are x1 and x2, columns 2 to 4 the rows.  The corner
+    # (1, 1) of this square lies on all three rows; (1, 0) on the first row
+    # and on x2 = 0, and the point outside has no answer.
     p = Polytope(frows([1, 0], [0, 1], [1, 1]), fvec([1, 1, 2]))
-    assert tight_rows(p, fvec([1, 1])) == (0, 1, 2)
-    assert tight_rows(p, fvec([1, 0])) == (0,)
-    assert tight_rows(p, fvec([Fraction(1, 2), 0])) == ()
-    assert tight_rows(p, fvec([1, 2])) is None
-    assert tight_rows(p, fvec([1])) is None
+    assert zero_set(p, fvec([1, 1])) == {2, 3, 4}
+    assert zero_set(p, fvec([1, 0])) == {1, 2}
+    assert zero_set(p, fvec([Fraction(1, 2), 0])) == {1}
+    assert zero_set(p, fvec([1, 2])) is None
+    assert zero_set(p, fvec([1])) is None
     # Fractional rows and points: x1/2 + x2/3 <= 5/6 and 3x1/4 <= 1/2 are
     # both tight at (2/3, 3/2), and (1, 0) violates the second.
     q = Polytope(frows(["1/2", "1/3"], ["3/4", 0]), fvec(["5/6", "1/2"]))
-    assert tight_rows(q, fvec(["2/3", "3/2"])) == (0, 1)
-    assert tight_rows(q, fvec(["1/3", "1/2"])) == ()
-    assert tight_rows(q, fvec([0, "5/2"])) == (0,)
-    assert tight_rows(q, fvec([1, 0])) is None
+    assert zero_set(q, fvec(["2/3", "3/2"])) == {2, 3}
+    assert zero_set(q, fvec(["1/3", "1/2"])) == set()
+    assert zero_set(q, fvec([0, "5/2"])) == {0, 2}
+    assert zero_set(q, fvec([1, 0])) is None
 
 
 def test_interior_point_is_strict():
@@ -215,21 +216,28 @@ def degenerate_polytopes(draw, max_rows=4, max_cols=3):
 @given(degenerate_polytopes())
 def test_vertices_match_fraction_reference(p):
     assert enumerate_vertices(p) == enumerate_vertices_reference(p)
+    assert_search_zero_sets(p)
+
+
+def assert_search_zero_sets(p):
+    # The zero set the search read off a dictionary is the one of the point.
+    for v, zeros in p.search[0].items():
+        assert zeros == zero_set(p, v), v
 
 
 @settings(deadline=None, max_examples=150)
 @given(degenerate_polytopes(), st.lists(small_fracs, min_size=3, max_size=3))
 def test_tight_sets_and_faces_match_fraction_reference(p, shift):
-    # Integer tight sets against one Fraction dot product per row, at the
+    # Integer zero sets against one Fraction dot product per row, at the
     # vertices, at the centroids of the faces and at those points moved by
     # a shift that may leave the region; and the faces built from the
-    # vertices' tight sets against the facets built from dot products.
+    # vertices' zero sets against the facets built from dot products.
     faces = face_vertex_sets(p)
     assert faces == face_vertex_sets_reference(p)
     points = [tuple(sum(column) / Fraction(len(face)) for column in zip(*face)) for face in faces]
     points += [tuple(c + s for c, s in zip(x, shift)) for x in points]
     for x in points:
-        assert tight_rows(p, x) == tight_rows_reference(p, x), x
+        assert zero_set(p, x) == zero_set_reference(p, x), x
 
 
 @settings(deadline=None, max_examples=60)
@@ -468,6 +476,7 @@ def test_vertex_search_matches_all_bases_reference(drawn):
     # cover vertices where many bases tie.
     _, p = drawn
     assert enumerate_vertices(p) == enumerate_vertices_reference(p)
+    assert_search_zero_sets(p)
 
 
 @pytest.mark.parametrize(
@@ -512,6 +521,26 @@ def test_vertex_search_matches_all_bases_reference(drawn):
 def test_vertex_search_pinned_cases(p, expected):
     assert enumerate_vertices_reference(p) == expected
     assert enumerate_vertices(p) == expected
+
+
+@pytest.mark.parametrize(
+    "p, rays",
+    [
+        # random_problem(Random(1001), ensure_bounded=False): x1 <= 3 and
+        # 3 x1 - 2 x2 <= 5.  The search meets the one direction (0, 1) as
+        # x2 entering and as the slack of the second row entering, (0, 1/2).
+        (Polytope(frows([1, 0], [3, -2]), fvec([3, 5])), {fvec([0, 1])}),
+        # random_problem(Random(1090), ensure_bounded=False): five rays met,
+        # two of them along (2, 1, 0).
+        (
+            Polytope(frows([-1, 2, -2], [-3, 2, 1]), fvec([0, 3])),
+            {fvec(r) for r in ([1, 0, 0], [1, 0, 3], [1, "1/2", 0], [1, "7/6", "2/3"])},
+        ),
+    ],
+    ids=["two-scales-of-one-ray", "three-dimensional"],
+)
+def test_each_ray_direction_is_kept_once(p, rays):
+    assert p.search[1] == rays
 
 
 @pytest.fixture

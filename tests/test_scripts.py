@@ -33,6 +33,7 @@ def test_bench_runs_its_smallest_rungs():
     proc = run_script("bench.py", "--max-k", "4")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "k=3 m=7 " in proc.stdout and "k=4 m=8 " in proc.stdout
+    assert "  k=4 n=5 essential at step 6 83 faces " in proc.stdout
     assert "  k=5 " not in proc.stdout and "cube k=5" not in proc.stdout
     assert "  cube k=4 m=10 16 vertices 0 rays " in proc.stdout
     assert "  cone k=6 m=15 1 vertices 6 rays " in proc.stdout
