@@ -6,19 +6,21 @@ feasibility problem over the normal cone of the constraints tight at the
 point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
 
-The efficiency test reads only the point's zero set, and solves no LP: its
-phase 1 runs ``linalg.bland`` on an integer dictionary.
-The cone test and the weight search produce certificates (a direction, the
-weights) and still run on the ``Fraction`` simplex of ``objred.simplex``.
+The efficiency test reads only the point's zero set, and the cone test's
+"no" is Stiemke's alternative, a positive y with C^T y = 0: both are
+decided by ``linalg.has_nonnegative_solution`` on integers, and solve no LP.
+Only a certificate, a direction or the weights, is built on the
+``Fraction`` simplex of ``objred.simplex``, and a direction only once one is
+known to exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfeasibleInput
-from .linalg import ONE, ZERO, Matrix, Vector, bland, integer_rows, mat_vec
+from .linalg import ONE, ZERO, Matrix, Vector, has_nonnegative_solution, integer_rows, mat_vec
 from .polytope import Polytope, zero_set
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
@@ -28,6 +30,10 @@ class ObjectiveStack:
     """Rows are objective gradients; F(x) stacks their values at x."""
 
     rows: Matrix
+    # The stack's half of the key of ``Polytope.efficient``: the efficient
+    # set depends on the set of rows alone, not on their order or repeats.
+    # Built once, so that each lookup hashes no Fraction.
+    row_set: frozenset[Vector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -35,6 +41,7 @@ class ObjectiveStack:
         widths = {len(row) for row in self.rows}
         if len(widths) != 1 or widths == {0}:
             raise ValueError("objective rows must share a positive length")
+        object.__setattr__(self, "row_set", frozenset(self.rows))
 
     @property
     def count(self) -> int:
@@ -57,9 +64,13 @@ class ObjectiveStack:
 def find_cone_point(c: Matrix) -> Vector | None:
     """Some x with Cx >= 0 and Cx != 0, or None when no such x exists.
 
-    Introduces v = Cx and maximizes sum(v) under sum(v) <= 1; the cone is
-    nontrivial exactly when the optimum is positive (any witness rescales).
+    By Stiemke's lemma no such x exists exactly when some y > 0 has
+    C^T y = 0, which ``_stiemke`` decides on integers; then no LP is solved.
+    Otherwise the direction comes from an LP: introduce v = Cx and maximize
+    sum(v) under sum(v) <= 1, whose optimum is then positive.
     """
+    if _stiemke(c):
+        return None
     p = len(c)
     k = len(c[0])
     rows: list[Constraint] = []
@@ -75,7 +86,20 @@ def find_cone_point(c: Matrix) -> Vector | None:
 
 
 def cone_nonempty(c: Matrix) -> bool:
-    return find_cone_point(c) is not None
+    """Whether some x has Cx >= 0 and Cx != 0: by Stiemke's lemma, whether
+    no y > 0 has C^T y = 0.  Solves no LP."""
+    return not _stiemke(c)
+
+
+def _stiemke(c: Matrix) -> bool:
+    """Whether some y > 0 has C^T y = 0.  Writing y = 1 + mu with mu >= 0,
+    that is the phase-1 problem C^T mu = -C^T 1, one row per column of C.
+    C enters with each row scaled to integers: a positive scale of a row of
+    C keeps both y > 0 and the cone {x : Cx >= 0}."""
+    rows = integer_rows(c)
+    return has_nonnegative_solution(
+        [[row[j] for row in rows] + [-sum(row[j] for row in rows)] for j in range(len(rows[0]))]
+    )
 
 
 def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
@@ -87,7 +111,8 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     the rows a_i tight at x0 and by -e_j for x0_j = 0: by x0's zero set.
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
-    decided on integers by ``_has_nonnegative_solution``; no LP is solved.
+    decided on integers by ``linalg.has_nonnegative_solution``; no LP is
+    solved.
     F and A_T enter with each row scaled to integers: a positive scale of
     an objective keeps the efficient set, and one of a tight row keeps the
     normal cone.  Holds on unbounded regions as well as bounded ones.
@@ -96,14 +121,15 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     zeros = zero_set(p, x0)
     if zeros is None:
         raise InfeasibleInput("point is not in the region")
-    return _efficient(p, f, zeros)
+    return efficient_at(p, f, zeros)
 
 
-def _efficient(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
-    """``is_efficient`` at a point of zero set ``zeros``, kept in ``p.efficient``."""
+def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
+    """``is_efficient`` at a point of zero set ``zeros``, such as a vertex's
+    in ``p.search[0]``; the answer is kept in ``p.efficient``."""
     if f.dim != p.dim:
         raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
-    key = (frozenset(f.rows), zeros)
+    key = (f.row_set, zeros)
     if key in p.efficient:
         return p.efficient[key]
     objectives = integer_rows(f.rows)
@@ -116,34 +142,14 @@ def _efficient(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
         + [-sum(row[j] for row in objectives)]
         for j in range(p.dim)
     ]
-    efficient = _has_nonnegative_solution(rows)
+    efficient = has_nonnegative_solution(rows)
     p.efficient[key] = efficient
     return efficient
 
 
-def _has_nonnegative_solution(rows: list[list[int]]) -> bool:
-    """Whether some y >= 0 solves the integer system whose rows are
-    ``row[:-1] . y = row[-1]``.
-
-    Phase 1 of Bland's rule: each row with a negative right-hand side is
-    negated, and one unit artificial column is added per row.  Starting from
-    the basis of those columns (d = 1), it maximizes minus their sum, whose
-    cost row starts as the column sums.  Its last cell ends at the least sum
-    of the artificials times d, which is zero exactly when a solution exists.
-    """
-    m = len(rows)
-    rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
-    sums = [sum(column) for column in zip(*rows)]
-    n = len(sums) - 1
-    tableau = [row[:-1] + [int(i == r) for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
-    tableau.append(sums[:-1] + [0] * m + sums[-1:])
-    bland(tableau, list(range(n, n + m)), 1, m)  # max -sum <= 0 is never unbounded
-    return tableau[m][-1] == 0
-
-
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:
     """The efficient vertices of the region, sorted lexicographically."""
-    return tuple(v for v, zeros in p.search[0].items() if _efficient(p, f, zeros))
+    return tuple(v for v, zeros in p.search[0].items() if efficient_at(p, f, zeros))
 
 
 def efficient_point_outside(
@@ -158,16 +164,16 @@ def efficient_point_outside(
     Faces whose vertices are not all outer-efficient cannot be
     outer-efficient and are skipped.  Only valid on bounded regions.
     """
-    outer_eff = {v: zeros for v, zeros in p.search[0].items() if _efficient(p, outer, zeros)}
+    outer_eff = {v: zeros for v, zeros in p.search[0].items() if efficient_at(p, outer, zeros)}
     for v, zeros in outer_eff.items():
-        if not _efficient(p, inner, zeros):
+        if not efficient_at(p, inner, zeros):
             return v
     for face in p.faces:
         sets = [outer_eff.get(v) for v in face]
         if len(face) < 2 or None in sets:
             continue
         zeros = frozenset.intersection(*sets)
-        if _efficient(p, outer, zeros) and not _efficient(p, inner, zeros):
+        if efficient_at(p, outer, zeros) and not efficient_at(p, inner, zeros):
             size = Fraction(len(face))
             return tuple(sum(column) / size for column in zip(*face))
     return None

@@ -38,14 +38,23 @@ from typing import Any
 from .efficiency import (
     ObjectiveStack,
     cone_nonempty,
+    efficient_at,
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
     find_cone_point,
-    is_efficient,
 )
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
-from .linalg import Matrix, Vector, intersect_spans, null_space, span_basis, vsub
+from .linalg import (
+    Matrix,
+    Vector,
+    has_nonnegative_solution,
+    integer_rows,
+    intersect_spans,
+    null_space,
+    span_basis,
+    vsub,
+)
 from .polytope import Polytope, interior_nonempty, is_bounded, nonempty, optimal_face_vertices
 from .simplex import LpStatus, Relation, VarKind, feasible_point
 
@@ -72,14 +81,14 @@ class Outcome(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     step: Step
     answer: bool
     certificate: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Classification of one objective, with the executed step trace."""
 
@@ -90,7 +99,7 @@ class Verdict:
     trace: tuple[TraceEntry, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MolpProblem:
     """max {F(x) : Ax <= b, x >= 0} with F given row-wise."""
 
@@ -122,15 +131,20 @@ class MolpProblem:
 
 def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     """alpha >= 0 with sum(alpha_i * c^i) equal to the last objective row,
-    or None when no such multipliers exist."""
+    or None when no such multipliers exist.
+
+    Whether they exist (Farkas's alternative: else some direction hurts no
+    other objective but lowers the last) is decided on integers by
+    ``linalg.has_nonnegative_solution``, with each equation scaled to
+    integers; only multipliers that exist are computed, by an LP."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
     others = stack.rows[:-1]
     target = stack.rows[-1]
-    rows = tuple(
-        (tuple(row[j] for row in others), Relation.EQ, target[j])
-        for j in range(stack.dim)
-    )
+    equations = [tuple(row[j] for row in others) + (target[j],) for j in range(stack.dim)]
+    if not has_nonnegative_solution(integer_rows(equations)):
+        return None
+    rows = tuple((eq[:-1], Relation.EQ, eq[-1]) for eq in equations)
     out = feasible_point(rows, (VarKind.NONNEG,) * len(others))
     return out.point if out.status is LpStatus.OPTIMAL else None
 
@@ -178,7 +192,10 @@ def _require_bounded(region: Polytope, what: str) -> None:
 def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: bool) -> TraceEntry:
     """Step 4: a vertex the reduced stack leaves inefficient, or else strictly
     positive weights equalizing the reduced stack across all vertices."""
-    bad = next((v for v in region.vertices if not is_efficient(region, reduced, v)), None)
+    bad = next(
+        (v for v, zeros in region.search[0].items() if not efficient_at(region, reduced, zeros)),
+        None,
+    )
     if bad is not None:
         return TraceEntry(Step.ALL_EFFICIENT, False, bad)
     if check_bounded:
@@ -192,7 +209,8 @@ def _face_efficient(
 ) -> TraceEntry:
     """Step 6: a vertex of the candidate's optimal face that stays efficient
     for the reduced stack."""
-    witness = next((v for v in face if is_efficient(region, reduced, v)), None)
+    zero_sets = region.search[0]
+    witness = next((v for v in face if efficient_at(region, reduced, zero_sets[v])), None)
     if witness is None and check_bounded:
         _require_bounded(region, "the optimal-face separation argument")
     return TraceEntry(Step.FACE_EFFICIENT, witness is not None, witness)
@@ -326,13 +344,13 @@ def step7(region: Polytope, stack: ObjectiveStack) -> bool:
     return kernel_separation(region, stack.drop(stack.count - 1))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Removal:
     objective: int  # index into the original problem's objectives, 0-based
     step: Step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReduceResult:
     """Outcome of iterated deletion of nonessential objectives."""
 

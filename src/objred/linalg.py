@@ -6,10 +6,11 @@ fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
 in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
-It runs the phase 1 that finds a region's first feasible basis and the
-point-efficiency phase 1.  Its tie-break, the minimum-ratio row of lowest
-basic index, is ``leaving_row``; the vertex search steps along the same
-rows, so it follows exactly the edges Bland's rule can take.
+It runs the phase 1 that finds a region's first feasible basis and the one
+of ``has_nonnegative_solution``, which decides the efficiency test and the
+"no" answers of steps 0 to 2.  Its tie-break, the minimum-ratio row of
+lowest basic index, is ``leaving_row``; the vertex search steps along the
+same rows, so it follows exactly the edges Bland's rule can take.
 """
 
 from __future__ import annotations
@@ -98,6 +99,26 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
             return d
         d = pivot(rows, r, j, d)
         basis[r] = j
+
+
+def has_nonnegative_solution(rows: list[list[int]]) -> bool:
+    """Whether some y >= 0 solves the integer system whose rows are
+    ``row[:-1] . y = row[-1]``.
+
+    Phase 1 of Bland's rule: each row with a negative right-hand side is
+    negated, and one unit artificial column is added per row.  Starting from
+    the basis of those columns (d = 1), it maximizes minus their sum, whose
+    cost row starts as the column sums.  Its last cell ends at the least sum
+    of the artificials times d, which is zero exactly when a solution exists.
+    """
+    m = len(rows)
+    rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
+    sums = [sum(column) for column in zip(*rows)]
+    n = len(sums) - 1
+    tableau = [row[:-1] + [int(i == r) for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
+    tableau.append(sums[:-1] + [0] * m + sums[-1:])
+    bland(tableau, list(range(n, n + m)), 1, m)  # max -sum <= 0 is never unbounded
+    return tableau[m][-1] == 0
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

@@ -184,10 +184,9 @@ def solve(problem: LpProblem) -> LpOutcome:
     std_point = [ZERO] * width
     for i, b in enumerate(basis):
         std_point[b] = tableau[i][-1]
-    point = []
-    for pos, neg in col_of:
-        point.append(std_point[pos] - (std_point[neg] if neg is not None else ZERO))
-    x = tuple(point)
+    x = tuple(
+        std_point[pos] if neg is None else std_point[pos] - std_point[neg] for pos, neg in col_of
+    )
     return LpOutcome(LpStatus.OPTIMAL, value=dot(problem.objective, x), point=x)
 
 

@@ -1,8 +1,8 @@
 """Fixture problems, the independent efficiency oracle, the plain
 ``Fraction`` elimination references, the two-LP region checks, the
-LP-based efficiency and optimal-face references, the ``Fraction`` zero-set
-and face references and the externally priced simplex reference shared by
-tests."""
+LP-based efficiency and optimal-face references, the LP-only step-0 to
+step-2 tests, the ``Fraction`` zero-set and face references and the
+externally priced simplex reference shared by tests."""
 
 import itertools
 from fractions import Fraction
@@ -19,6 +19,7 @@ from objred.simplex import (
     Relation,
     VarKind,
     feasible_point,
+    positive_optimum,
     solve,
 )
 
@@ -279,6 +280,37 @@ def is_bounded_reference(p):
     """True when sum(x) has no unbounded maximum; x >= 0 makes it a gauge."""
     out = solve(LpProblem((ONE,) * p.dim, _region_rows(p), (VarKind.NONNEG,) * p.dim))
     return out.status is not LpStatus.UNBOUNDED
+
+
+# Steps 0 to 2 as the library decided them before it settled each "no" on
+# integers (Farkas, Stiemke): one LP for every answer.  Tests require the
+# same None or the same certificate.
+
+
+def find_cone_point_reference(c):
+    """Maximize sum(v) with v = Cx, x free, v >= 0 and sum(v) <= 1; some x
+    has Cx >= 0 and Cx != 0 exactly when the optimum is positive."""
+    p = len(c)
+    k = len(c[0])
+    rows = []
+    for i, row in enumerate(c):
+        coeff = tuple(-a for a in row) + tuple(ONE if j == i else ZERO for j in range(p))
+        rows.append((coeff, Relation.EQ, ZERO))
+    rows.append(((ZERO,) * k + (ONE,) * p, Relation.LE, ONE))
+    objective = (ZERO,) * k + (ONE,) * p
+    kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,) * p
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
+
+
+def combination_multipliers_reference(stack):
+    """A phase-1 point alpha >= 0 of sum(alpha_i c^i) = the last row, or None."""
+    others = stack.rows[:-1]
+    target = stack.rows[-1]
+    rows = tuple(
+        (tuple(row[j] for row in others), Relation.EQ, target[j]) for j in range(stack.dim)
+    )
+    out = feasible_point(rows, (VarKind.NONNEG,) * len(others))
+    return out.point if out.status is LpStatus.OPTIMAL else None
 
 
 # The LP formulations the library used before it decided efficiency on the

@@ -15,6 +15,7 @@ from objred.efficiency import (
     find_cone_point,
     is_efficient,
 )
+from objred.engine import combination_multipliers
 from objred.errors import InfeasibleInput
 from objred.instances import random_problem
 from objred.linalg import mat_vec
@@ -25,8 +26,10 @@ from helpers import (
     SEGMENT,
     SQUARE,
     box5_4obj,
+    combination_multipliers_reference,
     cube_3obj,
     dominance_oracle,
+    find_cone_point_reference,
     frows,
     fvec,
     is_efficient_reference,
@@ -282,6 +285,23 @@ def stacks(draw, max_rows=3, max_cols=3):
 def test_mirrored_stack_has_empty_cone(rows):
     mirrored = rows + tuple(tuple(-a for a in row) for row in rows)
     assert not cone_nonempty(mirrored)
+
+
+@settings(deadline=None, max_examples=80)
+@given(stacks(), st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=3, max_size=3))
+def test_steps_0_to_2_match_lp_reference(rows, weights):
+    # Each "no" is decided on integers and the LP runs only on a "yes", on
+    # the same tableau: the answer and the certificate must be the LP's.
+    # A mirrored stack has no cone point, and a planted nonnegative
+    # combination of the rows has multipliers.
+    mirrored = rows + tuple(tuple(-a for a in row) for row in rows)
+    planted = rows + (tuple(sum(w * a for w, a in zip(weights, column)) for column in zip(*rows)),)
+    for c in (rows, mirrored, planted):
+        assert find_cone_point(c) == find_cone_point_reference(c)
+        assert cone_nonempty(c) == (find_cone_point_reference(c) is not None)
+        if len(c) >= 2:
+            stack = ObjectiveStack(c)
+            assert combination_multipliers(stack) == combination_multipliers_reference(stack)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,7 +1,11 @@
 import collections
+import copy
+import dataclasses
 import functools
+import pickle
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,13 @@ from objred import (
     Polytope,
     Step,
     classify,
+    efficiency,
+    parse_document,
     polytope,
     reduce_objectives,
+    simplex,
 )
+from objred.efficiency import cone_nonempty, find_cone_point
 from objred.engine import (
     combination_multipliers,
     kernel_separation,
@@ -49,6 +57,7 @@ from helpers import (
 )
 
 RAY = Polytope(frows([1, -1], [-1, 1]), fvec([0, 0]))  # x1 = x2, x >= 0
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def steps_of(verdict):
@@ -89,6 +98,48 @@ def test_step2_fixture():
     assert step2(segment_3obj().stack())
 
 
+def _raise_on_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
+    # A "no" of steps 0 to 2 has no certificate: Farkas's and Stiemke's
+    # alternatives decide it on integers.  cone_nonempty needs no LP at all.
+    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
+    stack = segment_3obj().stack()
+    cube = cube_3obj().stack().rows
+    assert find_cone_point(stack.rows) is None
+    assert find_cone_point(cube + tuple(tuple(-a for a in row) for row in cube)) is None
+    # Twice the second row is minus the first; without its scale to
+    # integers, (-1, 1), the rows would not balance.
+    assert find_cone_point(frows([1, -2], ["-1/2", 1])) is None
+    no_combination = ObjectiveStack(frows([1, 1, 1], [-1, 1, 1], [1, 1, 0]))
+    assert combination_multipliers(no_combination) is None
+    assert not cone_nonempty(stack.rows)
+    assert cone_nonempty(stack.drop(2).rows)
+    assert step1(stack) is False
+    assert step2(stack) is True
+
+
+def test_reduce_over_problems_solves_20_lps(monkeypatch):
+    # Only certificates are built by LPs; one LP per answer of steps 0 to 2
+    # would make 42.
+    solved = []
+    solve = simplex.solve
+
+    def counted(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(simplex, "solve", counted)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        try:
+            reduce_objectives(parse_document(path.read_text()).problem)
+        except InfeasibleRegion:
+            assert path.name == "empty_region.json"
+    assert len(solved) == 20
+
+
 def test_step3_fixtures():
     assert step3(simplex_3obj().region())
     assert not step3(SEGMENT)
@@ -107,6 +158,19 @@ def test_step5_cube_face():
 
 def test_step6_fixtures():
     assert step6(CUBE, cube_3obj().stack())
+    problem = wide7_3obj()
+    assert not step6(problem.region(), problem.stack())
+
+
+def test_steps_4_and_6_test_vertices_on_search_zero_sets(monkeypatch):
+    # The vertex search holds every vertex's zero set, so no vertex is scanned.
+    def scanned(*args):
+        raise AssertionError("a zero set was scanned")
+
+    monkeypatch.setattr(efficiency, "zero_set", scanned)
+    assert not step4(Polytope(SEGMENT.a, SEGMENT.b), segment_3obj().stack())
+    assert step4(Polytope(SEGMENT.a, SEGMENT.b), segment_4obj().stack())
+    assert step6(Polytope(CUBE.a, CUBE.b), cube_3obj().stack())
     problem = wide7_3obj()
     assert not step6(problem.region(), problem.stack())
 
@@ -355,6 +419,16 @@ def test_reduce_keeps_single_objective_untouched():
     assert result.removals == ()
     assert result.survivors == (0,)
     assert result.history == ()
+
+
+def test_reduce_result_is_slotted_and_survives_copies():
+    result = reduce_objectives(parse_document((PROBLEMS / "box5_4obj.json").read_text()).problem)
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert copy.deepcopy(result) == result
+    assert dataclasses.replace(result) == result
+    verdict = result.history[0][1]
+    for held in (result, result.problem, result.removals[0], verdict, verdict.trace[0]):
+        assert not hasattr(held, "__dict__")
 
 
 def test_step_functions_answer_on_unbounded_regions():
