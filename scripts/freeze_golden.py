@@ -21,6 +21,7 @@ a verdict is meant to change, and say which and why:
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import random
@@ -92,6 +93,9 @@ SECTIONS: dict[str, Callable[[], Any]] = {
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     corpus = {name: build() for name, build in SECTIONS.items()}
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN.relative_to(ROOT)}")

@@ -7,7 +7,8 @@ point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
 
 The efficiency test reads only the point's zero set, and the cone test's
-"no" is Stiemke's alternative, a positive y with C^T y = 0: both are
+"no" is Stiemke's alternative, a positive y with C^T y = 0, which is the
+efficiency test where nothing is tight: both build one system (``_isermann``)
 decided by ``linalg.has_nonnegative_solution`` on integers, and solve no LP.
 Only a certificate, a direction or the weights, is built on the
 ``Fraction`` simplex of ``objred.simplex``, and a direction only once one is
@@ -20,7 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfeasibleInput
-from .linalg import ONE, ZERO, Matrix, Vector, has_nonnegative_solution, integer_rows, mat_vec
+from .linalg import (
+    ONE,
+    ZERO,
+    Matrix,
+    Vector,
+    has_nonnegative_solution,
+    integer_rows,
+    mat_vec,
+    require_rational,
+)
 from .polytope import Polytope, zero_set
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
@@ -41,6 +51,7 @@ class ObjectiveStack:
         widths = {len(row) for row in self.rows}
         if len(widths) != 1 or widths == {0}:
             raise ValueError("objective rows must share a positive length")
+        require_rational(self.rows, "rows[{}]".format)
         object.__setattr__(self, "row_set", frozenset(self.rows))
 
     @property
@@ -64,12 +75,11 @@ class ObjectiveStack:
 def find_cone_point(c: Matrix) -> Vector | None:
     """Some x with Cx >= 0 and Cx != 0, or None when no such x exists.
 
-    By Stiemke's lemma no such x exists exactly when some y > 0 has
-    C^T y = 0, which ``_stiemke`` decides on integers; then no LP is solved.
-    Otherwise the direction comes from an LP: introduce v = Cx and maximize
-    sum(v) under sum(v) <= 1, whose optimum is then positive.
+    Whether one exists is decided on integers by ``cone_nonempty``.  Only
+    then is it found by an LP: introduce v = Cx and maximize sum(v) under
+    sum(v) <= 1, whose optimum is then positive.
     """
-    if _stiemke(c):
+    if not cone_nonempty(c):
         return None
     p = len(c)
     k = len(c[0])
@@ -86,19 +96,23 @@ def find_cone_point(c: Matrix) -> Vector | None:
 
 
 def cone_nonempty(c: Matrix) -> bool:
-    """Whether some x has Cx >= 0 and Cx != 0: by Stiemke's lemma, whether
-    no y > 0 has C^T y = 0.  Solves no LP."""
-    return not _stiemke(c)
+    """Whether some x has Cx >= 0, Cx != 0; by Stiemke's lemma, whether no
+    y > 0 has C^T y = 0: Isermann's test where no row is tight and no x_j
+    zero, on C's rows scaled to integers (which keeps y > 0 and the cone)."""
+    return not _isermann(integer_rows(c), [], [])
 
 
-def _stiemke(c: Matrix) -> bool:
-    """Whether some y > 0 has C^T y = 0.  Writing y = 1 + mu with mu >= 0,
-    that is the phase-1 problem C^T mu = -C^T 1, one row per column of C.
-    C enters with each row scaled to integers: a positive scale of a row of
-    C keeps both y > 0 and the cone {x : Cx >= 0}."""
-    rows = integer_rows(c)
+def _isermann(objectives: list[list[int]], tight: list[list[int]], at_zero: list[int]) -> bool:
+    """The phase 1 of ``is_efficient`` on integer rows F and A_T and zero
+    coordinates J: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0."""
     return has_nonnegative_solution(
-        [[row[j] for row in rows] + [-sum(row[j] for row in rows)] for j in range(len(rows[0]))]
+        [
+            [row[j] for row in objectives]
+            + [-row[j] for row in tight]
+            + [int(i == j) for i in at_zero]
+            + [-sum(row[j] for row in objectives)]
+            for j in range(len(objectives[0]))
+        ]
     )
 
 
@@ -132,17 +146,8 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     key = (f.row_set, zeros)
     if key in p.efficient:
         return p.efficient[key]
-    objectives = integer_rows(f.rows)
     tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
-    at_zero = [c for c in zeros if c < p.dim]
-    rows = [
-        [row[j] for row in objectives]
-        + [-row[j] for row in tight]
-        + [int(i == j) for i in at_zero]
-        + [-sum(row[j] for row in objectives)]
-        for j in range(p.dim)
-    ]
-    efficient = has_nonnegative_solution(rows)
+    efficient = _isermann(integer_rows(f.rows), tight, [c for c in zeros if c < p.dim])
     p.efficient[key] = efficient
     return efficient
 

@@ -2,9 +2,9 @@
 
 An objective is nonessential when deleting it leaves the efficient set of
 max {F(x) : Ax <= b, x >= 0} unchanged.  classify() walks a fixed decision
-tree of eight tests (steps 0 to 7); each test is an exact LP or an exact
-linear-algebra computation, and every answer is recorded in a trace together
-with a checkable certificate where one exists.
+tree of eight tests (steps 0 to 7); each is an exact LP or exact linear
+algebra (step 0 is one integer phase 1, no LP), and every answer is recorded
+in a trace together with a checkable certificate where one exists.
 
 Tree shape.  Step 0 asks whether the candidate gradient is a nonnegative
 combination of the others (sufficient for nonessential).  Step 1 asks for a
@@ -48,15 +48,20 @@ from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     Matrix,
     Vector,
-    has_nonnegative_solution,
-    integer_rows,
     intersect_spans,
+    nonnegative_solution,
     null_space,
     span_basis,
     vsub,
 )
-from .polytope import Polytope, interior_nonempty, is_bounded, nonempty, optimal_face_vertices
-from .simplex import LpStatus, Relation, VarKind, feasible_point
+from .polytope import (
+    Polytope,
+    check_region,
+    interior_nonempty,
+    is_bounded,
+    nonempty,
+    optimal_face_vertices,
+)
 
 # Containment notes attached to verdicts.  The first one is proven on its
 # branch; the second restates what is known when step 7 cannot decide.
@@ -110,8 +115,10 @@ class MolpProblem:
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ValueError("need at least one objective")
-        region = Polytope(self.a, self.b)  # validates A and b
-        if any(len(row) != region.dim for row in self.objectives):
+        # Shapes only: the entries are checked where the region and the
+        # stacks are built, not again for each problem built.
+        check_region(self.a, self.b)
+        if any(len(row) != len(self.a[0]) for row in self.objectives):
             raise ValueError("objective length != variable count")
 
     @property
@@ -131,22 +138,14 @@ class MolpProblem:
 
 def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     """alpha >= 0 with sum(alpha_i * c^i) equal to the last objective row,
-    or None when no such multipliers exist.
+    or None when no such multipliers exist (Farkas's alternative: then some
+    direction hurts no other objective but lowers the last).
 
-    Whether they exist (Farkas's alternative: else some direction hurts no
-    other objective but lowers the last) is decided on integers by
-    ``linalg.has_nonnegative_solution``, with each equation scaled to
-    integers; only multipliers that exist are computed, by an LP."""
+    Both the answer and the multipliers come from one phase 1 on integers,
+    ``linalg.nonnegative_solution``; no LP is solved."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
-    others = stack.rows[:-1]
-    target = stack.rows[-1]
-    equations = [tuple(row[j] for row in others) + (target[j],) for j in range(stack.dim)]
-    if not has_nonnegative_solution(integer_rows(equations)):
-        return None
-    rows = tuple((eq[:-1], Relation.EQ, eq[-1]) for eq in equations)
-    out = feasible_point(rows, (VarKind.NONNEG,) * len(others))
-    return out.point if out.status is LpStatus.OPTIMAL else None
+    return nonnegative_solution(tuple(zip(*stack.rows)))  # one equation per column
 
 
 def kernel_separation(

@@ -7,17 +7,19 @@ in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis and the one
-of ``has_nonnegative_solution``, which decides the efficiency test and the
-"no" answers of steps 0 to 2.  Its tie-break, the minimum-ratio row of
-lowest basic index, is ``leaving_row``; the vertex search steps along the
-same rows, so it follows exactly the edges Bland's rule can take.
+that decides the efficiency test, the "no" answers of steps 1 and 2, and
+step 0 with its multipliers (``nonnegative_solution``).  Its tie-break, the
+minimum-ratio row of lowest basic index, is ``leaving_row``; the vertex
+search steps along the same rows, so it follows exactly the edges Bland's
+rule can take.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -27,6 +29,7 @@ Dictionary = tuple[list[int], list[list[int]], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL = frozenset((int, Fraction))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -53,6 +56,18 @@ def _normalized(u: Sequence[Fraction]) -> Vector:
         if a != 0:
             return vscale(ONE / a, u)
     return tuple(u)
+
+
+def require_rational(rows: Sequence[Sequence[object]], row_name: Callable[[int], str]) -> None:
+    """Raise a TypeError at an entry of rows that is neither an int nor a
+    Fraction, naming it ``row_name(i)[j]``.  One pass over the entries'
+    types clears the usual input; only a failing one is searched."""
+    if _RATIONAL.issuperset(map(type, chain.from_iterable(rows))):
+        return
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            if not isinstance(a, (int, Fraction)):
+                raise TypeError(f"{row_name(i)}[{j}] is a {type(a).__name__}, not an int or a Fraction")
 
 
 def integer_rows(m: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -101,24 +116,46 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
         basis[r] = j
 
 
-def has_nonnegative_solution(rows: list[list[int]]) -> bool:
-    """Whether some y >= 0 solves the integer system whose rows are
-    ``row[:-1] . y = row[-1]``.
+def integer_frame(m: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(rows, d): m's rows times d, the product of their denominator LCMs.
+    With unit columns (d in their row) as basis, ``pivot`` repeats rational
+    pivots on m: each entry stays d times a minor, an integer."""
+    m = list(m)
+    d = math.prod(math.lcm(*(a.denominator for a in row)) for row in m)
+    return [[a.numerator * (d // a.denominator) for a in row] for row in m], d
 
-    Phase 1 of Bland's rule: each row with a negative right-hand side is
-    negated, and one unit artificial column is added per row.  Starting from
-    the basis of those columns (d = 1), it maximizes minus their sum, whose
-    cost row starts as the column sums.  Its last cell ends at the least sum
-    of the artificials times d, which is zero exactly when a solution exists.
-    """
+
+def _phase1(rows: list[list[int]], d: int) -> Dictionary:
+    """Phase 1 of Bland's rule for y >= 0 with ``row[:-1] . y = row[-1]``
+    over d > 0: rows with b < 0 negated, one artificial column (d in its
+    row) per row, whose sum is minimized from their basis.  The final
+    dictionary's last row, the cost row, ends at that least sum times d."""
     m = len(rows)
     rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
     sums = [sum(column) for column in zip(*rows)]
     n = len(sums) - 1
-    tableau = [row[:-1] + [int(i == r) for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
+    tableau = [row[:-1] + [d if i == r else 0 for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
     tableau.append(sums[:-1] + [0] * m + sums[-1:])
-    bland(tableau, list(range(n, n + m)), 1, m)  # max -sum <= 0 is never unbounded
-    return tableau[m][-1] == 0
+    basis = list(range(n, n + m))
+    return basis, tableau, bland(tableau, basis, d, m)  # max -sum <= 0 is never unbounded
+
+
+def has_nonnegative_solution(rows: list[list[int]]) -> bool:
+    """Whether some y >= 0 solves the integer rows ``row[:-1] . y = row[-1]``."""
+    return not _phase1(rows, 1)[1][-1][-1]
+
+
+def nonnegative_solution(m: Matrix) -> Vector | None:
+    """Some y >= 0 with ``row[:-1] . y = row[-1]`` for the rows of m, or None.
+    y is where ``_phase1`` ends in ``integer_frame(m)``, which makes the
+    ``Fraction`` simplex's pivots: the point it returns for a zero objective.
+    Rows scaled to integers one by one would change the cost row, and so
+    the pivots."""
+    basis, rows, d = _phase1(*integer_frame(m))
+    if rows[-1][-1]:
+        return None
+    values = {c: row[-1] for c, row in zip(basis, rows)}
+    return tuple(Fraction(values.get(j, 0), d) for j in range(len(m[0]) - 1))
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

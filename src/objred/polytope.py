@@ -35,10 +35,11 @@ from .linalg import (
     bland,
     _normalized,
     dot,
-    eliminate,
+    integer_frame,
     integer_rows,
     leaving_row,
     pivot,
+    require_rational,
 )
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
@@ -54,13 +55,8 @@ class Polytope:
     b: Vector
 
     def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
-            raise ValueError("row count of A != length of b")
-        if not self.a:
-            raise ValueError("need at least one constraint row")
-        widths = {len(row) for row in self.a}
-        if len(widths) != 1 or widths == {0}:
-            raise ValueError("A must be rectangular with at least one column")
+        check_region(self.a, self.b)
+        require_rational((*self.a, self.b), lambda i: f"A[{i}]" if i < len(self.a) else "b")
 
     @property
     def dim(self) -> int:
@@ -107,6 +103,18 @@ class Polytope:
         """Answers of the efficiency test, keyed by the set of stack rows and
         the zero set of the point: they depend on nothing else."""
         return {}
+
+
+def check_region(a: Matrix, b: Vector) -> None:
+    """Raise ValueError unless A is rectangular, with at least one column
+    and a row per entry of b."""
+    if len(a) != len(b):
+        raise ValueError("row count of A != length of b")
+    if not a:
+        raise ValueError("need at least one constraint row")
+    widths = {len(row) for row in a}
+    if len(widths) != 1 or widths == {0}:
+        raise ValueError("A must be rectangular with at least one column")
 
 
 def zero_set(p: Polytope, x: Vector) -> frozenset[int] | None:
@@ -201,26 +209,24 @@ def _search(p: Polytope) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector
 
 def _first_feasible(p: Polytope) -> Dictionary | None:
     """A feasible dictionary of [A | I] y = b, or None iff the region is
-    empty.  The slack-basis dictionary of [A | I | b] is made integer once;
-    it is feasible when b >= 0.  Otherwise phase 1 adds one auxiliary column
-    x0 = n with -1 in every row and a cost row for max -x0; x0 enters on the
-    row of the most negative b_i, which makes the dictionary feasible, and
-    Bland's rule then drives x0 to its least value.  A positive least value
-    proves the region empty.  Otherwise a zero-valued x0 still basic is
-    pivoted out on the lowest nonzero column of its row (one exists:
-    [A | I] has full row rank), and its column and cost row are dropped.
+    empty.  The slack-basis dictionary is ``integer_frame`` of [A | I | b],
+    over d > 0; it is feasible when b >= 0.  Otherwise phase 1 adds one
+    auxiliary column x0 = n with -1 in every row and a cost row for max
+    -x0; x0 enters on the row of the most negative b_i, which makes the
+    dictionary feasible, and Bland's rule then drives x0 to its least value.
+    A positive least value proves the region empty.  Otherwise a zero-valued
+    x0 still basic is pivoted out on the lowest nonzero column of its row
+    (one exists: [A | I] has full row rank), and its column and cost row
+    are dropped.
     """
     m = len(p.a)
     k = p.dim
     n = k + m
-    full = integer_rows(
+    rows, d = integer_frame(
         tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
         for i, row in enumerate(p.a)
     )
-    rows, _, d = eliminate([row[k:n] + row for row in full], m)
-    rows = [row[m:] for row in rows]
     basis = list(range(k, n))
-    # d > 0 here: the slack pivots are the positive row scales.
     if any(row[-1] < 0 for row in rows):
         rows = [row[:n] + [-d] + row[n:] for row in rows]
         rows.append([0] * n + [-d, 0])

@@ -5,7 +5,8 @@ Pivoting follows Bland's smallest-index rule, which guarantees termination
 even on degenerate (cycling-prone) instances; all arithmetic is Fraction,
 so feasibility and optimality are decided without tolerances.  The reduced
 costs live in the tableau as cost rows below the constraints, so each pivot
-reprices them and no iteration sums over the basis.
+reprices them and no iteration sums over the basis.  It builds the step-1
+and step-2 directions, the step-3 interior point and the step-4 weights.
 """
 
 from __future__ import annotations
@@ -198,11 +199,3 @@ def positive_optimum(problem: LpProblem, width: int) -> Vector | None:
         return None
     assert out.point is not None
     return out.point[:width]
-
-
-def feasible_point(
-    constraints: tuple[Constraint, ...], variable_kinds: tuple[VarKind, ...]
-) -> LpOutcome:
-    """Any exact feasible point (phase 1 only), or Infeasible."""
-    zero_objective = (ZERO,) * len(variable_kinds)
-    return solve(LpProblem(zero_objective, constraints, variable_kinds))

@@ -18,7 +18,6 @@ from objred.simplex import (
     LpStatus,
     Relation,
     VarKind,
-    feasible_point,
     positive_optimum,
     solve,
 )
@@ -272,7 +271,7 @@ def _region_rows(p):
 
 def nonempty_reference(p):
     """True when some x >= 0 satisfies Ax <= b (a phase-1 LP)."""
-    out = feasible_point(_region_rows(p), (VarKind.NONNEG,) * p.dim)
+    out = solve(LpProblem((ZERO,) * p.dim, _region_rows(p), (VarKind.NONNEG,) * p.dim))
     return out.status is LpStatus.OPTIMAL
 
 
@@ -283,8 +282,9 @@ def is_bounded_reference(p):
 
 
 # Steps 0 to 2 as the library decided them before it settled each "no" on
-# integers (Farkas, Stiemke): one LP for every answer.  Tests require the
-# same None or the same certificate.
+# integers (Farkas, Stiemke) and read step 0's multipliers off its integer
+# phase 1: one LP for every answer.  Tests require the same None or the
+# same certificate.
 
 
 def find_cone_point_reference(c):
@@ -309,7 +309,7 @@ def combination_multipliers_reference(stack):
     rows = tuple(
         (tuple(row[j] for row in others), Relation.EQ, target[j]) for j in range(stack.dim)
     )
-    out = feasible_point(rows, (VarKind.NONNEG,) * len(others))
+    out = solve(LpProblem((ZERO,) * len(others), rows, (VarKind.NONNEG,) * len(others)))
     return out.point if out.status is LpStatus.OPTIMAL else None
 
 

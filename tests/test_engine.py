@@ -45,6 +45,7 @@ from helpers import (
     CUBE,
     SEGMENT,
     box5_4obj,
+    combination_multipliers_reference,
     cube_3obj,
     frows,
     fvec,
@@ -119,6 +120,64 @@ def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
     assert cone_nonempty(stack.drop(2).rows)
     assert step1(stack) is False
     assert step2(stack) is True
+
+
+def test_step0_solves_no_lp_with_either_answer(monkeypatch):
+    # One integer phase 1 decides step 0 and yields its multipliers, the
+    # point the step-0 LP used to return.  The target is planted with
+    # weights (1, 2, 1).  Each column is one equation, and the second has
+    # a half, so scaling it alone to integers would change the phase-1 cost
+    # row and end on (3, 0, 4/3) instead of the LP's (0, 3, 5/6).
+    planted = frows([1, 1], [1, "1/2"], [0, -3])
+    target = fvec([3, -1])
+    duplicate = MolpProblem(frows([1, 1], [1, 1]), frows([1, 0], [0, 1]), fvec([1, 1]))
+    yes = [
+        ObjectiveStack(frows([1, 3], [3, 0], [-3, -1], [2, 1])),
+        ObjectiveStack(planted + (target,)),
+        duplicate.stack(),
+    ]
+    no = [
+        ObjectiveStack(frows([1, 3], [3, 0], [2, 1], [-3, -1])),
+        ObjectiveStack(planted + (tuple(-a for a in target),)),
+    ]
+    expected = [combination_multipliers_reference(stack) for stack in yes]
+    assert None not in expected
+    assert expected[1] == fvec([0, 3, "5/6"])
+    assert all(combination_multipliers_reference(stack) is None for stack in no)
+    problems = [MolpProblem(stack.rows, SEGMENT.a, SEGMENT.b) for stack in yes[:2]] + [duplicate]
+
+    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
+    for stack, alpha, problem in zip(yes, expected, problems):
+        assert combination_multipliers(stack) == alpha
+        assert step0(stack) is True
+        v = classify(problem)
+        assert (v.outcome, v.decided_at) == (Outcome.NONESSENTIAL, Step.COMBINATION)
+        assert v.trace[0].certificate == alpha
+    for stack in no:
+        assert combination_multipliers(stack) is None
+        assert step0(stack) is False
+    # A step-0 "no" on an empty region ends at the region check.
+    with pytest.raises(InfeasibleRegion):
+        classify(MolpProblem(frows([1, 0], [0, 1]), frows([1, 1]), fvec([-1])))
+    result = reduce_objectives(duplicate)
+    assert [(r.objective, r.step) for r in result.removals] == [(1, Step.COMBINATION)]
+
+
+def test_float_entries_raise_type_error_naming_their_position():
+    # The stack classify builds holds the candidate last: here row 0 of both.
+    with pytest.raises(TypeError, match=r"rows\[0\]\[0\] is a float"):
+        classify(MolpProblem(((1.0, 2.0), (2, 1)), ((1, 1),), (4,)))
+    with pytest.raises(TypeError, match=r"A\[1\]\[0\] is a float"):
+        classify(MolpProblem(((1, 2), (2, 1)), ((1, 1), (0.5, 1)), (4, 2)))
+    with pytest.raises(TypeError, match=r"A\[1\]\[0\] is a float"):
+        Polytope(((1, 1), (0.5, 1)), (4, 2))
+    with pytest.raises(TypeError, match=r"b\[0\] is a str"):
+        Polytope(((1, 1),), ("4",))
+    with pytest.raises(TypeError, match=r"rows\[1\]\[1\] is a float"):
+        ObjectiveStack(((1, 2), (2, 1.5)))
+    # An int or a Fraction passes.
+    v = classify(MolpProblem(((1, 2), (2, Fraction(1, 2))), ((1, 1),), (4,)))
+    assert v.outcome in Outcome
 
 
 def test_reduce_over_problems_solves_20_lps(monkeypatch):

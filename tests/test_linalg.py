@@ -1,24 +1,31 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from objred.linalg import (
+    ZERO,
     dot,
+    has_nonnegative_solution,
+    integer_frame,
+    integer_rows,
     intersect_spans,
     leaving_row,
     mat_vec,
+    nonnegative_solution,
     null_space,
     solve_square,
     span_basis,
 )
+from objred.simplex import LpProblem, LpStatus, Relation, VarKind
 
 from helpers import (
     frows,
     fvec,
     null_space_reference,
     rank_reference,
+    solve_reference,
     solve_square_reference,
     span_basis_reference,
 )
@@ -216,3 +223,41 @@ def test_kernel_matches_fraction_reference(m):
 def test_solve_square_matches_fraction_reference(m, data):
     rhs = tuple(data.draw(awkward_entries) for _ in m)
     assert solve_square(m, rhs) == solve_square_reference(m, rhs)
+
+
+def test_integer_frame_puts_rows_over_one_denominator():
+    rows, d = integer_frame(frows(["1/2", "1/3"], [2, "3/4"]))
+    assert d == 6 * 4
+    assert rows == [[12, 8], [48, 18]]
+
+
+@st.composite
+def rational_systems(draw):
+    """Equations row[:-1] . y = row[-1] whose rows have denominators up to 6,
+    so that the rows' scales to integers differ; half of them get a
+    right-hand side planted at some y >= 0."""
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    rows = [[draw(entries) for _ in range(c + 1)] for _ in range(r)]
+    if draw(st.booleans()):
+        y = [draw(st.sampled_from([0, 0, 1, 2, Fraction(1, 3)])) for _ in range(c)]
+        for row in rows:
+            row[-1] = dot(row[:-1], y)
+    return frows(*rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rational_systems())
+@example(frows([1, 1, 0, 3], [1, "1/2", -3, -1]))  # per-row scales end elsewhere
+def test_nonnegative_solution_is_the_simplex_phase_1_point(m):
+    # Over one denominator, the integer phase 1 makes the Fraction simplex's
+    # pivots, so it ends on the point that simplex returns for a zero
+    # objective, and on None exactly when the simplex finds no point.
+    width = len(m[0]) - 1
+    rows = tuple((row[:-1], Relation.EQ, row[-1]) for row in m)
+    out = solve_reference(LpProblem((ZERO,) * width, rows, (VarKind.NONNEG,) * width))
+    y = nonnegative_solution(m)
+    assert (y is None) == (out.status is LpStatus.INFEASIBLE)
+    assert y == out.point
+    assert has_nonnegative_solution(integer_rows(m)) == (y is not None)

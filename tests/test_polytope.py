@@ -561,15 +561,24 @@ def pivots(monkeypatch):
 
 def test_vertex_search_pivots_grow_with_feasible_bases(pivots):
     # k = 6, m = 10: brute force eliminates all C(16, 10) = 8008 bases.  The
-    # slack dictionary takes m pivots; after that, each other feasible basis
+    # slack dictionary takes no pivot (b >= 0); each other feasible basis
     # costs one pivot of the search.
     p = ladder_region(6)
-    m = len(p.a)
     feasible = count_feasible_bases(p)
     pivots[0] = 0  # the reference's own eliminations
     assert len(enumerate_vertices(p)) > 1
-    assert m <= pivots[0] <= m + feasible
-    assert m + feasible < 8008 // 20
+    assert pivots[0] <= feasible
+    assert feasible < 8008 // 50
+
+
+def test_start_takes_no_pivot_when_b_is_nonnegative(pivots):
+    # The slack basis of [A | I | b], put over one denominator, is already a
+    # feasible dictionary; rational rows do not need eliminating.
+    p = Polytope(frows(["1/2", "1/3"], [2, "3/4"]), fvec(["5/6", 1]))
+    basis, rows, d = p.start
+    assert pivots[0] == 0
+    assert (basis, d) == ([2, 3], 24)
+    assert rows == [[12, 8, 24, 0, 20], [48, 18, 0, 24, 24]]
 
 
 def test_empty_region_is_proved_empty_in_few_pivots(pivots):
@@ -589,8 +598,8 @@ def test_degenerate_cube_takes_one_pivot_per_vertex(pivots):
     # k = 6: 6 unit rows and 15 pair rows.  Each vertex with x_i = x_j = 1
     # lies on three rows per pair, so it has many bases, and a search that
     # pivots on every tied row visits 32,963 of them.  Bland's edges reach
-    # each of the 64 vertices by 63 pivots after the 21 of the slack
-    # dictionary.
+    # each of the 64 vertices by 63 pivots from the slack dictionary, which
+    # takes none.
     p = degenerate_cube(6)
     assert enumerate_vertices(p) == tuple(fvec(v) for v in product((0, 1), repeat=6))
     assert pivots[0] < 200

@@ -38,3 +38,16 @@ def test_bench_runs_its_smallest_rungs():
     assert "  cube k=4 m=10 16 vertices 0 rays " in proc.stdout
     assert "  cone k=6 m=15 1 vertices 6 rays " in proc.stdout
     assert "cube_3obj.json: classify " in proc.stdout
+
+
+def test_freeze_golden_rewrites_nothing_on_help_or_a_bad_flag():
+    golden = SCRIPTS.parent / "tests" / "golden_verdicts.json"
+    before = golden.read_bytes(), golden.stat().st_mtime_ns
+    helped = run_script("freeze_golden.py", "--help")
+    assert helped.returncode == 0, helped.stdout + helped.stderr
+    assert "golden verdict corpus" in helped.stdout
+    bad = run_script("freeze_golden.py", "--no-such-flag")
+    assert bad.returncode == 2
+    assert "unrecognized arguments" in bad.stderr
+    assert "wrote" not in helped.stdout + bad.stdout
+    assert (golden.read_bytes(), golden.stat().st_mtime_ns) == before
