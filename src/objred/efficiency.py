@@ -10,9 +10,9 @@ The efficiency test reads only the point's zero set, and the cone test's
 "no" is Stiemke's alternative, a positive y with C^T y = 0, which is the
 efficiency test where nothing is tight: both build one system (``_isermann``)
 decided by ``linalg.has_nonnegative_solution`` on integers, and solve no LP.
-Only a certificate, a direction or the weights, is built on the
-``Fraction`` simplex of ``objred.simplex``, and a direction only once one is
-known to exist.
+Only a certificate, a direction or the weights, is built by an LP of
+``objred.simplex``, which pivots on integers with the same kernel, and a
+direction only once one is known to exist.
 """
 
 from __future__ import annotations
@@ -130,8 +130,10 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     F and A_T enter with each row scaled to integers: a positive scale of
     an objective keeps the efficient set, and one of a tight row keeps the
     normal cone.  Holds on unbounded regions as well as bounded ones.
-    Raises ValueError when the stack's width is not the region's dimension.
+    Raises ValueError when the stack's width is not the region's dimension,
+    and TypeError on an entry of x0 that is neither an int nor a Fraction.
     """
+    require_rational((x0,), "x0".format)
     zeros = zero_set(p, x0)
     if zeros is None:
         raise InfeasibleInput("point is not in the region")

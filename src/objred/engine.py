@@ -93,6 +93,17 @@ class TraceEntry:
     certificate: Any = None
 
 
+# One shared entry per step for a test that found nothing: verdicts kept by
+# the thousand (a reduce's history) mostly hold such entries.
+_NOT_FOUND = {step: TraceEntry(step, False) for step in Step}
+
+
+def _entry(step: Step, certificate: Any) -> TraceEntry:
+    """The entry of a test that found ``certificate``, or found nothing
+    when it is None."""
+    return _NOT_FOUND[step] if certificate is None else TraceEntry(step, True, certificate)
+
+
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """Classification of one objective, with the executed step trace."""
@@ -199,8 +210,7 @@ def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: boo
         return TraceEntry(Step.ALL_EFFICIENT, False, bad)
     if check_bounded:
         _require_bounded(region, "the equal-weight criterion")
-    weights = equalizing_weights(reduced, region.vertices)
-    return TraceEntry(Step.ALL_EFFICIENT, weights is not None, weights)
+    return _entry(Step.ALL_EFFICIENT, equalizing_weights(reduced, region.vertices))
 
 
 def _face_efficient(
@@ -212,7 +222,7 @@ def _face_efficient(
     witness = next((v for v in face if efficient_at(region, reduced, zero_sets[v])), None)
     if witness is None and check_bounded:
         _require_bounded(region, "the optimal-face separation argument")
-    return TraceEntry(Step.FACE_EFFICIENT, witness is not None, witness)
+    return _entry(Step.FACE_EFFICIENT, witness)
 
 
 def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
@@ -240,7 +250,7 @@ def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> 
         return Verdict(candidate, outcome, step, relation, tuple(trace))
 
     alpha = combination_multipliers(full)
-    trace.append(TraceEntry(Step.COMBINATION, alpha is not None, alpha))
+    trace.append(_entry(Step.COMBINATION, alpha))
     if alpha is not None:
         return verdict(Outcome.NONESSENTIAL, Step.COMBINATION)
 
@@ -248,20 +258,18 @@ def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> 
         raise InfeasibleRegion("the region Ax <= b, x >= 0 is empty")
 
     direction = find_cone_point(full.rows)
-    trace.append(TraceEntry(Step.IMPROVEMENT_CONE, direction is not None, direction))
+    trace.append(_entry(Step.IMPROVEMENT_CONE, direction))
 
     if direction is None:
         # No semipositive improving direction for the full stack exists, so
         # every feasible point is efficient before deletion.
         reduced_direction = find_cone_point(reduced.rows)
-        trace.append(
-            TraceEntry(Step.REDUCED_CONE, reduced_direction is not None, reduced_direction)
-        )
+        trace.append(_entry(Step.REDUCED_CONE, reduced_direction))
         if reduced_direction is None:
             return verdict(Outcome.NONESSENTIAL, Step.REDUCED_CONE)
 
         interior = region.interior_point
-        trace.append(TraceEntry(Step.INTERIOR, interior is not None, interior))
+        trace.append(_entry(Step.INTERIOR, interior))
         if interior is not None:
             # Moving from the interior point along the improving direction
             # stays feasible and leaves the reduced efficient set.

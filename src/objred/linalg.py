@@ -4,14 +4,15 @@ Vectors and matrices are plain tuples of ``fractions.Fraction``, so every
 value is immutable, hashable and exact.  All elimination runs on one
 fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
 in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
-division is exact; ``Fraction``s are built only when a result is returned.
+division is exact; ``Fraction``s are built only when a result is returned,
+by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis and the one
-that decides the efficiency test, the "no" answers of steps 1 and 2, and
-step 0 with its multipliers (``nonnegative_solution``).  Its tie-break, the
-minimum-ratio row of lowest basic index, is ``leaving_row``; the vertex
-search steps along the same rows, so it follows exactly the edges Bland's
-rule can take.
+that decides the efficiency test, the "no" answers of steps 1 and 2, step 0
+with its multipliers (``nonnegative_solution``), and both phases of every
+LP of ``objred.simplex``.  Its tie-break, the minimum-ratio row of lowest
+basic index, is ``leaving_row``; the vertex search steps along the same
+rows, so it follows exactly the edges Bland's rule can take.
 """
 
 from __future__ import annotations
@@ -27,9 +28,23 @@ Matrix = tuple[Vector, ...]
 # basis[i], and its last entry is that column's value.
 Dictionary = tuple[list[int], list[list[int]], int]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# The small rationals, one shared object each, as the interpreter shares its
+# small ints: most entries of the inputs and certificates a run keeps are
+# small, and each Fraction object takes 48 bytes.
+_SMALL = {
+    (p, q): Fraction(p, q) for q in range(1, 13) for p in range(-12, 13) if math.gcd(p, q) == 1
+}
+ZERO = _SMALL[0, 1]
+ONE = _SMALL[1, 1]
 _RATIONAL = frozenset((int, Fraction))
+
+
+def ratio(n: int, d: int) -> Fraction:
+    """n / d for integers n and d != 0, as a shared object when it is a
+    small rational."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    q = _SMALL.get((n // g, d // g))
+    return Fraction(n, d) if q is None else q
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -125,37 +140,39 @@ def integer_frame(m: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int
     return [[a.numerator * (d // a.denominator) for a in row] for row in m], d
 
 
-def _phase1(rows: list[list[int]], d: int) -> Dictionary:
+def phase1(rows: list[list[int]], d: int, riders: Sequence[list[int]] = ()) -> Dictionary:
     """Phase 1 of Bland's rule for y >= 0 with ``row[:-1] . y = row[-1]``
     over d > 0: rows with b < 0 negated, one artificial column (d in its
-    row) per row, whose sum is minimized from their basis.  The final
+    row) per row, whose sum is minimized from their basis.  Each of
+    ``riders`` (an objective, say; with no rows, they give the width) rides
+    along below the dictionary with zero artificial entries.  The final
     dictionary's last row, the cost row, ends at that least sum times d."""
     m = len(rows)
     rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
-    sums = [sum(column) for column in zip(*rows)]
+    sums = [sum(column) for column in zip(*rows)] or [0] * len(riders[0])
     n = len(sums) - 1
     tableau = [row[:-1] + [d if i == r else 0 for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
-    tableau.append(sums[:-1] + [0] * m + sums[-1:])
+    tableau.extend(row[:-1] + [0] * m + row[-1:] for row in (*riders, sums))
     basis = list(range(n, n + m))
-    return basis, tableau, bland(tableau, basis, d, m)  # max -sum <= 0 is never unbounded
+    return basis, tableau, bland(tableau, basis, d, len(tableau) - 1)  # max -sum <= 0 is never unbounded
 
 
 def has_nonnegative_solution(rows: list[list[int]]) -> bool:
     """Whether some y >= 0 solves the integer rows ``row[:-1] . y = row[-1]``."""
-    return not _phase1(rows, 1)[1][-1][-1]
+    return not phase1(rows, 1)[1][-1][-1]
 
 
 def nonnegative_solution(m: Matrix) -> Vector | None:
     """Some y >= 0 with ``row[:-1] . y = row[-1]`` for the rows of m, or None.
-    y is where ``_phase1`` ends in ``integer_frame(m)``, which makes the
+    y is where ``phase1`` ends in ``integer_frame(m)``, which makes the
     ``Fraction`` simplex's pivots: the point it returns for a zero objective.
     Rows scaled to integers one by one would change the cost row, and so
     the pivots."""
-    basis, rows, d = _phase1(*integer_frame(m))
+    basis, rows, d = phase1(*integer_frame(m))
     if rows[-1][-1]:
         return None
     values = {c: row[-1] for c, row in zip(basis, rows)}
-    return tuple(Fraction(values.get(j, 0), d) for j in range(len(m[0]) - 1))
+    return tuple(ratio(values.get(j, 0), d) for j in range(len(m[0]) - 1))
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

@@ -39,6 +39,7 @@ from .linalg import (
     integer_rows,
     leaving_row,
     pivot,
+    ratio,
     require_rational,
 )
 from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
@@ -120,7 +121,9 @@ def check_region(a: Matrix, b: Vector) -> None:
 def zero_set(p: Polytope, x: Vector) -> frozenset[int] | None:
     """The zero set of x, or None when x is not in the region; exact, no
     tolerance.  x is put over its common denominator once, and each row is
-    compared in integers."""
+    compared in integers.  Raises TypeError on an entry that is neither an
+    int nor a Fraction."""
+    require_rational((x,), "x".format)
     if len(x) != p.dim:
         return None
     scale = math.lcm(*(c.denominator for c in x))
@@ -183,7 +186,7 @@ def _search(p: Polytope) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector
         x = [ZERO] * k
         for c, row in zip(basis, rows):
             if c < k:
-                x[c] = Fraction(row[-1], d)
+                x[c] = ratio(row[-1], d)
         vertices[tuple(x)] = frozenset(range(n)).difference(c for c, row in zip(basis, rows) if row[-1])
         basic = set(basis)
         for j in range(n):
@@ -316,8 +319,10 @@ def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
     c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
     search (see ``_search``); otherwise the maximum is attained at a vertex,
     so it is the best c . v over the vertices.  Raises InfeasibleRegion on
-    an empty region and UnboundedObjective when c . x has no finite maximum.
+    an empty region and UnboundedObjective when c . x has no finite maximum,
+    and TypeError on an entry of c that is neither an int nor a Fraction.
     """
+    require_rational((c,), "c".format)
     if p.start is None:
         raise InfeasibleRegion("region is empty")
     vertices = p.vertices

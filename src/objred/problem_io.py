@@ -30,6 +30,7 @@ from typing import Any, Sequence
 
 from .engine import MolpProblem, Outcome, ReduceResult, Step, Verdict
 from .errors import DimensionError, ParseError, RelationError
+from .linalg import ratio
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,27 @@ def _rational(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def _coeffs(value: Any, width: int, where: str) -> tuple[Fraction, ...]:
+def _shared(value: Any, where: str, ints: dict[int, Fraction]) -> Fraction:
+    """_rational(value), one Fraction per distinct JSON integer in ``ints``.
+    The key is the int itself, tested by exact type: a boolean equals 0 or 1
+    but must still be refused, and hashing an int is cheap where hashing a
+    Fraction is not."""
+    if type(value) is not int:
+        return _rational(value, where)
+    q = ints.get(value)
+    if q is None:
+        q = ints[value] = ratio(value, 1)
+    return q
+
+
+def _coeffs(value: Any, width: int, where: str, ints: dict[int, Fraction]) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: coeffs must be a list")
     if len(value) != width:
         raise DimensionError(
             f"{where}: expected {width} coefficients, got {len(value)}"
         )
-    return tuple(_rational(v, where) for v in value)
+    return tuple(_shared(v, where, ints) for v in value)
 
 
 def parse_document(text: str | bytes) -> ProblemDocument:
@@ -112,6 +126,7 @@ def parse_document(text: str | bytes) -> ProblemDocument:
     if not variables:
         raise ParseError("need at least one variable")
     width = len(variables)
+    ints: dict[int, Fraction] = {}
 
     names: list[str] = []
     rows: list[tuple[Fraction, ...]] = []
@@ -125,7 +140,7 @@ def parse_document(text: str | bytes) -> ProblemDocument:
         if not isinstance(name, str):
             raise ParseError(f"{where}: name must be a string")
         names.append(name)
-        rows.append(_coeffs(entry.get("coeffs"), width, where))
+        rows.append(_coeffs(entry.get("coeffs"), width, where, ints))
 
     a_rows: list[tuple[Fraction, ...]] = []
     b: list[Fraction] = []
@@ -138,8 +153,8 @@ def parse_document(text: str | bytes) -> ProblemDocument:
             raise RelationError(
                 f'{where}: only "<=" rows are supported, got {relation!r}'
             )
-        a_rows.append(_coeffs(entry.get("coeffs"), width, where))
-        b.append(_rational(entry.get("rhs"), where))
+        a_rows.append(_coeffs(entry.get("coeffs"), width, where, ints))
+        b.append(_shared(entry.get("rhs"), where, ints))
 
     try:
         problem = MolpProblem(tuple(rows), tuple(a_rows), tuple(b))

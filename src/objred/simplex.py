@@ -2,11 +2,15 @@
 
 Maximization problems with <=, ==, >= rows, nonnegative or free variables.
 Pivoting follows Bland's smallest-index rule, which guarantees termination
-even on degenerate (cycling-prone) instances; all arithmetic is Fraction,
-so feasibility and optimality are decided without tolerances.  The reduced
-costs live in the tableau as cost rows below the constraints, so each pivot
-reprices them and no iteration sums over the basis.  It builds the step-1
-and step-2 directions, the step-3 interior point and the step-4 weights.
+even on degenerate (cycling-prone) instances.  The tableau is put over one
+denominator (``linalg.integer_frame``) and pivoted on integers by the
+fraction-free kernel of ``linalg`` (``phase1``, ``bland``, ``pivot``), which
+makes exactly the pivots of the rational tableau: feasibility and
+optimality are decided without tolerances, and a ``Fraction`` is built only
+for the point returned.  The reduced costs live in the tableau as cost rows
+below the constraints, so each pivot reprices them and no iteration sums
+over the basis.  It builds the step-1 and step-2 directions, the step-3
+interior point and the step-4 weights.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, Vector, dot
+from .linalg import ONE, ZERO, Vector, bland, integer_frame, phase1, pivot, ratio
 
 
 class Relation(enum.Enum):
@@ -64,46 +68,6 @@ class LpOutcome:
     point: Vector | None = None
 
 
-_MAX_PIVOTS = 100_000  # far beyond any basis count seen here; guards bugs only
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = ONE / tableau[row][col]
-    tableau[row] = [inv * a for a in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    basis[row] = col
-
-
-def _optimize(tableau: list[list[Fraction]], basis: list[int]) -> bool:
-    """Run simplex iterations in place; True when optimal, False when unbounded.
-
-    The reduced costs are the tableau's last row, kept current by ``_pivot``;
-    the ratio test reads only the first ``len(basis)`` (constraint) rows.
-    Bland's rule: entering column is the smallest index with positive reduced
-    cost, leaving row is the minimum-ratio row with the smallest basic index.
-    """
-    for _ in range(_MAX_PIVOTS):
-        entering = next((j for j, r in enumerate(tableau[-1][:-1]) if r > 0), None)
-        if entering is None:
-            return True
-        leave = None
-        best: Fraction | None = None
-        for i in range(len(basis)):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return False
-        _pivot(tableau, basis, leave, entering)
-    raise RuntimeError("simplex failed to terminate")  # pragma: no cover
-
-
 def solve(problem: LpProblem) -> LpOutcome:
     """Exact optimum of an LpProblem; status is always one of the three."""
     kinds = problem.variable_kinds
@@ -129,66 +93,50 @@ def solve(problem: LpProblem) -> LpOutcome:
                 out[neg] = -a
         return out
 
-    rows: list[tuple[list[Fraction], Relation, Fraction]] = []
-    for row, rel, rhs in problem.constraints:
-        if rel is Relation.GE:  # normalize to <= at ingestion
-            rows.append(([-a for a in expand(row)], Relation.LE, -rhs))
-        else:
-            rows.append((expand(row), rel, Fraction(rhs)))
-
-    n_slacks = sum(1 for _, rel, _ in rows if rel is Relation.LE)
+    n_slacks = sum(1 for _, rel, _ in problem.constraints if rel is not Relation.EQ)
     width = n_std + n_slacks
-    body: list[list[Fraction]] = []
-    rhs_col: list[Fraction] = []
+    rows: list[list[Fraction]] = []
     slack = n_std
-    for row, rel, rhs in rows:
-        full = row + [ZERO] * n_slacks
-        if rel is Relation.LE:
+    for row, rel, rhs in problem.constraints:
+        full = expand(row) + [ZERO] * n_slacks + [rhs]
+        if rel is Relation.GE:  # normalize to <= at ingestion
+            full = [-a for a in full]
+        if rel is not Relation.EQ:
             full[slack] = ONE
             slack += 1
-        if rhs < 0:
-            full = [-a for a in full]
-            rhs = -rhs
-        body.append(full)
-        rhs_col.append(rhs)
+        rows.append(full)
+    rows.append(expand(problem.objective) + [ZERO] * (n_slacks + 1))
 
-    m = len(body)
-    tableau = [body[i] + [ZERO] * m + [rhs_col[i]] for i in range(m)]
-    for i in range(m):
-        tableau[i][width + i] = ONE
-    basis = [width + i for i in range(m)]
-    # Cost rows: the phase-2 objective, then phase 1's -(sum of artificials)
-    # priced out against the starting basis; its last cell is that sum.
-    tableau.append(expand(problem.objective) + [ZERO] * (n_slacks + m + 1))
-    phase1 = [sum((row[j] for row in body), ZERO) for j in range(width)]
-    tableau.append(phase1 + [ZERO] * m + [sum(rhs_col, ZERO)])
-
-    _optimize(tableau, basis)  # bounded above by 0, never unbounded
-    if tableau.pop()[-1] > 0:
+    # Over one denominator, the integer pivots repeat the rational ones
+    # (``linalg.integer_frame``): phase 1 negates the rows with b < 0 and
+    # minimizes the sum of one artificial per row, with the objective riding
+    # along, so both phases make the pivots of the Fraction tableau.
+    body, d = integer_frame(rows)
+    basis, tableau, d = phase1(body[:-1], d, body[-1:])
+    if tableau.pop()[-1] * d > 0:
         return LpOutcome(LpStatus.INFEASIBLE)
 
     # Drive zero-valued artificials out of the basis; rows with no real
     # pivot left are redundant and get dropped.
     for i in reversed(range(len(basis))):
         if basis[i] >= width:
-            pivot_col = next((j for j in range(width) if tableau[i][j] != 0), None)
+            pivot_col = next((j for j in range(width) if tableau[i][j]), None)
             if pivot_col is None:
                 del tableau[i]
                 del basis[i]
             else:
-                _pivot(tableau, basis, i, pivot_col)
-    tableau = [row[:width] + [row[-1]] for row in tableau]
+                d = pivot(tableau, i, pivot_col, d)
+                basis[i] = pivot_col
+    tableau = [row[:width] + row[-1:] for row in tableau]
 
-    if not _optimize(tableau, basis):
+    d = bland(tableau, basis, d, len(basis))
+    cost = tableau[-1]
+    if any(c * d > 0 for c in cost[:-1]):  # Bland's rule stopped on a ray
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    std_point = [ZERO] * width
-    for i, b in enumerate(basis):
-        std_point[b] = tableau[i][-1]
-    x = tuple(
-        std_point[pos] if neg is None else std_point[pos] - std_point[neg] for pos, neg in col_of
-    )
-    return LpOutcome(LpStatus.OPTIMAL, value=dot(problem.objective, x), point=x)
+    values = {c: row[-1] for c, row in zip(basis, tableau)}
+    x = tuple(ratio(values.get(pos, 0) - values.get(neg, 0), d) for pos, neg in col_of)
+    return LpOutcome(LpStatus.OPTIMAL, value=Fraction(-cost[-1], d), point=x)
 
 
 def positive_optimum(problem: LpProblem, width: int) -> Vector | None:

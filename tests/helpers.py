@@ -12,7 +12,6 @@ from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
 from objred.linalg import ONE, ZERO, Vector, dot, eliminate, integer_rows
 from objred.polytope import contains
 from objred.simplex import (
-    _MAX_PIVOTS,
     LpOutcome,
     LpProblem,
     LpStatus,
@@ -389,6 +388,9 @@ def optimal_face_vertices_reference(p, c):
 # The simplex as it was when phase 1 and phase 2 each repriced every column
 # from a cost vector outside the tableau on every iteration.  The library
 # carries the reduced costs as tableau rows; tests require equal outcomes.
+
+
+_MAX_PIVOTS = 100_000  # far beyond any basis count seen here; guards bugs only
 
 
 def _pivot_reference(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

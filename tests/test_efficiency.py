@@ -100,6 +100,13 @@ def test_efficiency_rejects_outside_point():
         is_efficient(SEGMENT, f, fvec([1, 1]))
 
 
+def test_efficiency_refuses_a_float_point_naming_it():
+    f = ObjectiveStack(frows([1, 1], [1, 0]))
+    with pytest.raises(TypeError, match=r"x0\[1\] is a float"):
+        is_efficient(SEGMENT, f, (1, 0.0))
+    assert is_efficient(SEGMENT, f, (1, 0))  # ints pass
+
+
 def test_unbounded_domination_means_inefficient():
     # Half-plane x1 <= x2; pushing x2 up improves the second objective forever.
     half = __import__("objred").Polytope(frows([1, -1]), fvec([0]))

@@ -26,6 +26,7 @@ from objred import (
 )
 from objred.efficiency import cone_nonempty, find_cone_point
 from objred.engine import (
+    TraceEntry,
     combination_multipliers,
     kernel_separation,
     step0,
@@ -488,6 +489,14 @@ def test_reduce_result_is_slotted_and_survives_copies():
     verdict = result.history[0][1]
     for held in (result, result.problem, result.removals[0], verdict, verdict.trace[0]):
         assert not hasattr(held, "__dict__")
+    # A test that found nothing is recorded by one entry per step, shared by
+    # every verdict; it equals a fresh entry, and survives a pickle as one.
+    failed = [entry for _, v in result.history for entry in v.trace if entry.certificate is None]
+    assert len(failed) > len({entry.step for entry in failed}) == len(set(map(id, failed)))
+    assert failed == [TraceEntry(entry.step, False) for entry in failed]
+    copied = pickle.loads(pickle.dumps(result))
+    again = [entry for _, v in copied.history for entry in v.trace if entry.certificate is None]
+    assert again == failed and len(set(map(id, again))) == len(set(map(id, failed)))
 
 
 def test_step_functions_answer_on_unbounded_regions():

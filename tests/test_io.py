@@ -78,6 +78,31 @@ def test_parse_rejects_booleans():
         )
 
 
+def test_parse_shares_one_fraction_per_integer_literal():
+    text = (
+        '{"objectives": [[1, 20], [20, 1]],'
+        ' "constraints": [{"coeffs": [1, 0.5], "rhs": 20}]}'
+    )
+    problem = parse_problem(text)
+    (f1, f2), (a,), (b,) = problem.objectives, problem.a, problem.b
+    assert f1[0] is f2[1] is a[0] == 1
+    assert f1[1] is f2[0] is b == 20
+    # A small rational is one shared constant; a larger literal is shared
+    # within its document only, so no table outlives a parse.
+    again = parse_problem(text)
+    assert again.objectives[0][0] is f1[0]
+    assert again.objectives[0][1] == f1[1] and again.objectives[0][1] is not f1[1]
+
+
+@pytest.mark.parametrize("literals", ["1, true", "0, false", "true, 1"])
+def test_parse_rejects_a_boolean_after_an_equal_integer(literals):
+    with pytest.raises(ParseError, match="boolean"):
+        parse_problem(
+            f'{{"objectives": [[{literals}]],'
+            ' "constraints": [{"coeffs": [1, 1], "rhs": 1}]}'
+        )
+
+
 def test_parse_rejects_other_relations():
     with pytest.raises(RelationError):
         parse_problem(

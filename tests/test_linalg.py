@@ -15,6 +15,7 @@ from objred.linalg import (
     mat_vec,
     nonnegative_solution,
     null_space,
+    ratio,
     solve_square,
     span_basis,
 )
@@ -261,3 +262,12 @@ def test_nonnegative_solution_is_the_simplex_phase_1_point(m):
     assert (y is None) == (out.status is LpStatus.INFEASIBLE)
     assert y == out.point
     assert has_nonnegative_solution(integer_rows(m)) == (y is not None)
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40).filter(bool))
+def test_ratio_is_the_fraction_shared_when_small(n, d):
+    q = ratio(n, d)
+    assert type(q) is Fraction and q == Fraction(n, d)
+    # Small rationals are one object each, however they are written.
+    small = abs(q.numerator) <= 12 and q.denominator <= 12
+    assert (ratio(3 * n, 3 * d) is q) == small

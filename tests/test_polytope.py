@@ -603,3 +603,23 @@ def test_degenerate_cube_takes_one_pivot_per_vertex(pivots):
     p = degenerate_cube(6)
     assert enumerate_vertices(p) == tuple(fvec(v) for v in product((0, 1), repeat=6))
     assert pivots[0] < 200
+
+
+@pytest.mark.parametrize(
+    "query, arg, message",
+    [
+        (contains, (Fraction(1, 2), 0.5), r"x\[1\] is a float"),
+        (zero_set, (1.0, 0), r"x\[0\] is a float"),
+        (optimal_face_vertices, (1.0, Fraction(1, 2)), r"c\[0\] is a float"),
+    ],
+)
+def test_queries_refuse_a_float_naming_the_argument(query, arg, message):
+    p = Polytope(((1, 1),), (4,))
+    with pytest.raises(TypeError, match=message):
+        query(p, arg)
+    # Ints and Fractions pass.
+    assert query(p, (0, 4)) == {
+        contains: True,
+        zero_set: frozenset({0, 2}),
+        optimal_face_vertices: (fvec([0, 4]),),
+    }[query]

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/ still run end to end."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,27 @@ def test_freeze_golden_rewrites_nothing_on_help_or_a_bad_flag():
     assert "unrecognized arguments" in bad.stderr
     assert "wrote" not in helped.stdout + bad.stdout
     assert (golden.read_bytes(), golden.stat().st_mtime_ns) == before
+
+
+def test_check_traced_line_wants_strict_json_with_every_per_layer_metric():
+    benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in benchmark["per_layer"]]
+    metrics = {name: {"value": 0.0, "unit": "1/op"} for name in names}
+
+    def check(result):
+        stdin = "a progress line\n" + json.dumps(result) + "\n"
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "check_traced_line.py")],
+            input=stdin, capture_output=True, text=True, timeout=60,
+        )
+
+    passed = check({"correct": True, "metrics": metrics})
+    assert passed.returncode == 0, passed.stderr
+    dropped = dict(metrics)
+    del dropped["linalg.solve_square.calls"]
+    missing = check({"correct": True, "metrics": dropped})
+    assert missing.returncode == 1 and "missing: linalg.solve_square.calls" in missing.stderr
+    nan = check({"correct": True, "metrics": {**metrics, "trace.overhead_ratio": float("nan")}})
+    assert nan.returncode == 1 and "NaN is not a JSON number" in nan.stderr
+    wrong = check({"correct": False, "metrics": metrics})
+    assert wrong.returncode == 1 and "not correct" in wrong.stderr
