@@ -165,7 +165,7 @@ def has_nonnegative_solution(rows: list[list[int]]) -> bool:
 def nonnegative_solution(m: Matrix) -> Vector | None:
     """Some y >= 0 with ``row[:-1] . y = row[-1]`` for the rows of m, or None.
     y is where ``phase1`` ends in ``integer_frame(m)``, which makes the
-    ``Fraction`` simplex's pivots: the point it returns for a zero objective.
+    pivots of ``simplex.solve``: the point it returns for a zero objective.
     Rows scaled to integers one by one would change the cost row, and so
     the pivots."""
     basis, rows, d = phase1(*integer_frame(m))

@@ -386,9 +386,9 @@ def optimal_face_vertices_reference(p, c):
 
 
 # The simplex as it was when phase 1 and phase 2 each repriced every column
-# from a cost vector outside the tableau on every iteration.  The library
-# carries the reduced costs as tableau rows; tests require equal outcomes.
-
+# of a Fraction tableau from a cost vector outside it on every iteration.
+# The library pivots an integer tableau over one denominator and carries the
+# reduced costs in it as rows; tests require equal outcomes.
 
 _MAX_PIVOTS = 100_000  # far beyond any basis count seen here; guards bugs only
 

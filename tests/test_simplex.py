@@ -210,10 +210,6 @@ def mixed_lps(draw):
     return LpProblem(objective, tuple(rows), kinds)
 
 
-def _lp(c, rows, kinds):
-    return LpProblem(fvec(c), tuple((fvec(a), rel, Fraction(rhs)) for a, rel, rhs in rows), kinds)
-
-
 EQ, LE, GE = Relation.EQ, Relation.LE, Relation.GE
 
 
@@ -221,18 +217,18 @@ EQ, LE, GE = Relation.EQ, Relation.LE, Relation.GE
 @given(mixed_lps())
 # A redundant equality row: its artificial stays basic at zero with no real
 # entry left, and the drive-out deletes the row.
-@example(_lp([1, 0], [([1, 1], EQ, 1), ([2, 2], EQ, 2)], (NN, NN)))
-@example(_lp([1, 1], [([1, 1], EQ, -1), (["-1/2", "-1/2"], EQ, "1/2")], (FR, NN)))
+@example(lp([1, 0], [([1, 1], EQ, 1), ([2, 2], EQ, 2)], (NN, NN)))
+@example(lp([1, 1], [([1, 1], EQ, -1), (["-1/2", "-1/2"], EQ, "1/2")], (FR, NN)))
 # The drive-out pivots on the -1 of x1, which makes the integer pivot d < 0;
 # phase 2 then enters x3 with d < 0.
-@example(_lp([0, 0, 1], [([-1, 0, 0], EQ, 0), ([0, 1, 1], LE, 1)], (NN, NN, NN)))
-@example(_lp([2, "-1/2"], [([-3, 0], EQ, 0)], (NN, FR)))
+@example(lp([0, 0, 1], [([-1, 0, 0], EQ, 0), ([0, 1, 1], LE, 1)], (NN, NN, NN)))
+@example(lp([2, "-1/2"], [([-3, 0], EQ, 0)], (NN, FR)))
 # >= rows with b < 0, flipped to <= rows with b > 0, and free variables.
-@example(_lp([1, 1], [([1, -1], GE, -1), ([1, 1], LE, 2)], (FR, NN)))
-@example(_lp([-1, "1/3"], [(["1/2", 1], GE, "-3/2"), ([1, 0], GE, -1)], (FR, FR)))
+@example(lp([1, 1], [([1, -1], GE, -1), ([1, 1], LE, 2)], (FR, NN)))
+@example(lp([-1, "1/3"], [(["1/2", 1], GE, "-3/2"), ([1, 0], GE, -1)], (FR, FR)))
 # No rows at all: phase 1 has nothing to do, phase 2 starts from no basis.
-@example(_lp([1, -1], [], (FR, NN)))
-@example(_lp(["-1/2", 0], [], (NN, NN)))
+@example(lp([1, -1], [], (FR, NN)))
+@example(lp(["-1/2", 0], [], (NN, NN)))
 def test_tableau_priced_simplex_matches_reference(problem):
     out = solve(problem)
     ref = solve_reference(problem)
