@@ -69,19 +69,28 @@ def problems_section() -> dict[str, Any]:
     return out
 
 
+def classify_inputs() -> list[Any]:
+    return [random_problem(random.Random(s)) for s in range(150)]
+
+
+def unbounded_inputs() -> list[Any]:
+    return [random_problem(random.Random(1000 + s), ensure_bounded=False) for s in range(30)]
+
+
+def reduce_inputs() -> list[Any]:
+    return [random_problem(random.Random(2000 + s)) for s in range(30)]
+
+
 def classify_section() -> list[Any]:
-    return [_classified(random_problem(random.Random(s))) for s in range(150)]
+    return [_classified(problem) for problem in classify_inputs()]
 
 
 def unbounded_section() -> list[Any]:
-    return [
-        _classified(random_problem(random.Random(1000 + s), ensure_bounded=False))
-        for s in range(30)
-    ]
+    return [_classified(problem) for problem in unbounded_inputs()]
 
 
 def reduce_section() -> list[Any]:
-    return [_reduced(random_problem(random.Random(2000 + s))) for s in range(30)]
+    return [_reduced(problem) for problem in reduce_inputs()]
 
 
 SECTIONS: dict[str, Callable[[], Any]] = {

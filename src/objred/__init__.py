@@ -5,6 +5,10 @@ deleting it changes the efficient set (essential) or not (nonessential),
 with every computation done in rational arithmetic.
 """
 
+# The exact LP solver is public (README), and the decision tree no longer
+# imports it: load it here so ``objred.simplex`` is there for every user of
+# the package, the benchmark's tracer among them.
+from . import simplex
 from .efficiency import (
     ObjectiveStack,
     cone_nonempty,

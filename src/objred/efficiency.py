@@ -9,30 +9,33 @@ that equalize the weighted objective value across vertices.
 The efficiency test reads only the point's zero set, and the cone test's
 "no" is Stiemke's alternative, a positive y with C^T y = 0, which is the
 efficiency test where nothing is tight: both build one system (``_isermann``)
-decided by ``linalg.has_nonnegative_solution`` on integers, and solve no LP.
-Only a certificate, a direction or the weights, is built by an LP of
-``objred.simplex``, which pivots on integers with the same kernel, and a
-direction only once one is known to exist.
+decided by one integer phase 1 of ``linalg``.  Each certificate is read off
+the phase 1 that decides its answer: a direction is the Farkas vector of the
+cone test's "no" (``linalg.farkas``), and the weights are the end point of a
+Stiemke system (``linalg.integer_solution``).  No LP is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleInput
 from .linalg import (
-    ONE,
-    ZERO,
     Matrix,
     Vector,
+    farkas,
     has_nonnegative_solution,
     integer_rows,
+    integer_solution,
     mat_vec,
+    ratio,
     require_rational,
+    vsub,
 )
 from .polytope import Polytope, zero_set
-from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,6 @@ class ObjectiveStack:
     """Rows are objective gradients; F(x) stacks their values at x."""
 
     rows: Matrix
-    # The stack's half of the key of ``Polytope.efficient``: the efficient
-    # set depends on the set of rows alone, not on their order or repeats.
-    # Built once, so that each lookup hashes no Fraction.
-    row_set: frozenset[Vector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -52,7 +51,14 @@ class ObjectiveStack:
         if len(widths) != 1 or widths == {0}:
             raise ValueError("objective rows must share a positive length")
         require_rational(self.rows, "rows[{}]".format)
-        object.__setattr__(self, "row_set", frozenset(self.rows))
+
+    @cached_property
+    def row_set(self) -> frozenset[Vector]:
+        """The stack's half of the key of ``Polytope.efficient``: the
+        efficient set depends on the set of rows alone, not on their order
+        or repeats.  Built on the first efficiency test, and once, so that
+        each lookup hashes no Fraction."""
+        return frozenset(self.rows)
 
     @property
     def count(self) -> int:
@@ -75,45 +81,36 @@ class ObjectiveStack:
 def find_cone_point(c: Matrix) -> Vector | None:
     """Some x with Cx >= 0 and Cx != 0, or None when no such x exists.
 
-    Whether one exists is decided on integers by ``cone_nonempty``.  Only
-    then is it found by an LP: introduce v = Cx and maximize sum(v) under
-    sum(v) <= 1, whose optimum is then positive.
+    By Stiemke's lemma one exists iff no y > 0 has C^T y = 0, so both come
+    from the phase 1 of ``cone_nonempty``: its Farkas vector z has
+    c_i . z <= 0 on every row and -sum_i c_i . z > 0, so x = -z.  x is
+    scaled to a primitive integer vector, and depends on the order of C's
+    rows alone.
     """
-    if not cone_nonempty(c):
+    z = farkas(_isermann(integer_rows(c), [], []))
+    if z is None:
         return None
-    p = len(c)
-    k = len(c[0])
-    rows: list[Constraint] = []
-    for i, row in enumerate(c):
-        coeff = tuple(-a for a in row) + tuple(
-            ONE if j == i else ZERO for j in range(p)
-        )
-        rows.append((coeff, Relation.EQ, ZERO))
-    rows.append(((ZERO,) * k + (ONE,) * p, Relation.LE, ONE))
-    objective = (ZERO,) * k + (ONE,) * p
-    kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,) * p
-    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
+    g = math.gcd(*z)
+    return tuple(ratio(-a // g, 1) for a in z)
 
 
 def cone_nonempty(c: Matrix) -> bool:
     """Whether some x has Cx >= 0, Cx != 0; by Stiemke's lemma, whether no
     y > 0 has C^T y = 0: Isermann's test where no row is tight and no x_j
     zero, on C's rows scaled to integers (which keeps y > 0 and the cone)."""
-    return not _isermann(integer_rows(c), [], [])
+    return not has_nonnegative_solution(_isermann(integer_rows(c), [], []))
 
 
-def _isermann(objectives: list[list[int]], tight: list[list[int]], at_zero: list[int]) -> bool:
-    """The phase 1 of ``is_efficient`` on integer rows F and A_T and zero
-    coordinates J: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0."""
-    return has_nonnegative_solution(
-        [
-            [row[j] for row in objectives]
-            + [-row[j] for row in tight]
-            + [int(i == j) for i in at_zero]
-            + [-sum(row[j] for row in objectives)]
-            for j in range(len(objectives[0]))
-        ]
-    )
+def _isermann(objectives: list[list[int]], tight: list[list[int]], at_zero: list[int]) -> list[list[int]]:
+    """The rows of the phase 1 of ``is_efficient`` on integer rows F and A_T
+    and zero coordinates J: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0."""
+    return [
+        [row[j] for row in objectives]
+        + [-row[j] for row in tight]
+        + [int(i == j) for i in at_zero]
+        + [-sum(row[j] for row in objectives)]
+        for j in range(len(objectives[0]))
+    ]
 
 
 def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
@@ -149,7 +146,8 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     if key in p.efficient:
         return p.efficient[key]
     tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
-    efficient = _isermann(integer_rows(f.rows), tight, [c for c in zeros if c < p.dim])
+    system = _isermann(integer_rows(f.rows), tight, [c for c in zeros if c < p.dim])
+    efficient = has_nonnegative_solution(system)
     p.efficient[key] = efficient
     return efficient
 
@@ -190,20 +188,16 @@ def equalizing_weights(f: ObjectiveStack, points: tuple[Vector, ...]) -> Vector 
     """Strictly positive weights summing to one that give every listed point
     the same weighted objective value, or None when no such weights exist.
 
-    Maximizes the smallest weight subject to the equal-value constraints;
-    a positive optimum certifies strict positivity.
+    With l = 1 + mu, the weights are a Stiemke point of the rows
+    F(v_0) - F(v_i): mu >= 0 with M mu = -M 1, the end point of one phase 1.
     """
     if not points:
         raise ValueError("need at least one point")
-    n = f.count
-    rows: list[Constraint] = [((ONE,) * n + (ZERO,), Relation.EQ, ONE)]
-    for i in range(n):
-        coeff = tuple(ONE if j == i else ZERO for j in range(n)) + (Fraction(-1),)
-        rows.append((coeff, Relation.GE, ZERO))
     first = f.values(points[0])
-    for other in points[1:]:
-        diff = tuple(a - b for a, b in zip(first, f.values(other)))
-        rows.append((diff + (ZERO,), Relation.EQ, ZERO))
-    objective = (ZERO,) * n + (ONE,)
-    kinds = (VarKind.NONNEG,) * (n + 1)
-    return positive_optimum(LpProblem(objective, tuple(rows), kinds), n)
+    rows = [vsub(first, f.values(v)) for v in points[1:]]
+    found = integer_solution(tuple(row + (-sum(row),) for row in rows)) if rows else ([0] * f.count, 1)
+    if found is None:
+        return None
+    mu, d = found
+    total = sum(mu) + d * f.count
+    return tuple(ratio(d + m, total) for m in mu)

@@ -2,9 +2,10 @@
 
 An objective is nonessential when deleting it leaves the efficient set of
 max {F(x) : Ax <= b, x >= 0} unchanged.  classify() walks a fixed decision
-tree of eight tests (steps 0 to 7); each is an exact LP or exact linear
-algebra (step 0 is one integer phase 1, no LP), and every answer is recorded
-in a trace together with a checkable certificate where one exists.
+tree of eight tests (steps 0 to 7); each is exact linear algebra or one
+integer phase 1 that yields both the answer and its certificate (no LP is
+solved), and every answer is recorded in a trace together with a checkable
+certificate where one exists.
 
 Tree shape.  Step 0 asks whether the candidate gradient is a nonnegative
 combination of the others (sufficient for nonessential).  Step 1 asks for a
@@ -257,7 +258,9 @@ def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> 
     if not nonempty(region):
         raise InfeasibleRegion("the region Ax <= b, x >= 0 is empty")
 
-    direction = find_cone_point(full.rows)
+    # The full stack in the problem's own order, so that the direction does
+    # not depend on the candidate.
+    direction = find_cone_point(problem.objectives)
     trace.append(_entry(Step.IMPROVEMENT_CONE, direction))
 
     if direction is None:

@@ -7,12 +7,14 @@ in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned,
 by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
-It runs the phase 1 that finds a region's first feasible basis and the one
-that decides the efficiency test, the "no" answers of steps 1 and 2, step 0
-with its multipliers (``nonnegative_solution``), and both phases of every
-LP of ``objred.simplex``.  Its tie-break, the minimum-ratio row of lowest
-basic index, is ``leaving_row``; the vertex search steps along the same
-rows, so it follows exactly the edges Bland's rule can take.
+It runs the phase 1 that finds a region's first feasible basis, and the one
+that decides each feasibility question of the decision tree and yields its
+certificate: the end point (``nonnegative_solution``) when there is a
+solution, the Farkas vector (``farkas``) when there is none.  The library
+solves no LP; ``objred.simplex`` runs both its phases on the same kernel.
+Its tie-break, the minimum-ratio row of lowest basic index, is
+``leaving_row``; the vertex search steps along the same rows, so it follows
+exactly the edges Bland's rule can take.
 """
 
 from __future__ import annotations
@@ -157,22 +159,46 @@ def phase1(rows: list[list[int]], d: int, riders: Sequence[list[int]] = ()) -> D
     return basis, tableau, bland(tableau, basis, d, len(tableau) - 1)  # max -sum <= 0 is never unbounded
 
 
+def farkas(rows: list[list[int]]) -> list[int] | None:
+    """None when some y >= 0 solves the integer rows ``row[:-1] . y =
+    row[-1]``; otherwise z with z . column <= 0 on every column and
+    z . rhs > 0 (Farkas's alternative), read off the ``phase1`` that decides
+    it.  Its cost row starts as the sum of the rows, each row with b < 0
+    negated (s_i = -1, else 1), and each pivot subtracts a multiple of a row;
+    artificial i starts at 0 and is nonzero in row i alone.  So the final
+    row is sum_i (1 + u_i) s_i row_i, where u_i is artificial i's entry over
+    d.  At a positive least sum it is nowhere positive and its right-hand
+    side is positive: z_i = s_i (1 + u_i), returned times d > 0."""
+    basis, tableau, d = phase1(rows, 1)
+    cost = tableau[-1]
+    if not cost[-1]:
+        return None
+    n = len(cost) - 1 - len(rows)
+    return [d + u if row[-1] >= 0 else -d - u for row, u in zip(rows, cost[n:-1])]
+
+
 def has_nonnegative_solution(rows: list[list[int]]) -> bool:
     """Whether some y >= 0 solves the integer rows ``row[:-1] . y = row[-1]``."""
     return not phase1(rows, 1)[1][-1][-1]
 
 
-def nonnegative_solution(m: Matrix) -> Vector | None:
-    """Some y >= 0 with ``row[:-1] . y = row[-1]`` for the rows of m, or None.
-    y is where ``phase1`` ends in ``integer_frame(m)``, which makes the
-    pivots of ``simplex.solve``: the point it returns for a zero objective.
-    Rows scaled to integers one by one would change the cost row, and so
-    the pivots."""
+def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
+    """(y, d) with y / d >= 0 solving ``row[:-1] . y = row[-1]`` for the rows
+    of m, or None.  y / d is where ``phase1`` ends in ``integer_frame(m)``,
+    which makes the pivots of ``simplex.solve``: the point it returns for a
+    zero objective.  Rows scaled to integers one by one would change the
+    cost row, and so the pivots."""
     basis, rows, d = phase1(*integer_frame(m))
     if rows[-1][-1]:
         return None
     values = {c: row[-1] for c, row in zip(basis, rows)}
-    return tuple(ratio(values.get(j, 0), d) for j in range(len(m[0]) - 1))
+    return [values.get(j, 0) for j in range(len(m[0]) - 1)], d
+
+
+def nonnegative_solution(m: Matrix) -> Vector | None:
+    """``integer_solution``'s point y / d as rationals, or None."""
+    found = integer_solution(m)
+    return None if found is None else tuple(ratio(v, found[1]) for v in found[0])
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

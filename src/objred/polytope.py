@@ -10,7 +10,8 @@ the vertices and the rays it meets: the region is bounded iff it meets none,
 and c . x has no finite maximum iff c . r > 0 for one of them.  Its work
 grows with the feasible bases those edges reach, not with all C(k + m, m)
 bases.  The results are exact, deterministic and sorted.  The Bland kernel
-lives in ``linalg``; only the step-3 interior point is an LP.
+lives in ``linalg``, and the step-3 interior point is the end point of one
+of its phase 1s; no LP is solved.
 
 A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
 is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
@@ -34,15 +35,14 @@ from .linalg import (
     Vector,
     bland,
     _normalized,
-    dot,
     integer_frame,
     integer_rows,
+    integer_solution,
     leaving_row,
     pivot,
     ratio,
     require_rational,
 )
-from .simplex import Constraint, LpProblem, Relation, VarKind, positive_optimum
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ class Polytope:
     @property
     def dim(self) -> int:
         return len(self.a[0])
-
-    @cached_property
-    def rows(self) -> tuple[Constraint, ...]:
-        """The constraints Ax <= b, as used by every LP over the region."""
-        return tuple((tuple(row), Relation.LE, Fraction(rhs)) for row, rhs in zip(self.a, self.b))
 
     @cached_property
     def int_rows(self) -> list[list[int]]:
@@ -252,18 +247,20 @@ def _first_feasible(p: Polytope) -> Dictionary | None:
 def find_interior_point(p: Polytope) -> Vector | None:
     """A point with Ax < b and x > 0 strictly, or None if the interior is empty.
 
-    Maximizes a common slack margin a with Ax + a*1 <= b, x >= a*1, a <= 1;
-    the interior is nonempty exactly when the optimal margin is positive.
+    The strict system as a phase 1: Aq + s - tb = b - A1 - 1 with q, s, t >= 0
+    gives A(1 + q) + (1 + s) = (1 + t)b, so x = (1 + q) / (1 + t) is strictly
+    interior; and any interior point, scaled up, gives such q, s and t.
     """
-    k = p.dim
-    rows = [(row + (ONE,), rel, rhs) for row, rel, rhs in p.rows]
-    for j in range(k):
-        margin = tuple(ONE if i == j else ZERO for i in range(k)) + (Fraction(-1),)
-        rows.append((margin, Relation.GE, ZERO))
-    rows.append(((ZERO,) * k + (ONE,), Relation.LE, ONE))
-    objective = (ZERO,) * k + (ONE,)
-    kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,)
-    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
+    m = len(p.a)
+    rows = [
+        (*row, *(ONE if j == i else ZERO for j in range(m)), -rhs, rhs - sum(row) - 1)
+        for i, (row, rhs) in enumerate(zip(p.a, p.b))
+    ]
+    found = integer_solution(rows)
+    if found is None:
+        return None
+    y, d = found
+    return tuple(ratio(d + q, d + y[-1]) for q in y[: p.dim])
 
 
 def interior_nonempty(p: Polytope) -> bool:
@@ -318,16 +315,25 @@ def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
 
     c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
     search (see ``_search``); otherwise the maximum is attained at a vertex,
-    so it is the best c . v over the vertices.  Raises InfeasibleRegion on
-    an empty region and UnboundedObjective when c . x has no finite maximum,
-    and TypeError on an entry of c that is neither an int nor a Fraction.
+    so it is the best c . v over the vertices, each compared in integers over
+    its common denominator.  Raises InfeasibleRegion on an empty region and
+    UnboundedObjective when c . x has no finite maximum, and TypeError on an
+    entry of c that is neither an int nor a Fraction.
     """
     require_rational((c,), "c".format)
     if p.start is None:
         raise InfeasibleRegion("region is empty")
-    vertices = p.vertices
-    if any(dot(c, r) > 0 for r in p.search[1]):
+    (cs,) = integer_rows((c,))  # a positive scale keeps the maximizers
+    if any(sum(a * b for a, b in zip(cs, r)) > 0 for r in integer_rows(p.search[1])):
         raise UnboundedObjective("objective has no finite maximum on the region")
-    values = [dot(c, v) for v in vertices]
-    best = max(values)
-    return tuple(v for v, value in zip(vertices, values) if value == best)
+    face, best, best_q = [], 0, 1
+    for v in p.vertices:
+        # c . v is value / q: compare it with the best by cross-multiplying.
+        q = math.lcm(*(x.denominator for x in v))
+        value = sum(a * x.numerator * (q // x.denominator) for a, x in zip(cs, v))
+        diff = value * best_q - best * q
+        if diff > 0 or not face:
+            face, best, best_q = [v], value, q
+        elif diff == 0:
+            face.append(v)
+    return tuple(face)

@@ -9,8 +9,9 @@ makes exactly the pivots of the rational tableau: feasibility and
 optimality are decided without tolerances, and a ``Fraction`` is built only
 for the point returned.  The reduced costs live in the tableau as cost rows
 below the constraints, so each pivot reprices them and no iteration sums
-over the basis.  It builds the step-1 and step-2 directions, the step-3
-interior point and the step-4 weights.
+over the basis.  The decision tree solves no LP: each of its certificates
+is read off the integer phase 1 that decides its answer.  This module stays
+as a public exact LP solver, and the tests' references run on it.
 """
 
 from __future__ import annotations
@@ -137,13 +138,3 @@ def solve(problem: LpProblem) -> LpOutcome:
     values = {c: row[-1] for c, row in zip(basis, tableau)}
     x = tuple(ratio(values.get(pos, 0) - values.get(neg, 0), d) for pos, neg in col_of)
     return LpOutcome(LpStatus.OPTIMAL, value=Fraction(-cost[-1], d), point=x)
-
-
-def positive_optimum(problem: LpProblem, width: int) -> Vector | None:
-    """The first ``width`` coordinates of an optimal point when the optimum
-    is positive; None when it is not, or when there is no optimum."""
-    out = solve(problem)
-    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
-        return None
-    assert out.point is not None
-    return out.point[:width]

@@ -1,7 +1,7 @@
 """Fixture problems, the independent efficiency oracle, the plain
 ``Fraction`` elimination references, the two-LP region checks, the
 LP-based efficiency and optimal-face references, the LP-only step-0 to
-step-2 tests, the ``Fraction`` zero-set and face references and the
+step-4 tests, the ``Fraction`` zero-set and face references and the
 externally priced simplex reference shared by tests."""
 
 import itertools
@@ -17,7 +17,6 @@ from objred.simplex import (
     LpStatus,
     Relation,
     VarKind,
-    positive_optimum,
     solve,
 )
 
@@ -280,10 +279,19 @@ def is_bounded_reference(p):
     return out.status is not LpStatus.UNBOUNDED
 
 
-# Steps 0 to 2 as the library decided them before it settled each "no" on
-# integers (Farkas, Stiemke) and read step 0's multipliers off its integer
-# phase 1: one LP for every answer.  Tests require the same None or the
-# same certificate.
+# Steps 0 to 4 as the library decided them before it read every
+# certificate off the integer phase 1 that decides its answer: one LP for
+# every answer.  Tests require the same answer, and step 0 the same
+# multipliers; the other certificates may differ, and each is checked.
+
+
+def positive_optimum(problem, width):
+    """The first ``width`` coordinates of an optimal point when the optimum
+    is positive; None when it is not, or when there is no optimum."""
+    out = solve(problem)
+    if out.status is not LpStatus.OPTIMAL or out.value is None or out.value <= 0:
+        return None
+    return out.point[:width]
 
 
 def find_cone_point_reference(c):
@@ -299,6 +307,37 @@ def find_cone_point_reference(c):
     objective = (ZERO,) * k + (ONE,) * p
     kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,) * p
     return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
+
+
+def find_interior_point_reference(p):
+    """Maximize a common slack margin a with Ax + a*1 <= b, x >= a*1, a <= 1;
+    the interior is nonempty exactly when the optimal margin is positive."""
+    k = p.dim
+    rows = [(row + (ONE,), rel, rhs) for row, rel, rhs in _region_rows(p)]
+    for j in range(k):
+        margin = tuple(ONE if i == j else ZERO for i in range(k)) + (Fraction(-1),)
+        rows.append((margin, Relation.GE, ZERO))
+    rows.append(((ZERO,) * k + (ONE,), Relation.LE, ONE))
+    objective = (ZERO,) * k + (ONE,)
+    kinds = (VarKind.FREE,) * k + (VarKind.NONNEG,)
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), k)
+
+
+def equalizing_weights_reference(f, points):
+    """Maximize the smallest weight subject to the weights summing to one
+    and equalizing the points; a positive optimum certifies positivity."""
+    n = f.count
+    rows = [((ONE,) * n + (ZERO,), Relation.EQ, ONE)]
+    for i in range(n):
+        coeff = tuple(ONE if j == i else ZERO for j in range(n)) + (Fraction(-1),)
+        rows.append((coeff, Relation.GE, ZERO))
+    first = f.values(points[0])
+    for other in points[1:]:
+        diff = tuple(a - b for a, b in zip(first, f.values(other)))
+        rows.append((diff + (ZERO,), Relation.EQ, ZERO))
+    objective = (ZERO,) * n + (ONE,)
+    kinds = (VarKind.NONNEG,) * (n + 1)
+    return positive_optimum(LpProblem(objective, tuple(rows), kinds), n)
 
 
 def combination_multipliers_reference(stack):
@@ -327,7 +366,7 @@ def is_efficient_reference(p, f, x0):
     k = p.dim
     n = f.count
     base = f.values(x0)
-    rows = [(row + (ZERO,) * n, rel, rhs) for row, rel, rhs in p.rows]
+    rows = [(row + (ZERO,) * n, rel, rhs) for row, rel, rhs in _region_rows(p)]
     for i, row in enumerate(f.rows):
         coeff = tuple(row) + tuple(
             Fraction(-1) if j == i else ZERO for j in range(n)
@@ -376,7 +415,7 @@ def face_vertex_sets_reference(p):
 
 def optimal_face_vertices_reference(p, c):
     """Solve max c . x, then keep the vertices attaining the optimum."""
-    out = solve(LpProblem(tuple(c), p.rows, (VarKind.NONNEG,) * p.dim))
+    out = solve(LpProblem(tuple(c), _region_rows(p), (VarKind.NONNEG,) * p.dim))
     if out.status is LpStatus.INFEASIBLE:
         raise InfeasibleRegion("region is empty")
     if out.status is LpStatus.UNBOUNDED:

@@ -20,6 +20,7 @@ from objred.errors import InfeasibleInput
 from objred.instances import random_problem
 from objred.linalg import mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
+from objred.verify import check_step
 
 from helpers import (
     CUBE,
@@ -29,6 +30,7 @@ from helpers import (
     combination_multipliers_reference,
     cube_3obj,
     dominance_oracle,
+    equalizing_weights_reference,
     find_cone_point_reference,
     frows,
     fvec,
@@ -297,15 +299,19 @@ def test_mirrored_stack_has_empty_cone(rows):
 @settings(deadline=None, max_examples=80)
 @given(stacks(), st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=3, max_size=3))
 def test_steps_0_to_2_match_lp_reference(rows, weights):
-    # Each "no" is decided on integers and the LP runs only on a "yes", on
-    # the same tableau: the answer and the certificate must be the LP's.
-    # A mirrored stack has no cone point, and a planted nonnegative
-    # combination of the rows has multipliers.
+    # Step 0's multipliers are the end point of the phase 1 that decides it,
+    # which makes the LP's phase-1 pivots: they must be the LP's.  A step-1
+    # or step-2 direction is the Farkas vector of the phase 1 that decides
+    # the cone test, not the LP's optimum: the answer must be the LP's, and
+    # the direction a certificate.  A mirrored stack has no cone point, and
+    # a planted nonnegative combination of the rows has multipliers.
     mirrored = rows + tuple(tuple(-a for a in row) for row in rows)
     planted = rows + (tuple(sum(w * a for w, a in zip(weights, column)) for column in zip(*rows)),)
     for c in (rows, mirrored, planted):
-        assert find_cone_point(c) == find_cone_point_reference(c)
-        assert cone_nonempty(c) == (find_cone_point_reference(c) is not None)
+        x = find_cone_point(c)
+        assert (x is None) == (find_cone_point_reference(c) is None)
+        assert cone_nonempty(c) == (x is not None)
+        assert check_step(1, x is not None, x, list(c[:-1]), c[-1], (), ()) is None
         if len(c) >= 2:
             stack = ObjectiveStack(c)
             assert combination_multipliers(stack) == combination_multipliers_reference(stack)
@@ -359,6 +365,24 @@ def test_efficiency_answers_do_not_leak_between_stacks(problem, data):
     for x in points:
         assert is_efficient(warm, stack, x) == is_efficient(Polytope(a, b), stack, x)
         assert is_efficient(warm, reduced, x) == is_efficient(Polytope(a, b), reduced, x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(capped_problems(), st.data())
+def test_equalizing_weights_match_lp_reference(problem, data):
+    # The weights are the end point of a Stiemke system's phase 1, not the
+    # LP's optimum: they must exist exactly when the LP finds some, and
+    # pass the step-4 check over every vertex.  A stack of equal rows, or
+    # of rows that tie on the vertices, always has weights.
+    a, b, rows = problem
+    vertices = enumerate_vertices(Polytope(a, b))
+    if data.draw(st.booleans()):
+        rows = rows[:1] * len(rows)
+    f = ObjectiveStack(rows)
+    w = equalizing_weights(f, vertices)
+    assert (w is None) == (equalizing_weights_reference(f, vertices) is None)
+    if w is not None:
+        assert check_step(4, True, w, list(rows), rows[0], a, b) is None
 
 
 @st.composite

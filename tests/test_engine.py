@@ -181,9 +181,10 @@ def test_float_entries_raise_type_error_naming_their_position():
     assert v.outcome in Outcome
 
 
-def test_reduce_over_problems_solves_20_lps(monkeypatch):
-    # Only certificates are built by LPs; one LP per answer of steps 0 to 2
-    # would make 42.
+def test_reduce_over_problems_solves_no_lp(monkeypatch):
+    # Every certificate is read off the integer phase 1 that decides its
+    # answer.  Building each by an LP made 20 here, and one LP per answer
+    # of steps 0 to 2 made 42.
     solved = []
     solve = simplex.solve
 
@@ -197,7 +198,18 @@ def test_reduce_over_problems_solves_20_lps(monkeypatch):
             reduce_objectives(parse_document(path.read_text()).problem)
         except InfeasibleRegion:
             assert path.name == "empty_region.json"
-    assert len(solved) == 20
+    assert len(solved) == 0
+
+
+def test_no_library_module_holds_the_simplex():
+    # objred loads objred.simplex as a public solver; no other module of
+    # the library holds it or any of its names.
+    own = [simplex] + [v for v in vars(simplex).values() if getattr(v, "__module__", None) == simplex.__name__]
+    assert simplex.solve in own and simplex.LpProblem in own
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("objred.") and name != "objred.simplex":
+            held = [attr for attr, value in vars(module).items() if any(value is v for v in own)]
+            assert not held, (name, held)
 
 
 def test_step3_fixtures():

@@ -1,12 +1,18 @@
 """Every verdict in the golden corpus, certificates included, is reproduced
-exactly.  The corpus and how it is built are described in
+exactly, solving no LP, and ``objred.verify`` accepts every certificate in
+it.  The corpus and how it is built are described in
 scripts/freeze_golden.py."""
 
 import importlib.util
 import json
 import pathlib
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+
+from objred import parse_document, simplex
+from objred.verify import check_verdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("freeze_golden", ROOT / "scripts" / "freeze_golden.py")
@@ -16,15 +22,79 @@ _spec.loader.exec_module(freeze_golden)
 GOLDEN = json.loads(freeze_golden.GOLDEN.read_text())
 
 
+def _raise_on_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
 def test_corpus_has_every_section():
     assert sorted(GOLDEN) == sorted(freeze_golden.SECTIONS)
 
 
 @pytest.mark.parametrize("section", sorted(freeze_golden.SECTIONS))
-def test_section_matches_golden(section):
+def test_section_matches_golden(section, monkeypatch):
+    # Every certificate is read off the integer phase 1 that decides its
+    # answer, so no section solves an LP.
+    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
     # Round-trip through JSON so tuples and lists compare alike.
     fresh = json.loads(json.dumps(freeze_golden.SECTIONS[section]()))
     golden = GOLDEN[section]
     assert len(fresh) == len(golden)
     for key, expected in golden.items() if isinstance(golden, dict) else enumerate(golden):
         assert fresh[key] == expected, f"{section}[{key!r}] differs from the golden file"
+
+
+def _certificate(value):
+    """A certificate as the library returns it, from its JSON form."""
+    if isinstance(value, dict):
+        return {key: _certificate(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return tuple(_certificate(v) for v in value)
+    return Fraction(value)
+
+
+def _verdict(entry):
+    """The attributes of a Verdict that ``check_verdict`` reads."""
+    certificates = entry.get("certificates", {})
+    trace = [
+        SimpleNamespace(
+            step=t["step"],
+            answer=t["answer"],
+            certificate=_certificate(certificates[str(t["step"])]) if str(t["step"]) in certificates else None,
+        )
+        for t in entry["trace"]
+    ]
+    return SimpleNamespace(candidate=entry["candidate"] - 1, decided_at=entry["decided_at_step"], trace=trace)
+
+
+def _checks(problem, entries, deleting=False):
+    """(entry, fault) for each verdict of ``entries`` on ``problem``; when
+    ``deleting``, as in a reduce, a nonessential verdict deletes its
+    candidate from the objectives the later ones see."""
+    rows = list(problem.objectives)
+    for entry in entries:
+        if "error" in entry:
+            continue
+        yield entry, check_verdict(rows, problem.a, problem.b, _verdict(entry))
+        if deleting and entry["outcome"] == "nonessential":
+            del rows[entry["candidate"] - 1]
+
+
+def _golden_checks():
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        problem = parse_document(path.read_bytes()).problem
+        golden = GOLDEN["problems"][path.name]
+        yield from _checks(problem, golden["classify"])
+        yield from _checks(problem, golden["reduce"].get("verdicts", []), deleting=True)
+    for section in ("classify", "unbounded"):
+        inputs = getattr(freeze_golden, f"{section}_inputs")()
+        yield from (check for problem, entry in zip(inputs, GOLDEN[section]) for check in _checks(problem, [entry]))
+    for problem, entry in zip(freeze_golden.reduce_inputs(), GOLDEN["reduce"]):
+        yield from _checks(problem, entry.get("verdicts", []), deleting=True)
+
+
+def test_verify_accepts_every_golden_certificate():
+    checked = 0
+    for entry, fault in _golden_checks():
+        assert fault is None, (fault, entry)
+        checked += 1
+    assert checked >= 300

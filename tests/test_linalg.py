@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from objred.linalg import (
     ZERO,
     dot,
+    farkas,
     has_nonnegative_solution,
     integer_frame,
     integer_rows,
@@ -262,6 +263,40 @@ def test_nonnegative_solution_is_the_simplex_phase_1_point(m):
     assert (y is None) == (out.status is LpStatus.INFEASIBLE)
     assert y == out.point
     assert has_nonnegative_solution(integer_rows(m)) == (y is not None)
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer equations row[:-1] . y = row[-1], up to 5 rows and 7 columns,
+    with right-hand sides of both signs, so that phase 1 negates some rows;
+    half of them get a right-hand side planted at some y >= 0."""
+    c = draw(st.integers(1, 7))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(c + 1)] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        y = [draw(st.integers(0, 2)) for _ in range(c)]
+        for row in rows:
+            row[-1] = sum(a * b for a, b in zip(row, y))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_systems())
+@example([[1, 1, -1]])  # a negated row: s_i = -1
+@example([[1, 0, 1], [1, 0, 2]])  # one pivot, so u is nonzero: z is (1 + u) s, not u s
+@example([[2, -1, 3], [1, 1, -2], [0, 1, 1]])
+def test_farkas_certifies_exactly_the_infeasible_systems(rows):
+    # None exactly when some y >= 0 solves the rows, and then there is one;
+    # otherwise z . column <= 0 on every column and z . rhs > 0, which
+    # proves by itself that none does.
+    z = farkas(rows)
+    assert (z is None) == has_nonnegative_solution(rows)
+    if z is None:
+        y = nonnegative_solution(frows(*rows))
+        assert all(dot(row[:-1], y) == row[-1] for row in rows) and min(y) >= 0
+        return
+    assert len(z) == len(rows)
+    assert all(dot(z, column) <= 0 for column in list(zip(*rows))[:-1])
+    assert dot(z, [row[-1] for row in rows]) > 0
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40).filter(bool))

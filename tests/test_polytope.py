@@ -22,6 +22,8 @@ from objred.polytope import (
     zero_set,
 )
 
+from objred.verify import check_step
+
 from helpers import (
     CUBE,
     SEGMENT,
@@ -29,6 +31,7 @@ from helpers import (
     count_feasible_bases,
     enumerate_vertices_reference,
     face_vertex_sets_reference,
+    find_interior_point_reference,
     frows,
     fvec,
     is_bounded_reference,
@@ -247,10 +250,15 @@ def test_vertices_are_members(p):
         assert contains(p, v)
 
 
-@settings(deadline=None, max_examples=60)
-@given(polytopes())
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(polytopes(), degenerate_polytopes()))
 def test_interior_point_when_found_is_strictly_inside(p):
+    # The point is read off the phase 1 of the strict system, not the LP's
+    # optimal margin: it must exist exactly when the LP finds a positive
+    # margin, and pass the step-3 check.
     x = find_interior_point(p)
+    assert (x is None) == (find_interior_point_reference(p) is None)
+    assert check_step(3, x is not None, x, [], (0,) * p.dim, p.a, p.b) is None
     if x is None:
         return
     assert all(c > 0 for c in x)
