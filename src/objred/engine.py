@@ -235,11 +235,15 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     the combination test at step 0 is region-independent and is reported
     before either check.
     """
-    return _classify(problem, candidate, problem.region())
+    return _classify(problem, candidate, problem.region(), [])
 
 
-def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> Verdict:
-    """classify() on a region object whose facts may already be known."""
+def _classify(
+    problem: MolpProblem, candidate: int | None, region: Polytope, cone: list[Vector | None]
+) -> Verdict:
+    """classify() on a region object whose facts may already be known.
+    ``cone`` holds the full stack's step-1 direction once it is found: it
+    depends on the problem alone, so a reduce pass shares one."""
     if candidate is None:
         candidate = problem.n_objectives - 1
     if not 0 <= candidate < problem.n_objectives:
@@ -260,7 +264,9 @@ def _classify(problem: MolpProblem, candidate: int | None, region: Polytope) -> 
 
     # The full stack in the problem's own order, so that the direction does
     # not depend on the candidate.
-    direction = find_cone_point(problem.objectives)
+    if not cone:
+        cone.append(find_cone_point(problem.objectives))
+    direction = cone[0]
     trace.append(_entry(Step.IMPROVEMENT_CONE, direction))
 
     if direction is None:
@@ -377,7 +383,8 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     after a deletion, so later (typically auxiliary) objectives go first;
     history records every classification performed, keyed by the original
     objective index.  All classifications share one region object, so each
-    region fact is computed once per call.
+    region fact is computed once per call, and the candidates of a pass
+    share the full stack's step-1 direction.
     """
     rows = list(problem.objectives)
     labels = list(range(len(rows)))
@@ -387,9 +394,10 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     removed = True
     while removed and len(rows) > 1:
         removed = False
+        current = MolpProblem(tuple(rows), problem.a, problem.b)
+        cone: list[Vector | None] = []
         for pos in reversed(range(len(rows))):
-            current = MolpProblem(tuple(rows), problem.a, problem.b)
-            result = _classify(current, pos, region)
+            result = _classify(current, pos, region, cone)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))

@@ -19,6 +19,7 @@ from objred import (
     Step,
     classify,
     efficiency,
+    engine,
     parse_document,
     polytope,
     reduce_objectives,
@@ -199,6 +200,39 @@ def test_reduce_over_problems_solves_no_lp(monkeypatch):
         except InfeasibleRegion:
             assert path.name == "empty_region.json"
     assert len(solved) == 0
+
+
+def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
+    # The step-1 direction depends on the problem alone, so the candidates
+    # of one reduce pass share it.  Over problems/, 17 classifications make
+    # 13 cone tests (step-2 tests included); one per candidate made 21.
+    calls = []
+    find = engine.find_cone_point
+    monkeypatch.setattr(engine, "find_cone_point", lambda c: calls.append(c) or find(c))
+    reduced = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = parse_document(path.read_text()).problem
+        try:
+            reduced.append((problem, reduce_objectives(problem)))
+        except InfeasibleRegion:
+            pass
+    assert (sum(len(result.history) for _, result in reduced), len(calls)) == (17, 13)
+    # Each shared direction is the one classify finds on its own.
+    for problem, result in reduced:
+        assert [v for _, v in result.history] == list(_replayed(problem, result))
+
+
+def _replayed(problem, result):
+    """Each classification of ``result.history`` run again by ``classify``
+    on the objectives left at that point."""
+    rows = list(problem.objectives)
+    labels = list(range(len(rows)))
+    for label, verdict in result.history:
+        pos = labels.index(label)
+        yield classify(MolpProblem(tuple(rows), problem.a, problem.b), pos)
+        if verdict.outcome is Outcome.NONESSENTIAL:
+            del rows[pos]
+            del labels[pos]
 
 
 def test_no_library_module_holds_the_simplex():
