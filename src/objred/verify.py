@@ -63,10 +63,11 @@ def check_verdict(objectives: Sequence[Row], a: Sequence[Row], b: Row, verdict: 
     if not verdict.trace or verdict.trace[-1].step != verdict.decided_at:
         return "decided_at is not the last traced step"
     others = [row for i, row in enumerate(objectives) if i != verdict.candidate]
+    target = objectives[verdict.candidate]
     face: Sequence[Row] = ()
     for entry in verdict.trace:
         step = int(entry.step)
-        problem = check_step(step, entry.answer, entry.certificate, others, objectives[verdict.candidate], a, b, face)
+        problem = check_step(step, entry.answer, entry.certificate, others, target, a, b, face)
         if problem:
             return f"step {step}: {problem}"
         if step == 5:
@@ -74,7 +75,16 @@ def check_verdict(objectives: Sequence[Row], a: Sequence[Row], b: Row, verdict: 
     return None
 
 
-def check_step(step, answer, cert, others, target, a, b, face=()) -> str | None:
+def check_step(
+    step: int,
+    answer: bool,
+    cert: Any,
+    others: Sequence[Row],
+    target: Row,
+    a: Sequence[Row],
+    b: Row,
+    face: Sequence[Row] = (),
+) -> str | None:
     """Check one trace entry of a verdict on ``target``, the candidate's row,
     with ``others`` the other objectives; ``face`` is step 5's certificate."""
     k = len(target)
@@ -86,13 +96,15 @@ def check_step(step, answer, cert, others, target, a, b, face=()) -> str | None:
         rebuilt = tuple(sum((c * row[j] for c, row in zip(cert, others)), Fraction(0)) for j in range(k))
         return None if rebuilt == tuple(target) else "multipliers do not rebuild the row"
     if step in (1, 2):
-        values = [_dot(row, cert) for row in (others + [target] if step == 1 else others)]
+        values = [_dot(row, cert) for row in ([*others, target] if step == 1 else others)]
         if len(cert) != k or any(v < 0 for v in values) or not any(values):
             return "direction is not semipositive improving"
         return None
     if step == 3:
-        strict = len(cert) == k and all(v > 0 for v in cert) and all(_dot(row, cert) < r for row, r in zip(a, b))
-        return None if strict else "point is not strictly interior"
+        strict = len(cert) == k and all(v > 0 for v in cert)
+        if strict and all(_dot(row, cert) < r for row, r in zip(a, b)):
+            return None
+        return "point is not strictly interior"
     if step == 4:
         if not answer:  # no weights exist, or an inefficient vertex
             if cert is None or tuple(cert) in vertices(a, b):
@@ -100,7 +112,7 @@ def check_step(step, answer, cert, others, target, a, b, face=()) -> str | None:
             return "bad vertex is not a vertex"
         if len(cert) != len(others) or any(w <= 0 for w in cert) or sum(cert) != 1:
             return "weights not positive or not summing to one"
-        weighted = {sum((w * _dot(row, v) for w, row in zip(cert, others)), Fraction(0)) for v in vertices(a, b)}
+        weighted = {_dot(cert, [_dot(row, v) for row in others]) for v in vertices(a, b)}
         return None if len(weighted) == 1 else "weights do not equalize the vertices"
     if step == 5:
         if not cert or not all(_feasible(a, b, v) for v in cert):

@@ -238,7 +238,8 @@ def _replayed(problem, result):
 def test_no_library_module_holds_the_simplex():
     # objred loads objred.simplex as a public solver; no other module of
     # the library holds it or any of its names.
-    own = [simplex] + [v for v in vars(simplex).values() if getattr(v, "__module__", None) == simplex.__name__]
+    own = [v for v in vars(simplex).values() if getattr(v, "__module__", None) == simplex.__name__]
+    own.append(simplex)
     assert simplex.solve in own and simplex.LpProblem in own
     for name, module in sorted(sys.modules.items()):
         if name.startswith("objred.") and name != "objred.simplex":

@@ -54,16 +54,13 @@ def _certificate(value):
 
 def _verdict(entry):
     """The attributes of a Verdict that ``check_verdict`` reads."""
-    certificates = entry.get("certificates", {})
+    certificates = {int(step): _certificate(c) for step, c in entry.get("certificates", {}).items()}
     trace = [
-        SimpleNamespace(
-            step=t["step"],
-            answer=t["answer"],
-            certificate=_certificate(certificates[str(t["step"])]) if str(t["step"]) in certificates else None,
-        )
+        SimpleNamespace(step=t["step"], answer=t["answer"], certificate=certificates.get(t["step"]))
         for t in entry["trace"]
     ]
-    return SimpleNamespace(candidate=entry["candidate"] - 1, decided_at=entry["decided_at_step"], trace=trace)
+    candidate = entry["candidate"] - 1
+    return SimpleNamespace(candidate=candidate, decided_at=entry["decided_at_step"], trace=trace)
 
 
 def _checks(problem, entries, deleting=False):
@@ -86,8 +83,8 @@ def _golden_checks():
         yield from _checks(problem, golden["classify"])
         yield from _checks(problem, golden["reduce"].get("verdicts", []), deleting=True)
     for section in ("classify", "unbounded"):
-        inputs = getattr(freeze_golden, f"{section}_inputs")()
-        yield from (check for problem, entry in zip(inputs, GOLDEN[section]) for check in _checks(problem, [entry]))
+        for problem, entry in zip(getattr(freeze_golden, f"{section}_inputs")(), GOLDEN[section]):
+            yield from _checks(problem, [entry])
     for problem, entry in zip(freeze_golden.reduce_inputs(), GOLDEN["reduce"]):
         yield from _checks(problem, entry.get("verdicts", []), deleting=True)
 
@@ -98,3 +95,22 @@ def test_verify_accepts_every_golden_certificate():
         assert fault is None, (fault, entry)
         checked += 1
     assert checked >= 300
+
+
+# Perturbations that break any certificate of a step: doubled multipliers no
+# longer rebuild a nonzero row, a negated direction lowers some objective, a
+# negated point leaves x > 0, and doubled weights sum to 2.
+_PERTURB = {0: 2, 1: -1, 2: -1, 3: -1, 4: 2}
+
+
+def test_verify_rejects_perturbed_certificates():
+    rejected = set()
+    for problem, entry in zip(freeze_golden.classify_inputs(), GOLDEN["classify"]):
+        verdict = _verdict(entry)
+        for t in verdict.trace:
+            if t.answer and t.step in _PERTURB and t.step not in rejected:
+                kept, t.certificate = t.certificate, tuple(_PERTURB[t.step] * c for c in t.certificate)
+                assert check_verdict(problem.objectives, problem.a, problem.b, verdict) is not None, entry
+                t.certificate = kept
+                rejected.add(t.step)
+    assert rejected == set(_PERTURB)

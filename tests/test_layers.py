@@ -37,9 +37,9 @@ def test_every_traced_layer_function_resolves():
     # would vanish from the traced result line with no error.
     layers = _traced_layers()
     assert "simplex" in layers
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _RESOLVE, json.dumps(layers)], capture_output=True, text=True, env=env, timeout=60
-    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _RESOLVE, json.dumps(layers)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
