@@ -6,10 +6,12 @@ feasibility problem over the normal cone of the constraints tight at the
 point, after Isermann 1974), and the search for strictly positive weights
 that equalize the weighted objective value across vertices.
 
-The efficiency test reads only the point's zero set, and the cone test's
-"no" is Stiemke's alternative, a positive y with C^T y = 0, which is the
-efficiency test where nothing is tight: both build one system (``_isermann``)
-decided by one integer phase 1 of ``linalg``.  Each certificate is read off
+The efficiency test reads only the point's zero set: a vertex's is at its
+index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
+the meet of its vertices', so no vertex is hashed.  The cone test's "no" is
+Stiemke's alternative, a positive y with C^T y = 0, which is the efficiency
+test where nothing is tight: both build one system (``_isermann``) decided
+by one integer phase 1 of ``linalg``.  Each certificate is read off
 the phase 1 that decides its answer: a direction is the Farkas vector of the
 cone test's "no" (``linalg.farkas``), and the weights are the end point of a
 Stiemke system (``linalg.integer_solution``).  No LP is solved.
@@ -139,7 +141,7 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
 
 def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     """``is_efficient`` at a point of zero set ``zeros``, such as a vertex's
-    in ``p.search[0]``; the answer is kept in ``p.efficient``."""
+    in ``p.zero_sets``; the answer is kept in ``p.efficient``."""
     if f.dim != p.dim:
         raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
     key = (f.row_set, zeros)
@@ -154,7 +156,7 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:
     """The efficient vertices of the region, sorted lexicographically."""
-    return tuple(v for v, zeros in p.search[0].items() if efficient_at(p, f, zeros))
+    return tuple(v for v, zeros in zip(p.vertices, p.zero_sets) if efficient_at(p, f, zeros))
 
 
 def efficient_point_outside(
@@ -169,18 +171,18 @@ def efficient_point_outside(
     Faces whose vertices are not all outer-efficient cannot be
     outer-efficient and are skipped.  Only valid on bounded regions.
     """
-    outer_eff = {v: zeros for v, zeros in p.search[0].items() if efficient_at(p, outer, zeros)}
-    for v, zeros in outer_eff.items():
-        if not efficient_at(p, inner, zeros):
+    vertices, zero_sets = p.vertices, p.zero_sets
+    outer_eff = [efficient_at(p, outer, zeros) for zeros in zero_sets]
+    for v, zeros, efficient in zip(vertices, zero_sets, outer_eff):
+        if efficient and not efficient_at(p, inner, zeros):
             return v
     for face in p.faces:
-        sets = [outer_eff.get(v) for v in face]
-        if len(face) < 2 or None in sets:
+        if len(face) < 2 or not all(outer_eff[i] for i in face):
             continue
-        zeros = frozenset.intersection(*sets)
+        zeros = frozenset.intersection(*(zero_sets[i] for i in face))
         if efficient_at(p, outer, zeros) and not efficient_at(p, inner, zeros):
             size = Fraction(len(face))
-            return tuple(sum(column) / size for column in zip(*face))
+            return tuple(sum(column) / size for column in zip(*(vertices[i] for i in face)))
     return None
 
 

@@ -61,7 +61,9 @@ from .polytope import (
     interior_nonempty,
     is_bounded,
     nonempty,
+    optimal_face,
     optimal_face_vertices,
+    vertex_indices,
 )
 
 # Containment notes attached to verdicts.  The first one is proven on its
@@ -203,10 +205,8 @@ def _require_bounded(region: Polytope, what: str) -> None:
 def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: bool) -> TraceEntry:
     """Step 4: a vertex the reduced stack leaves inefficient, or else strictly
     positive weights equalizing the reduced stack across all vertices."""
-    bad = next(
-        (v for v, zeros in region.search[0].items() if not efficient_at(region, reduced, zeros)),
-        None,
-    )
+    pairs = zip(region.vertices, region.zero_sets)
+    bad = next((v for v, zeros in pairs if not efficient_at(region, reduced, zeros)), None)
     if bad is not None:
         return TraceEntry(Step.ALL_EFFICIENT, False, bad)
     if check_bounded:
@@ -215,12 +215,12 @@ def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: boo
 
 
 def _face_efficient(
-    region: Polytope, reduced: ObjectiveStack, face: tuple[Vector, ...], check_bounded: bool
+    region: Polytope, reduced: ObjectiveStack, face: list[int], check_bounded: bool
 ) -> TraceEntry:
-    """Step 6: a vertex of the candidate's optimal face that stays efficient
-    for the reduced stack."""
-    zero_sets = region.search[0]
-    witness = next((v for v in face if efficient_at(region, reduced, zero_sets[v])), None)
+    """Step 6: a vertex of the candidate's optimal face, given by its indices
+    in ``region.vertices``, that stays efficient for the reduced stack."""
+    vertices, zero_sets = region.vertices, region.zero_sets
+    witness = next((vertices[i] for i in face if efficient_at(region, reduced, zero_sets[i])), None)
     if witness is None and check_bounded:
         _require_bounded(region, "the optimal-face separation argument")
     return _entry(Step.FACE_EFFICIENT, witness)
@@ -290,10 +290,10 @@ def _classify(
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
 
     try:
-        face = optimal_face_vertices(region, full.rows[-1])
+        face = optimal_face(region, full.rows[-1])
     except UnboundedObjective as exc:
         raise UnboundedRegion(str(exc)) from exc
-    trace.append(TraceEntry(Step.OPTIMAL_FACE, True, face))
+    trace.append(TraceEntry(Step.OPTIMAL_FACE, True, tuple(region.vertices[i] for i in face)))
 
     trace.append(_face_efficient(region, reduced, face, check_bounded=True))
     if not trace[-1].answer:
@@ -351,9 +351,8 @@ def step5(region: Polytope, stack: ObjectiveStack) -> tuple[Vector, ...]:
 def step6(
     region: Polytope, stack: ObjectiveStack, face: tuple[Vector, ...] | None = None
 ) -> bool:
-    if face is None:
-        face = step5(region, stack)
-    return _face_efficient(region, stack.drop(stack.count - 1), face, check_bounded=False).answer
+    indices = optimal_face(region, stack.rows[-1]) if face is None else vertex_indices(region, face)
+    return _face_efficient(region, stack.drop(stack.count - 1), indices, check_bounded=False).answer
 
 
 def step7(region: Polytope, stack: ObjectiveStack) -> bool:

@@ -3,7 +3,7 @@
 Everything here pivots one integer dictionary of the slack-extended system
 [A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  ``start`` is
 its first feasible basis, found by a phase 1 of Bland's rule when some
-b_i < 0; there is none iff the region is empty.  From it, ``search`` pivots
+b_i < 0; there is none iff the region is empty.  From it, ``walk`` pivots
 from basis to adjacent feasible basis on the edges Bland's rule can take
 (in the feasible-basis graph of Avis & Fukuda's reverse search) and yields
 the vertices and the rays it meets: the region is bounded iff it meets none,
@@ -15,8 +15,11 @@ of its phase 1s; no LP is solved.
 
 A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
 is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
-it: ``search`` reads each vertex's off a dictionary, and ``zero_set`` compares
-any point with the integer rows of [A | b].  Faces are read from these sets.
+it: ``walk`` reads each vertex's off a dictionary, and ``zero_set`` compares
+any point with the integer rows of [A | b].  The search runs in integers: a
+vertex is a primitive key (x, d), d > 0, for x / d, with its zero set at its
+index in ``zero_sets`` and its ``Fraction``s built once, in ``vertices``; a
+face is a tuple of vertex indices (``faces``).  ``search`` is a dict view.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import InfeasibleRegion, UnboundedObjective
 from .linalg import (
@@ -43,6 +45,8 @@ from .linalg import (
     ratio,
     require_rational,
 )
+
+Key = tuple[int, ...]  # a vertex x / d as primitive (x, d), d > 0; a ray's x-part
 
 
 @dataclass(frozen=True)
@@ -77,18 +81,55 @@ class Polytope:
         return _first_feasible(self)
 
     @cached_property
+    def walk(self) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], frozenset[Key]]:
+        """The integer vertex search from ``start``: see ``_search``."""
+        return _search(self)
+
+    @property
+    def zero_sets(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's zero set, at its index in ``vertices``."""
+        return self.walk[1]
+
+    @cached_property
     def search(self) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector]]:
         """The vertices, sorted, each with its zero set, and the x-parts of
-        the rays met by the search over the feasible bases from ``start``."""
-        return _search(self)
+        the rays, each scaled so that its first nonzero entry is 1."""
+        return dict(zip(self.vertices, self.zero_sets)), frozenset(map(_normalized, self.walk[2]))
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
         return enumerate_vertices(self)
 
     @cached_property
-    def faces(self) -> tuple[tuple[Vector, ...], ...]:
-        return face_vertex_sets(self)
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Every nonempty face of a bounded region as the increasing indices
+        of its vertices in ``vertices``, by size and then by those indices.
+
+        Each column c of [A | I] y = b (a sign bound x_c >= 0 or a row)
+        supports a face whose vertices are those with c in their zero set,
+        and the other faces are intersections of those: the face lattice is
+        the closure of these facets under intersection, with the region
+        itself as the set of all vertices.  Only meaningful on a bounded
+        region, since an unbounded face is not spanned by its vertices.
+        """
+        zero_sets = self.zero_sets
+        everything = frozenset(range(len(zero_sets)))
+        on_facet: list[set[int]] = [set() for _ in range(self.dim + len(self.a))]
+        for index, zeros in enumerate(zero_sets):
+            for c in zeros:
+                on_facet[c].add(index)
+        facets = [frozenset(s) for s in on_facet]
+        closed: set[frozenset[int]] = {everything} if zero_sets else set()
+        queue = list(closed)
+        while queue:
+            current = queue.pop()
+            for facet in facets:
+                meet = current & facet
+                if meet and meet not in closed:
+                    closed.add(meet)
+                    queue.append(meet)
+        faces = sorted(tuple(sorted(members)) for members in closed)
+        return tuple(sorted(faces, key=len))  # stable: by size, then by indices
 
     @cached_property
     def interior_point(self) -> Vector | None:
@@ -142,23 +183,24 @@ def contains(p: Polytope, x: Vector) -> bool:
 
 
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
-    """All vertices of the region, sorted lexicographically, as found by its
-    vertex search (``Polytope.search``)."""
-    return tuple(p.search[0])
+    """All vertices of the region, sorted lexicographically: x / d for each
+    key (x, d) of its vertex search (``Polytope.walk``)."""
+    return tuple(tuple(ratio(c, key[-1]) for c in key[:-1]) for key in p.walk[0])
 
 
-def _search(p: Polytope) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector]]:
-    """The vertices, sorted, each with its zero set (the columns not basic
-    at a nonzero value, in any of its bases), and the x-parts of the rays
-    met, by a search over the feasible bases of [A | I] y = b from ``start``.
+def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], frozenset[Key]]:
+    """The vertices' keys, sorted, their zero sets (the columns not basic at
+    a nonzero value), aligned, and the primitive x-parts of the rays met, by
+    a search over the feasible bases of [A | I] y = b from ``start``, each
+    visited once, keyed by the bitmask of its columns, at one ``pivot``.
 
-    Each nonbasic column j of a basis enters on Bland's row, the tied
-    minimum-ratio row of lowest basic index (``linalg.leaving_row``), or is
-    a ray if it has none: x-part r_j = 1 if j < k and r_c = -rows[i][j] / d
-    for each basic x-column c = basis[i], scaled so that its first nonzero
-    entry is 1 (r >= 0, as x >= 0), so that each direction is kept once.
-    Each basis is visited once, keyed by its set of columns, at the cost of
-    one ``pivot``.
+    A basis over d is at x / d, x its basic x-columns' values: key (x, d)
+    over their gcd, d > 0, with the zero set of the first basis met there.
+    x over the keys' common denominator sorts them.  Each nonbasic column j
+    enters on Bland's row, the tied minimum-ratio row of lowest basic index
+    (``linalg.leaving_row``), or is a ray if it has none: x-part r / d >= 0
+    (as x >= 0), r_j = d if j < k and r_c = -rows[i][j] for each basic
+    x-column c = basis[i], kept primitive so that each direction is kept once.
 
     Bland's rule on any c from ``start`` takes only these edges, so every
     path it takes lies in the search: every vertex is reached, as some c is
@@ -169,46 +211,58 @@ def _search(p: Polytope) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector
     of ``instances.ordered_cone(6)``.
     """
     if p.start is None:
-        return {}, frozenset()
+        return (), (), frozenset()
     k = p.dim
     n = k + len(p.a)
+    everything = frozenset(range(n))
     stack = [p.start]
-    seen = {frozenset(p.start[0])}
-    vertices: dict[Vector, frozenset[int]] = {}
-    rays: set[Vector] = set()
+    seen = {sum(1 << c for c in p.start[0])}
+    found: dict[Key, frozenset[int]] = {}
+    rays: set[Key] = set()
     while stack:
         basis, rows, d = stack.pop()
-        x = [ZERO] * k
+        x = [0] * k + [d]
         for c, row in zip(basis, rows):
             if c < k:
-                x[c] = ratio(row[-1], d)
-        vertices[tuple(x)] = frozenset(range(n)).difference(c for c, row in zip(basis, rows) if row[-1])
-        basic = set(basis)
+                x[c] = row[-1]
+        key = _primitive(x, d)
+        if key not in found:
+            found[key] = everything.difference(c for c, row in zip(basis, rows) if row[-1])
+        mask = sum(1 << c for c in basis)
         for j in range(n):
-            if j in basic:
+            if mask >> j & 1:
                 continue
             i = leaving_row(rows, basis, j, d)
             if i is None:
-                r = [ONE if c == j else ZERO for c in range(k)]
+                r = [d if c == j else 0 for c in range(k)]
                 for c, row in zip(basis, rows):
                     if c < k:
-                        r[c] = Fraction(-row[j], d)
-                rays.add(_normalized(r))
+                        r[c] = -row[j]
+                rays.add(_primitive(r, d))
                 continue
-            neighbour = basis.copy()
-            neighbour[i] = j
-            key = frozenset(neighbour)
-            if key not in seen:
-                seen.add(key)
+            neighbour = mask ^ 1 << basis[i] ^ 1 << j
+            if neighbour not in seen:
+                seen.add(neighbour)
                 after = list(rows)
-                stack.append((neighbour, after, pivot(after, i, j, d)))
-    return dict(sorted(vertices.items())), frozenset(rays)
+                changed = basis.copy()
+                changed[i] = j
+                stack.append((changed, after, pivot(after, i, j, d)))
+    scale = math.lcm(*(key[-1] for key in found))
+    keys = sorted(found, key=lambda key: [c * (scale // key[-1]) for c in key[:-1]])
+    return tuple(keys), tuple(found[key] for key in keys), frozenset(rays)
+
+
+def _primitive(v: list[int], d: int) -> Key:
+    """v divided by its gcd, and negated when d < 0."""
+    g = math.gcd(*v) if d > 0 else -math.gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def _first_feasible(p: Polytope) -> Dictionary | None:
     """A feasible dictionary of [A | I] y = b, or None iff the region is
-    empty.  The slack-basis dictionary is ``integer_frame`` of [A | I | b],
-    over d > 0; it is feasible when b >= 0.  Otherwise phase 1 adds one
+    empty.  The slack-basis dictionary is d [A | I | b] over d > 0, the
+    product of the rows' denominator LCMs (``integer_frame`` of [A | b]); it
+    is feasible when b >= 0.  Otherwise phase 1 adds one
     auxiliary column x0 = n with -1 in every row and a cost row for max
     -x0; x0 enters on the row of the most negative b_i, which makes the
     dictionary feasible, and Bland's rule then drives x0 to its least value.
@@ -220,10 +274,8 @@ def _first_feasible(p: Polytope) -> Dictionary | None:
     m = len(p.a)
     k = p.dim
     n = k + m
-    rows, d = integer_frame(
-        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
-        for i, row in enumerate(p.a)
-    )
+    rows, d = integer_frame(tuple(row) + (rhs,) for row, rhs in zip(p.a, p.b))
+    rows = [row[:k] + [d if j == i else 0 for j in range(m)] + row[k:] for i, row in enumerate(rows)]
     basis = list(range(k, n))
     if any(row[-1] < 0 for row in rows):
         rows = [row[:n] + [-d] + row[n:] for row in rows]
@@ -275,65 +327,52 @@ def nonempty(p: Polytope) -> bool:
 def is_bounded(p: Polytope) -> bool:
     """True when the region is bounded; an empty region counts as bounded.
     It is bounded iff its vertex search meets no ray."""
-    return not p.search[1]
+    return not p.walk[2]
 
 
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
-    """Vertex sets of every nonempty face of a bounded region, sorted.
-
-    Each column c of [A | I] y = b (a sign bound x_c >= 0 or a constraint
-    row) supports a face whose vertices are exactly those with c in their
-    zero set, read from the vertex search, and the remaining faces are
-    intersections of those, so the full face lattice is the closure of the
-    facet vertex sets under intersection.  The region itself appears as the
-    set of all vertices.  Faces are returned as tuples of vertices, ordered
-    by size and then lexicographically; only meaningful when the region is
-    bounded, since an unbounded face is not spanned by its vertices.
-    """
+    """Vertex sets of every nonempty face of a bounded region, sorted: the
+    vertices of each face of ``Polytope.faces``."""
     vertices = p.vertices
-    everything = frozenset(range(len(vertices)))
-    on_facet: list[set[int]] = [set() for _ in range(p.dim + len(p.a))]
-    for index, zeros in enumerate(p.search[0].values()):
-        for c in zeros:
-            on_facet[c].add(index)
-    facets = [frozenset(s) for s in on_facet]
-    closed: set[frozenset[int]] = {everything} if vertices else set()
-    queue = [everything] if vertices else []
-    while queue:
-        current = queue.pop()
-        for facet in facets:
-            meet = current & facet
-            if meet and meet not in closed:
-                closed.add(meet)
-                queue.append(meet)
-    faces = [tuple(vertices[i] for i in sorted(members)) for members in closed]
-    return tuple(sorted(faces, key=lambda face: (len(face), face)))
+    return tuple(tuple(vertices[i] for i in face) for face in p.faces)
+
+
+def vertex_indices(p: Polytope, points: tuple[Vector, ...]) -> list[int]:
+    """Each point's index in ``p.vertices``; ValueError names a non-vertex."""
+    index = {v: i for i, v in enumerate(p.vertices)}
+    if missing := [x for x in points if tuple(x) not in index]:
+        raise ValueError(f"({', '.join(map(str, missing[0]))}) is not a vertex of the region")
+    return [index[tuple(x)] for x in points]
 
 
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
-    """Vertices of the region where c . x attains its maximum, sorted.
+    """Vertices of the region where c . x attains its maximum, sorted."""
+    return tuple(p.vertices[i] for i in optimal_face(p, c))
 
-    c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
+
+def optimal_face(p: Polytope, c: Vector) -> list[int]:
+    """The indices in ``p.vertices``, increasing, of the vertices where c . x
+    attains its maximum.  c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
     search (see ``_search``); otherwise the maximum is attained at a vertex,
-    so it is the best c . v over the vertices, each compared in integers over
-    its common denominator.  Raises InfeasibleRegion on an empty region and
-    UnboundedObjective when c . x has no finite maximum, and TypeError on an
-    entry of c that is neither an int nor a Fraction.
+    so it is the best c . x / d over the vertices' keys (x, d), compared in
+    integers by cross-multiplying.  Raises InfeasibleRegion on an empty
+    region and UnboundedObjective when c . x has no finite maximum, and
+    TypeError on an entry of c that is neither an int nor a Fraction.
     """
     require_rational((c,), "c".format)
     if p.start is None:
         raise InfeasibleRegion("region is empty")
     (cs,) = integer_rows((c,))  # a positive scale keeps the maximizers
-    if any(sum(a * b for a, b in zip(cs, r)) > 0 for r in integer_rows(p.search[1])):
+    keys, _, rays = p.walk
+    if any(sum(a * b for a, b in zip(cs, r)) > 0 for r in rays):
         raise UnboundedObjective("objective has no finite maximum on the region")
-    face, best, best_q = [], 0, 1
-    for v in p.vertices:
-        # c . v is value / q: compare it with the best by cross-multiplying.
-        q = math.lcm(*(x.denominator for x in v))
-        value = sum(a * x.numerator * (q // x.denominator) for a, x in zip(cs, v))
-        diff = value * best_q - best * q
+    face, best, best_d = [], 0, 1
+    for i, key in enumerate(keys):
+        # zip stops at len(cs), so the key's d is left out of the sum.
+        value = sum(a * x for a, x in zip(cs, key))
+        diff = value * best_d - best * key[-1]
         if diff > 0 or not face:
-            face, best, best_q = [v], value, q
+            face, best, best_d = [i], value, key[-1]
         elif diff == 0:
-            face.append(v)
-    return tuple(face)
+            face.append(i)
+    return face

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from objred.efficiency import (
 )
 from objred.engine import combination_multipliers
 from objred.errors import InfeasibleInput
-from objred.instances import random_problem
+from objred.instances import ladder_region, random_problem
 from objred.linalg import mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
 from objred.verify import check_step
@@ -151,6 +152,40 @@ def test_vertices_and_faces_are_tested_on_search_zero_sets(monkeypatch):
     # The edge between them, x2 = x3 = 1, was tested on its own zero set.
     tested = {zeros for _, zeros in region.efficient}
     assert tested - set(region.search[0].values()) == {frozenset({4, 5})}
+
+
+@pytest.mark.parametrize(
+    "region, stack",
+    [
+        (CUBE, cube_3obj().stack()),
+        # The last objective is the sum of the others, so no point escapes
+        # and the sweep tests faces across the whole lattice.
+        (ladder_region(5, 0), ObjectiveStack(frows([1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [1, 1, 1, 0, 0]))),
+    ],
+    ids=["cube", "ladder-5"],
+)
+def test_search_lattice_and_sweep_hash_and_compare_no_fraction(monkeypatch, region, stack):
+    # Vertices are integer keys and faces index tuples until a Fraction is
+    # returned, so no vertex tuple is hashed, compared or sorted.
+    region = Polytope(region.a, region.b)
+    inner = stack.drop(stack.count - 1)
+    stack.row_set, inner.row_set
+    counts = collections.Counter()
+    for name in ("__hash__", "__eq__", "__lt__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    region.vertices
+    faces = face_vertex_sets(region)
+    escaped = efficient_point_outside(region, stack, inner)
+    monkeypatch.undo()
+    assert counts == {}
+    assert escaped is None and len(faces) == {3: 27, 5: 279}[region.dim]
+    assert len(region.efficient) > len(region.vertices)
 
 
 def test_escaping_efficient_vertex_found():

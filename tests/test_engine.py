@@ -269,6 +269,21 @@ def test_step6_fixtures():
     assert not step6(problem.region(), problem.stack())
 
 
+def test_step6_names_a_face_point_that_is_not_a_vertex():
+    # x1 + x2 <= 4 has the vertices (0, 0), (0, 4) and (4, 0); a face given
+    # by hand is read by vertex, and a point that is none is named.
+    region = Polytope(frows([1, 1]), fvec([4]))
+    stack = ObjectiveStack(frows([1, 0], [0, 1], [1, 1]))
+    with pytest.raises(ValueError, match=r"^\(1, 1\) is not a vertex of the region$"):
+        step6(region, stack, (fvec([1, 1]),))
+    with pytest.raises(ValueError, match=r"^\(2, 5/2\) is not a vertex"):
+        step6(region, stack, (fvec([0, 4]), fvec([2, "5/2"])))
+    assert step5(region, stack) == (fvec([0, 4]), fvec([4, 0]))
+    assert step6(region, stack, (fvec([0, 4]), fvec([4, 0]))) is step6(region, stack) is True
+    assert step6(region, stack, ((0, 4),)) is True
+    assert step6(region, stack, (fvec([0, 0]),)) is False
+
+
 def test_steps_4_and_6_test_vertices_on_search_zero_sets(monkeypatch):
     # The vertex search holds every vertex's zero set, so no vertex is scanned.
     def scanned(*args):
@@ -555,15 +570,18 @@ def test_step_functions_answer_on_unbounded_regions():
 
 # Each region fact is computed at most once per classify or reduce call.
 
-REGION_FUNCTIONS = ("enumerate_vertices", "face_vertex_sets", "find_interior_point")
-REGION_PROPERTIES = ("start", "search")
+REGION_FUNCTIONS = ("enumerate_vertices", "find_interior_point")
+REGION_PROPERTIES = ("start", "walk", "faces")
+# The public forms of the search and the lattice, which objred never builds.
+REGION_VIEWS = ("search", "face_vertex_sets")
 
 
 @pytest.fixture
 def fact_counts(monkeypatch):
-    """Counts vertex enumeration, face enumeration and the interior-point LP
-    wherever objred calls them, and each computation of the region's first
-    feasible dictionary and of its vertex search."""
+    """Counts vertex enumeration, the interior-point phase 1 and the public
+    face lattice wherever objred calls them, and each computation of the
+    region's first feasible dictionary, of its vertex search, of its face
+    lattice (as vertex indices) and of the search's public dict."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -573,13 +591,13 @@ def fact_counts(monkeypatch):
 
         return counted
 
-    for name in REGION_FUNCTIONS:
+    for name in (*REGION_FUNCTIONS, "face_vertex_sets"):
         original = getattr(polytope, name)
         wrapper = counting(name, original)
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    for name in REGION_PROPERTIES:
+    for name in (*REGION_PROPERTIES, "search"):
         fact = functools.cached_property(counting(name, Polytope.__dict__[name].func))
         fact.__set_name__(Polytope, name)
         monkeypatch.setattr(Polytope, name, fact)
@@ -592,6 +610,7 @@ def test_reduce_computes_each_region_fact_once(fact_counts, make):
     assert len(result.history) > 1
     assert fact_counts["start"] == 1
     assert max(fact_counts.values()) == 1
+    assert not set(fact_counts) & set(REGION_VIEWS)
 
 
 @pytest.mark.parametrize("make", [box5_4obj, segment_4obj, cube_3obj, simplex_3obj])
@@ -601,6 +620,7 @@ def test_classify_computes_each_region_fact_once(fact_counts, make):
         fact_counts.clear()
         classify(problem, candidate)
         assert max(fact_counts.values(), default=0) <= 1
+        assert not set(fact_counts) & set(REGION_VIEWS)
 
 
 def test_fact_counts_see_every_kind_of_fact(fact_counts):
@@ -608,3 +628,10 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     for make in (box5_4obj, segment_4obj):
         reduce_objectives(make())
     assert set(fact_counts) == {*REGION_PROPERTIES, *REGION_FUNCTIONS}
+    # The views are counted too, each built on its own facts.
+    fact_counts.clear()
+    region = cube_3obj().region()
+    assert len(polytope.face_vertex_sets(region)) == len(region.search[0]) + 19
+    assert fact_counts == dict.fromkeys(
+        ("start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
+    )

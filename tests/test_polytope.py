@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from objred import linalg, polytope, simplex
@@ -215,17 +215,40 @@ def degenerate_polytopes(draw, max_rows=4, max_cols=3):
     return Polytope(frows(*a), fvec(b))
 
 
+# b_1 < 0: phase 1 leaves the search a dictionary over d = -4, and it meets
+# the vertex (1/2, 0) at two bases, over d = -4 and d = -2.
+NEGATIVE_D = Polytope(frows([-2, -2], [2, 0], [0, -2]), fvec([-1, 1, 0]))
+# b >= 0, row 3 = row 1 + row 2: the vertex (3/2, 0) is met over d = 8 and 2.
+SHARED_FRACTIONAL = Polytope(frows([2, -1], [2, 3], [4, 2]), fvec([3, 3, 6]))
+
+
 @settings(deadline=None, max_examples=150)
 @given(degenerate_polytopes())
+@example(NEGATIVE_D)
+@example(SHARED_FRACTIONAL)
 def test_vertices_match_fraction_reference(p):
     assert enumerate_vertices(p) == enumerate_vertices_reference(p)
     assert_search_zero_sets(p)
 
 
 def assert_search_zero_sets(p):
-    # The zero set the search read off a dictionary is the one of the point.
+    # The zero set the search read off a dictionary is the one of the point,
+    # and the vertices are distinct and sorted.
+    vertices = p.vertices
+    assert all(u < v for u, v in zip(vertices, vertices[1:]))
+    assert list(p.search[0]) == list(vertices)
     for v, zeros in p.search[0].items():
         assert zeros == zero_set(p, v), v
+
+
+def test_vertex_keys_are_primitive_over_a_positive_d():
+    # Each vertex x / d is keyed (x, d) over gcd(x, d) with d > 0 however
+    # the bases that meet it scale it, so each vertex is kept once.
+    assert NEGATIVE_D.start[2] < 0
+    assert NEGATIVE_D.walk[0] == ((0, 1, 2), (1, 0, 2))
+    assert NEGATIVE_D.vertices == (fvec([0, "1/2"]), fvec(["1/2", 0]))
+    assert SHARED_FRACTIONAL.walk[0] == ((0, 0, 1), (0, 1, 1), (3, 0, 2))
+    assert SHARED_FRACTIONAL.vertices == (fvec([0, 0]), fvec([0, 1]), fvec(["3/2", 0]))
 
 
 @settings(deadline=None, max_examples=150)
