@@ -215,12 +215,13 @@ def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], f
     k = p.dim
     n = k + len(p.a)
     everything = frozenset(range(n))
-    stack = [p.start]
-    seen = {sum(1 << c for c in p.start[0])}
+    mask = sum(1 << c for c in p.start[0])
+    stack = [(mask, *p.start)]
+    seen = {mask}
     found: dict[Key, frozenset[int]] = {}
     rays: set[Key] = set()
     while stack:
-        basis, rows, d = stack.pop()
+        mask, basis, rows, d = stack.pop()
         x = [0] * k + [d]
         for c, row in zip(basis, rows):
             if c < k:
@@ -228,7 +229,6 @@ def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], f
         key = _primitive(x, d)
         if key not in found:
             found[key] = everything.difference(c for c, row in zip(basis, rows) if row[-1])
-        mask = sum(1 << c for c in basis)
         for j in range(n):
             if mask >> j & 1:
                 continue
@@ -246,7 +246,7 @@ def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], f
                 after = list(rows)
                 changed = basis.copy()
                 changed[i] = j
-                stack.append((changed, after, pivot(after, i, j, d)))
+                stack.append((neighbour, changed, after, pivot(after, i, j, d)))
     scale = math.lcm(*(key[-1] for key in found))
     keys = sorted(found, key=lambda key: [c * (scale // key[-1]) for c in key[:-1]])
     return tuple(keys), tuple(found[key] for key in keys), frozenset(rays)
