@@ -11,7 +11,6 @@ with every computation done in rational arithmetic.
 from . import simplex
 from .efficiency import (
     ObjectiveStack,
-    cone_nonempty,
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
@@ -48,7 +47,6 @@ from .polytope import (
     enumerate_vertices,
     face_vertex_sets,
     find_interior_point,
-    interior_nonempty,
     is_bounded,
     optimal_face_vertices,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "Verdict",
     "classify",
     "combination_multipliers",
-    "cone_nonempty",
     "contains",
     "efficient_point_outside",
     "efficient_vertices",
@@ -94,7 +91,6 @@ __all__ = [
     "find_cone_point",
     "find_interior_point",
     "format_verdict",
-    "interior_nonempty",
     "is_bounded",
     "is_efficient",
     "optimal_face_vertices",

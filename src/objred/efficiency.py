@@ -11,10 +11,10 @@ index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
 the meet of its vertices', so no vertex is hashed.  The cone test's "no" is
 Stiemke's alternative, a positive y with C^T y = 0, which is the efficiency
 test where nothing is tight: both build one system (``_isermann``) decided
-by one integer phase 1 of ``linalg``.  Each certificate is read off
-the phase 1 that decides its answer: a direction is the Farkas vector of the
-cone test's "no" (``linalg.farkas``), and the weights are the end point of a
-Stiemke system (``linalg.integer_solution``).  No LP is solved.
+by one integer phase 1 of ``linalg.farkas``, which builds a vector only on
+a "no".  Each certificate is read off the phase 1 that decides its answer:
+a cone direction is that Farkas vector, and the weights are the end point
+of a Stiemke system (``linalg.integer_solution``).  No LP is solved.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import (
     Matrix,
     Vector,
     farkas,
-    has_nonnegative_solution,
     integer_rows,
     integer_solution,
     mat_vec,
@@ -83,24 +82,17 @@ class ObjectiveStack:
 def find_cone_point(c: Matrix) -> Vector | None:
     """Some x with Cx >= 0 and Cx != 0, or None when no such x exists.
 
-    By Stiemke's lemma one exists iff no y > 0 has C^T y = 0, so both come
-    from the phase 1 of ``cone_nonempty``: its Farkas vector z has
-    c_i . z <= 0 on every row and -sum_i c_i . z > 0, so x = -z.  x is
-    scaled to a primitive integer vector, and depends on the order of C's
-    rows alone.
+    By Stiemke's lemma one exists iff no y > 0 has C^T y = 0: Isermann's
+    test with nothing tight, on C's rows scaled to integers (which keeps
+    y > 0 and the cone).  The Farkas vector z of its "no" has c_i . z <= 0
+    on every row and -sum_i c_i . z > 0, so x = -z, scaled to a primitive
+    integer vector; it depends on the order of C's rows alone.
     """
     z = farkas(_isermann(integer_rows(c), [], []))
     if z is None:
         return None
     g = math.gcd(*z)
     return tuple(ratio(-a // g, 1) for a in z)
-
-
-def cone_nonempty(c: Matrix) -> bool:
-    """Whether some x has Cx >= 0, Cx != 0; by Stiemke's lemma, whether no
-    y > 0 has C^T y = 0: Isermann's test where no row is tight and no x_j
-    zero, on C's rows scaled to integers (which keeps y > 0 and the cone)."""
-    return not has_nonnegative_solution(_isermann(integer_rows(c), [], []))
 
 
 def _isermann(objectives: list[list[int]], tight: list[list[int]], at_zero: list[int]) -> list[list[int]]:
@@ -124,8 +116,8 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     the rows a_i tight at x0 and by -e_j for x0_j = 0: by x0's zero set.
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
-    decided on integers by ``linalg.has_nonnegative_solution``; no LP is
-    solved.
+    decided on integers: x0 is efficient iff ``linalg.farkas`` finds no
+    Farkas vector.  No LP is solved.
     F and A_T enter with each row scaled to integers: a positive scale of
     an objective keeps the efficient set, and one of a tight row keeps the
     normal cone.  Holds on unbounded regions as well as bounded ones.
@@ -149,7 +141,7 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
         return p.efficient[key]
     tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
     system = _isermann(integer_rows(f.rows), tight, [c for c in zeros if c < p.dim])
-    efficient = has_nonnegative_solution(system)
+    efficient = farkas(system) is None
     p.efficient[key] = efficient
     return efficient
 

@@ -38,7 +38,6 @@ from typing import Any
 
 from .efficiency import (
     ObjectiveStack,
-    cone_nonempty,
     efficient_at,
     efficient_point_outside,
     efficient_vertices,
@@ -49,16 +48,17 @@ from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     Matrix,
     Vector,
+    integer_solution,
     intersect_spans,
-    nonnegative_solution,
     null_space,
+    ratio,
+    require_rational,
     span_basis,
     vsub,
 )
 from .polytope import (
     Polytope,
     check_region,
-    interior_nonempty,
     is_bounded,
     nonempty,
     optimal_face,
@@ -129,8 +129,8 @@ class MolpProblem:
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ValueError("need at least one objective")
-        # Shapes only: the entries are checked where the region and the
-        # stacks are built, not again for each problem built.
+        # Shapes only: classify and reduce_objectives check the objectives'
+        # entries once, not for each pass's problem; the region checks its own.
         check_region(self.a, self.b)
         if any(len(row) != len(self.a[0]) for row in self.objectives):
             raise ValueError("objective length != variable count")
@@ -156,10 +156,11 @@ def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     direction hurts no other objective but lowers the last).
 
     Both the answer and the multipliers come from one phase 1 on integers,
-    ``linalg.nonnegative_solution``; no LP is solved."""
+    the end point y / d of ``linalg.integer_solution``; no LP is solved."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
-    return nonnegative_solution(tuple(zip(*stack.rows)))  # one equation per column
+    found = integer_solution(tuple(zip(*stack.rows)))  # one equation per column
+    return None if found is None else tuple(ratio(y, found[1]) for y in found[0])
 
 
 def kernel_separation(
@@ -233,8 +234,9 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     Raises InfeasibleRegion when the region is empty and UnboundedRegion
     when an exit would need a boundedness hypothesis that does not hold;
     the combination test at step 0 is region-independent and is reported
-    before either check.
+    before either check.  A TypeError names an entry ``objectives[i][j]``.
     """
+    require_rational(problem.objectives, "objectives[{}]".format)
     return _classify(problem, candidate, problem.region(), [])
 
 
@@ -329,15 +331,15 @@ def step0(stack: ObjectiveStack) -> bool:
 
 
 def step1(stack: ObjectiveStack) -> bool:
-    return cone_nonempty(stack.rows)
+    return find_cone_point(stack.rows) is not None
 
 
 def step2(stack: ObjectiveStack) -> bool:
-    return cone_nonempty(stack.drop(stack.count - 1).rows)
+    return find_cone_point(stack.drop(stack.count - 1).rows) is not None
 
 
 def step3(region: Polytope) -> bool:
-    return interior_nonempty(region)
+    return region.interior_point is not None
 
 
 def step4(region: Polytope, stack: ObjectiveStack) -> bool:
@@ -385,6 +387,7 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     region fact is computed once per call, and the candidates of a pass
     share the full stack's step-1 direction.
     """
+    require_rational(problem.objectives, "objectives[{}]".format)
     rows = list(problem.objectives)
     labels = list(range(len(rows)))
     removals: list[Removal] = []

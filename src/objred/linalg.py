@@ -9,8 +9,8 @@ by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis, and the one
 that decides each feasibility question of the decision tree and yields its
-certificate: the end point (``nonnegative_solution``) when there is a
-solution, the Farkas vector (``farkas``) when there is none.  The library
+certificate: the end point (``integer_solution``) when there is a solution,
+the Farkas vector (``farkas``) when there is none.  The library
 solves no LP; ``objred.simplex`` runs both its phases on the same kernel.
 Its tie-break, the minimum-ratio row of lowest basic index, is
 ``leaving_row``; the vertex search steps along the same rows, so it follows
@@ -177,11 +177,6 @@ def farkas(rows: list[list[int]]) -> list[int] | None:
     return [d + u if row[-1] >= 0 else -d - u for row, u in zip(rows, cost[n:-1])]
 
 
-def has_nonnegative_solution(rows: list[list[int]]) -> bool:
-    """Whether some y >= 0 solves the integer rows ``row[:-1] . y = row[-1]``."""
-    return not phase1(rows, 1)[1][-1][-1]
-
-
 def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
     """(y, d) with y / d >= 0 solving ``row[:-1] . y = row[-1]`` for the rows
     of m, or None.  y / d is where ``phase1`` ends in ``integer_frame(m)``,
@@ -193,12 +188,6 @@ def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
         return None
     values = {c: row[-1] for c, row in zip(basis, rows)}
     return [values.get(j, 0) for j in range(len(m[0]) - 1)], d
-
-
-def nonnegative_solution(m: Matrix) -> Vector | None:
-    """``integer_solution``'s point y / d as rationals, or None."""
-    found = integer_solution(m)
-    return None if found is None else tuple(ratio(v, found[1]) for v in found[0])
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

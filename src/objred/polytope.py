@@ -19,7 +19,7 @@ it: ``walk`` reads each vertex's off a dictionary, and ``zero_set`` compares
 any point with the integer rows of [A | b].  The search runs in integers: a
 vertex is a primitive key (x, d), d > 0, for x / d, with its zero set at its
 index in ``zero_sets`` and its ``Fraction``s built once, in ``vertices``; a
-face is a tuple of vertex indices (``faces``).  ``search`` is a dict view.
+face is a tuple of vertex indices (``faces``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .linalg import (
     Matrix,
     Vector,
     bland,
-    _normalized,
     integer_frame,
     integer_rows,
     integer_solution,
@@ -89,12 +88,6 @@ class Polytope:
     def zero_sets(self) -> tuple[frozenset[int], ...]:
         """Each vertex's zero set, at its index in ``vertices``."""
         return self.walk[1]
-
-    @cached_property
-    def search(self) -> tuple[dict[Vector, frozenset[int]], frozenset[Vector]]:
-        """The vertices, sorted, each with its zero set, and the x-parts of
-        the rays, each scaled so that its first nonzero entry is 1."""
-        return dict(zip(self.vertices, self.zero_sets)), frozenset(map(_normalized, self.walk[2]))
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
@@ -313,10 +306,6 @@ def find_interior_point(p: Polytope) -> Vector | None:
         return None
     y, d = found
     return tuple(ratio(d + q, d + y[-1]) for q in y[: p.dim])
-
-
-def interior_nonempty(p: Polytope) -> bool:
-    return p.interior_point is not None
 
 
 def nonempty(p: Polytope) -> bool:

@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from objred import cli
+from objred import ParseError, cli, parse_document
 from objred.cli import main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -176,3 +182,65 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "nonessential (step 7)" in proc.stdout
+
+
+DOCUMENTS = [json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))]
+BAD_LITERALS = ["1/0", "x", "", "--1", "1e99999", "nan", None, [], {}]
+SUBCOMMANDS = (
+    ("classify", "--trace"),
+    ("classify", "--json"),
+    ("reduce", "--json"),
+    ("vertices",),
+    ("vertices", "--face", "1"),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A problems/*.json document with up to two breaking mutations (a bad
+    literal or a boolean in place of a coefficient or right-hand side, a
+    relation other than "<=", a row one entry too long or too short) and up
+    to three extra "<=" rows whose right-hand sides have either sign."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    width = len(doc["variables"])
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(width)]
+        doc["constraints"].append({"coeffs": coeffs, "relation": "<=", "rhs": draw(st.integers(-6, 6))})
+    rows = doc["objectives"] + doc["constraints"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("literal", "boolean", "relation", "width")))
+        if kind in ("literal", "boolean"):
+            row = draw(st.sampled_from(rows))
+            slots = [(row["coeffs"], j) for j in range(len(row["coeffs"]))]
+            slots += [(row, "rhs")] if "rhs" in row else []
+            target, key = draw(st.sampled_from(slots))
+            target[key] = draw(st.sampled_from(BAD_LITERALS) if kind == "literal" else st.booleans())
+        elif kind == "relation":
+            draw(st.sampled_from(doc["constraints"]))["relation"] = draw(st.sampled_from((">=", "=")))
+        else:
+            coeffs = draw(st.sampled_from(rows))["coeffs"]
+            if len(coeffs) < 2 or draw(st.booleans()):
+                coeffs.append(1)
+            else:
+                coeffs.pop()
+    return doc
+
+
+@settings(deadline=None, max_examples=250)
+@given(mutated_documents())
+def test_mutated_documents_end_in_an_exit_code(doc):
+    # Every subcommand ends in a documented exit code, and a document that
+    # does not parse is an input error for every one of them.
+    text = json.dumps(doc)
+    try:
+        parse_document(text)
+        parsed = True
+    except ParseError:
+        parsed = False
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = {main([command, str(path), *options]) for command, *options in SUBCOMMANDS}
+    assert codes <= {0, 2, 3, 4}
+    assert parsed or codes == {2}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from objred import efficiency, simplex
 from objred.efficiency import (
     ObjectiveStack,
-    cone_nonempty,
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
@@ -69,17 +68,17 @@ def test_stack_values_and_drop():
 
 
 def test_cone_empty_for_balanced_segment_stack():
-    assert not cone_nonempty(segment_3obj().stack().rows)
-    assert not cone_nonempty(segment_4obj().stack().rows)
+    assert find_cone_point(segment_3obj().stack().rows) is None
+    assert find_cone_point(segment_4obj().stack().rows) is None
 
 
-def test_cone_nonempty_after_dropping_last_objective():
+def test_cone_point_found_after_dropping_last_objective():
     reduced = segment_3obj().stack().drop(2)
-    assert cone_nonempty(reduced.rows)
+    assert find_cone_point(reduced.rows) is not None
 
 
-def test_cone_nonempty_for_cube_stack():
-    assert cone_nonempty(cube_3obj().stack().rows)
+def test_cone_point_found_for_cube_stack():
+    assert find_cone_point(cube_3obj().stack().rows) is not None
 
 
 def test_cone_point_is_a_certificate():
@@ -151,7 +150,7 @@ def test_vertices_and_faces_are_tested_on_search_zero_sets(monkeypatch):
     assert efficient_point_outside(region, full, full.drop(2)) is None
     # The edge between them, x2 = x3 = 1, was tested on its own zero set.
     tested = {zeros for _, zeros in region.efficient}
-    assert tested - set(region.search[0].values()) == {frozenset({4, 5})}
+    assert tested - set(region.zero_sets) == {frozenset({4, 5})}
 
 
 @pytest.mark.parametrize(
@@ -328,7 +327,7 @@ def stacks(draw, max_rows=3, max_cols=3):
 @given(stacks())
 def test_mirrored_stack_has_empty_cone(rows):
     mirrored = rows + tuple(tuple(-a for a in row) for row in rows)
-    assert not cone_nonempty(mirrored)
+    assert find_cone_point(mirrored) is None
 
 
 @settings(deadline=None, max_examples=80)
@@ -345,7 +344,6 @@ def test_steps_0_to_2_match_lp_reference(rows, weights):
     for c in (rows, mirrored, planted):
         x = find_cone_point(c)
         assert (x is None) == (find_cone_point_reference(c) is None)
-        assert cone_nonempty(c) == (x is not None)
         assert check_step(1, x is not None, x, list(c[:-1]), c[-1], (), ()) is None
         if len(c) >= 2:
             stack = ObjectiveStack(c)

@@ -25,7 +25,7 @@ from objred import (
     reduce_objectives,
     simplex,
 )
-from objred.efficiency import cone_nonempty, find_cone_point
+from objred.efficiency import find_cone_point
 from objred.engine import (
     TraceEntry,
     combination_multipliers,
@@ -107,7 +107,7 @@ def _raise_on_lp(*args, **kwargs):
 
 def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
     # A "no" of steps 0 to 2 has no certificate: Farkas's and Stiemke's
-    # alternatives decide it on integers.  cone_nonempty needs no LP at all.
+    # alternatives decide it on integers.
     monkeypatch.setattr(simplex, "solve", _raise_on_lp)
     stack = segment_3obj().stack()
     cube = cube_3obj().stack().rows
@@ -118,8 +118,7 @@ def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
     assert find_cone_point(frows([1, -2], ["-1/2", 1])) is None
     no_combination = ObjectiveStack(frows([1, 1, 1], [-1, 1, 1], [1, 1, 0]))
     assert combination_multipliers(no_combination) is None
-    assert not cone_nonempty(stack.rows)
-    assert cone_nonempty(stack.drop(2).rows)
+    assert find_cone_point(stack.drop(2).rows) is not None
     assert step1(stack) is False
     assert step2(stack) is True
 
@@ -166,9 +165,12 @@ def test_step0_solves_no_lp_with_either_answer(monkeypatch):
 
 
 def test_float_entries_raise_type_error_naming_their_position():
-    # The stack classify builds holds the candidate last: here row 0 of both.
-    with pytest.raises(TypeError, match=r"rows\[0\]\[0\] is a float"):
-        classify(MolpProblem(((1.0, 2.0), (2, 1)), ((1, 1),), (4,)))
+    # An objective entry is named by the caller's index, although the stack
+    # classify builds holds the candidate last: here row 0 is row 2 there.
+    floated = MolpProblem(((1, 0.5), (1, 1), (0, 1)), ((1, 1),), (4,))
+    for run in (lambda: classify(floated, 0), lambda: reduce_objectives(floated)):
+        with pytest.raises(TypeError, match=r"objectives\[0\]\[1\] is a float"):
+            run()
     with pytest.raises(TypeError, match=r"A\[1\]\[0\] is a float"):
         classify(MolpProblem(((1, 2), (2, 1)), ((1, 1), (0.5, 1)), (4, 2)))
     with pytest.raises(TypeError, match=r"A\[1\]\[0\] is a float"):
@@ -572,16 +574,16 @@ def test_step_functions_answer_on_unbounded_regions():
 
 REGION_FUNCTIONS = ("enumerate_vertices", "find_interior_point")
 REGION_PROPERTIES = ("start", "walk", "faces")
-# The public forms of the search and the lattice, which objred never builds.
-REGION_VIEWS = ("search", "face_vertex_sets")
+# The public form of the lattice, which objred never builds.
+REGION_VIEWS = ("face_vertex_sets",)
 
 
 @pytest.fixture
 def fact_counts(monkeypatch):
     """Counts vertex enumeration, the interior-point phase 1 and the public
     face lattice wherever objred calls them, and each computation of the
-    region's first feasible dictionary, of its vertex search, of its face
-    lattice (as vertex indices) and of the search's public dict."""
+    region's first feasible dictionary, of its vertex search and of its face
+    lattice (as vertex indices)."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -597,7 +599,7 @@ def fact_counts(monkeypatch):
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    for name in (*REGION_PROPERTIES, "search"):
+    for name in REGION_PROPERTIES:
         fact = functools.cached_property(counting(name, Polytope.__dict__[name].func))
         fact.__set_name__(Polytope, name)
         monkeypatch.setattr(Polytope, name, fact)
@@ -628,10 +630,10 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     for make in (box5_4obj, segment_4obj):
         reduce_objectives(make())
     assert set(fact_counts) == {*REGION_PROPERTIES, *REGION_FUNCTIONS}
-    # The views are counted too, each built on its own facts.
+    # The view is counted too, built on its own facts.
     fact_counts.clear()
     region = cube_3obj().region()
-    assert len(polytope.face_vertex_sets(region)) == len(region.search[0]) + 19
+    assert len(polytope.face_vertex_sets(region)) == len(region.vertices) + 19
     assert fact_counts == dict.fromkeys(
         ("start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
     )

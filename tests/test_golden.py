@@ -11,7 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from objred import parse_document, simplex
+from objred import Error, ObjectiveStack, classify, parse_document, simplex
+from objred.engine import step0, step1, step2, step3, step4, step5, step6, step7
 from objred.verify import check_verdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -114,3 +115,40 @@ def test_verify_rejects_perturbed_certificates():
                 t.certificate = kept
                 rejected.add(t.step)
     assert rejected == set(_PERTURB)
+
+
+_STEPS = (step0, step1, step2, step3, step4, step5, step6, step7)
+
+
+def _classify_cases():
+    """(problem, candidate) for every objective of every problems/*.json and
+    the candidate of every golden ``classify`` and ``unbounded`` input."""
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        problem = parse_document(path.read_bytes()).problem
+        yield from ((problem, candidate) for candidate in range(problem.n_objectives))
+    for problem in (*freeze_golden.classify_inputs(), *freeze_golden.unbounded_inputs()):
+        yield problem, problem.n_objectives - 1
+
+
+def test_step_functions_agree_with_classify():
+    # Each step function reads the code the tree reads, so on the stack with
+    # the candidate last, and on a fresh region, it gives the answer of every
+    # step the tree executed (step 5: the face the trace holds).  Steps 4 and
+    # 6 raise nothing on an unbounded region, where classify raises rather
+    # than answer true, so every entry of the trace compares.
+    compared = set()
+    for problem, candidate in _classify_cases():
+        try:
+            verdict = classify(problem, candidate)
+        except Error:
+            continue
+        rows = problem.objectives
+        stack = ObjectiveStack((*rows[:candidate], *rows[candidate + 1 :], rows[candidate]))
+        region = problem.region()
+        for entry in verdict.trace:
+            step = int(entry.step)
+            args = (stack,) if step < 3 else (region,) if step == 3 else (region, stack)
+            expected = entry.certificate if step == 5 else entry.answer
+            assert _STEPS[step](*args) == expected, (problem, candidate, step)
+            compared.add(step)
+    assert compared == set(range(8)), compared

@@ -8,13 +8,12 @@ from objred.linalg import (
     ZERO,
     dot,
     farkas,
-    has_nonnegative_solution,
     integer_frame,
     integer_rows,
+    integer_solution,
     intersect_spans,
     leaving_row,
     mat_vec,
-    nonnegative_solution,
     null_space,
     ratio,
     solve_square,
@@ -252,17 +251,21 @@ def rational_systems(draw):
 @settings(deadline=None, max_examples=200)
 @given(rational_systems())
 @example(frows([1, 1, 0, 3], [1, "1/2", -3, -1]))  # per-row scales end elsewhere
-def test_nonnegative_solution_is_the_simplex_phase_1_point(m):
+def test_integer_solution_is_the_simplex_phase_1_point(m):
     # Over one denominator, the integer phase 1 makes the Fraction simplex's
     # pivots, so it ends on the point that simplex returns for a zero
     # objective, and on None exactly when the simplex finds no point.
     width = len(m[0]) - 1
     rows = tuple((row[:-1], Relation.EQ, row[-1]) for row in m)
     out = solve_reference(LpProblem((ZERO,) * width, rows, (VarKind.NONNEG,) * width))
-    y = nonnegative_solution(m)
-    assert (y is None) == (out.status is LpStatus.INFEASIBLE)
-    assert y == out.point
-    assert has_nonnegative_solution(integer_rows(m)) == (y is not None)
+    assert rational_solution(m) == out.point
+    assert (out.status is LpStatus.INFEASIBLE) == (farkas(integer_rows(m)) is not None)
+
+
+def rational_solution(m):
+    """``integer_solution``'s point y / d as Fractions, or None."""
+    found = integer_solution(m)
+    return None if found is None else tuple(Fraction(v, found[1]) for v in found[0])
 
 
 @st.composite
@@ -289,9 +292,8 @@ def test_farkas_certifies_exactly_the_infeasible_systems(rows):
     # otherwise z . column <= 0 on every column and z . rhs > 0, which
     # proves by itself that none does.
     z = farkas(rows)
-    assert (z is None) == has_nonnegative_solution(rows)
     if z is None:
-        y = nonnegative_solution(frows(*rows))
+        y = rational_solution(frows(*rows))
         assert all(dot(row[:-1], y) == row[-1] for row in rows) and min(y) >= 0
         return
     assert len(z) == len(rows)

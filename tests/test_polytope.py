@@ -15,7 +15,6 @@ from objred.polytope import (
     enumerate_vertices,
     face_vertex_sets,
     find_interior_point,
-    interior_nonempty,
     is_bounded,
     nonempty,
     optimal_face_vertices,
@@ -113,12 +112,12 @@ def test_interior_empty_for_flat_region():
     flat = Polytope(frows([1, 1], [-1, -1]), fvec([1, -1]))
     assert nonempty(flat)
     assert find_interior_point(flat) is None
-    assert not interior_nonempty(flat)
+    assert flat.interior_point is None
 
 
 def test_interior_empty_for_empty_region():
     empty = Polytope(frows([1, 1]), fvec([-1]))
-    assert not interior_nonempty(empty)
+    assert empty.interior_point is None
 
 
 def test_is_bounded():
@@ -236,8 +235,8 @@ def assert_search_zero_sets(p):
     # and the vertices are distinct and sorted.
     vertices = p.vertices
     assert all(u < v for u, v in zip(vertices, vertices[1:]))
-    assert list(p.search[0]) == list(vertices)
-    for v, zeros in p.search[0].items():
+    assert len(p.zero_sets) == len(vertices)
+    for v, zeros in zip(vertices, p.zero_sets):
         assert zeros == zero_set(p, v), v
 
 
@@ -560,18 +559,19 @@ def test_vertex_search_pinned_cases(p, expected):
         # random_problem(Random(1001), ensure_bounded=False): x1 <= 3 and
         # 3 x1 - 2 x2 <= 5.  The search meets the one direction (0, 1) as
         # x2 entering and as the slack of the second row entering, (0, 1/2).
-        (Polytope(frows([1, 0], [3, -2]), fvec([3, 5])), {fvec([0, 1])}),
+        (Polytope(frows([1, 0], [3, -2]), fvec([3, 5])), {(0, 1)}),
         # random_problem(Random(1090), ensure_bounded=False): five rays met,
         # two of them along (2, 1, 0).
         (
             Polytope(frows([-1, 2, -2], [-3, 2, 1]), fvec([0, 3])),
-            {fvec(r) for r in ([1, 0, 0], [1, 0, 3], [1, "1/2", 0], [1, "7/6", "2/3"])},
+            {(1, 0, 0), (1, 0, 3), (2, 1, 0), (6, 7, 4)},
         ),
     ],
     ids=["two-scales-of-one-ray", "three-dimensional"],
 )
 def test_each_ray_direction_is_kept_once(p, rays):
-    assert p.search[1] == rays
+    # Each x-part is primitive, so two scales of one direction are one key.
+    assert p.walk[2] == rays
 
 
 @pytest.fixture

@@ -24,12 +24,6 @@ def test_random_stress_finds_no_mismatch():
     assert " 0 mismatch(es)" in proc.stdout
 
 
-def test_run_sessions_reduces_every_problem():
-    proc = run_script("run_sessions.py", "--reduce")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "kept:" in proc.stdout
-
-
 def test_bench_runs_its_smallest_rungs():
     proc = run_script("bench.py", "--max-k", "4")
     assert proc.returncode == 0, proc.stdout + proc.stderr
