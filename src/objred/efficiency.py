@@ -1,10 +1,11 @@
 """Efficiency machinery for linear multiobjective maximization.
 
 Holds the objective stack, the cone test for directions that improve some
-objective without hurting any other, the point efficiency test (a phase-1
-feasibility problem over the normal cone of the constraints tight at the
-point, after Isermann 1974), and the search for strictly positive weights
-that equalize the weighted objective value across vertices.
+objective without hurting any other (a stack finds its own direction once),
+the point efficiency test (a phase-1 feasibility problem over the normal
+cone of the constraints tight at the point, after Isermann 1974), and the
+search for strictly positive weights that equalize the weighted objective
+value across vertices.
 
 The efficiency test reads only the point's zero set: a vertex's is at its
 index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
@@ -36,7 +37,7 @@ from .linalg import (
     require_rational,
     vsub,
 )
-from .polytope import Polytope, zero_set
+from .polytope import Polytope, require_bounded, zero_set
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,13 @@ class ObjectiveStack:
         or repeats.  Built on the first efficiency test, and once, so that
         each lookup hashes no Fraction."""
         return frozenset(self.rows)
+
+    @cached_property
+    def direction(self) -> Vector | None:
+        """The step-1 direction of the stack, ``find_cone_point`` on its rows
+        in their order: built on first use, and once, so that every
+        candidate of a reduce pass reads one."""
+        return find_cone_point(self.rows)
 
     @property
     def count(self) -> int:
@@ -121,10 +129,13 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     F and A_T enter with each row scaled to integers: a positive scale of
     an objective keeps the efficient set, and one of a tight row keeps the
     normal cone.  Holds on unbounded regions as well as bounded ones.
-    Raises ValueError when the stack's width is not the region's dimension,
-    and TypeError on an entry of x0 that is neither an int nor a Fraction.
+    Raises ValueError when the stack's width or x0's length is not the
+    region's dimension, and TypeError on an entry of x0 that is neither an
+    int nor a Fraction.
     """
     require_rational((x0,), "x0".format)
+    if len(x0) != p.dim:
+        raise ValueError(f"x0 has {len(x0)} entries and the region {p.dim} columns")
     zeros = zero_set(p, x0)
     if zeros is None:
         raise InfeasibleInput("point is not in the region")
@@ -161,8 +172,10 @@ def efficient_point_outside(
     efficient exactly when the centroid of its vertices is, whose zero set is
     the meet of theirs: a centroid is built only for the face returned.
     Faces whose vertices are not all outer-efficient cannot be
-    outer-efficient and are skipped.  Only valid on bounded regions.
+    outer-efficient and are skipped.  Raises UnboundedRegion on an unbounded
+    region, where a face need not be spanned by its vertices.
     """
+    require_bounded(p, "the face-by-face efficiency sweep")
     vertices, zero_sets = p.vertices, p.zero_sets
     outer_eff = [efficient_at(p, outer, zeros) for zeros in zero_sets]
     for v, zeros, efficient in zip(vertices, zero_sets, outer_eff):

@@ -28,6 +28,12 @@ normally.  The step-4 and step-6 conclusions raise UnboundedRegion when
 the region is unbounded, and so does step 5 when the candidate itself has
 no finite maximum.  Step 7 instead degrades to the inconclusive verdict,
 which claims nothing.
+
+Stacks.  The tree reads one ``ObjectiveStack`` of all the objectives, in
+the problem's order, and the stack without the candidate that ``drop``
+builds from it; the step-1 and step-2 directions are their cached
+``direction``s.  reduce_objectives builds one stack per pass, so the
+candidates of a pass share one step-1 direction.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .efficiency import (
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
-    find_cone_point,
 )
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
@@ -63,6 +68,7 @@ from .polytope import (
     nonempty,
     optimal_face,
     optimal_face_vertices,
+    require_bounded,
     vertex_indices,
 )
 
@@ -130,7 +136,7 @@ class MolpProblem:
         if not self.objectives:
             raise ValueError("need at least one objective")
         # Shapes only: classify and reduce_objectives check the objectives'
-        # entries once, not for each pass's problem; the region checks its own.
+        # entries, naming each objectives[i][j]; the region checks its own.
         check_region(self.a, self.b)
         if any(len(row) != len(self.a[0]) for row in self.objectives):
             raise ValueError("objective length != variable count")
@@ -159,7 +165,12 @@ def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     the end point y / d of ``linalg.integer_solution``; no LP is solved."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
-    found = integer_solution(tuple(zip(*stack.rows)))  # one equation per column
+    return _multipliers(stack.rows[:-1], stack.rows[-1])
+
+
+def _multipliers(others: Matrix, target: Vector) -> Vector | None:
+    """``combination_multipliers`` of the stack of ``others`` and ``target``."""
+    found = integer_solution(tuple(zip(*others, target)))  # one equation per column
     return None if found is None else tuple(ratio(y, found[1]) for y in found[0])
 
 
@@ -187,22 +198,6 @@ def kernel_separation(
     return not meet, certificate
 
 
-def _split(problem: MolpProblem, candidate: int) -> tuple[ObjectiveStack, ObjectiveStack]:
-    """(full stack with candidate rotated last, reduced stack without it)."""
-    others = tuple(
-        row for i, row in enumerate(problem.objectives) if i != candidate
-    )
-    if not others:
-        raise ValueError("need a second objective to compare against")
-    full = ObjectiveStack(others + (problem.objectives[candidate],))
-    return full, ObjectiveStack(others)
-
-
-def _require_bounded(region: Polytope, what: str) -> None:
-    if not is_bounded(region):
-        raise UnboundedRegion(f"{what} needs a bounded region, and this one is unbounded")
-
-
 def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: bool) -> TraceEntry:
     """Step 4: a vertex the reduced stack leaves inefficient, or else strictly
     positive weights equalizing the reduced stack across all vertices."""
@@ -211,7 +206,7 @@ def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: boo
     if bad is not None:
         return TraceEntry(Step.ALL_EFFICIENT, False, bad)
     if check_bounded:
-        _require_bounded(region, "the equal-weight criterion")
+        require_bounded(region, "the equal-weight criterion")
     return _entry(Step.ALL_EFFICIENT, equalizing_weights(reduced, region.vertices))
 
 
@@ -223,7 +218,7 @@ def _face_efficient(
     vertices, zero_sets = region.vertices, region.zero_sets
     witness = next((vertices[i] for i in face if efficient_at(region, reduced, zero_sets[i])), None)
     if witness is None and check_bounded:
-        _require_bounded(region, "the optimal-face separation argument")
+        require_bounded(region, "the optimal-face separation argument")
     return _entry(Step.FACE_EFFICIENT, witness)
 
 
@@ -237,26 +232,27 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     before either check.  A TypeError names an entry ``objectives[i][j]``.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
-    return _classify(problem, candidate, problem.region(), [])
-
-
-def _classify(
-    problem: MolpProblem, candidate: int | None, region: Polytope, cone: list[Vector | None]
-) -> Verdict:
-    """classify() on a region object whose facts may already be known.
-    ``cone`` holds the full stack's step-1 direction once it is found: it
-    depends on the problem alone, so a reduce pass shares one."""
     if candidate is None:
         candidate = problem.n_objectives - 1
     if not 0 <= candidate < problem.n_objectives:
         raise ValueError(f"objective index {candidate} out of range")
-    full, reduced = _split(problem, candidate)
+    if problem.n_objectives < 2:
+        raise ValueError("need a second objective to compare against")
+    return _classify(problem.stack(), candidate, problem.region())
+
+
+def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdict:
+    """classify() of row ``candidate`` of ``stack`` on a region object whose
+    facts may already be known.  The stack is in the problem's own order, so
+    that its step-1 direction does not depend on the candidate; a reduce
+    pass shares one stack, and with it one direction."""
+    reduced = stack.drop(candidate)
     trace: list[TraceEntry] = []
 
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
         return Verdict(candidate, outcome, step, relation, tuple(trace))
 
-    alpha = combination_multipliers(full)
+    alpha = _multipliers(reduced.rows, stack.rows[candidate])
     trace.append(_entry(Step.COMBINATION, alpha))
     if alpha is not None:
         return verdict(Outcome.NONESSENTIAL, Step.COMBINATION)
@@ -264,19 +260,13 @@ def _classify(
     if not nonempty(region):
         raise InfeasibleRegion("the region Ax <= b, x >= 0 is empty")
 
-    # The full stack in the problem's own order, so that the direction does
-    # not depend on the candidate.
-    if not cone:
-        cone.append(find_cone_point(problem.objectives))
-    direction = cone[0]
-    trace.append(_entry(Step.IMPROVEMENT_CONE, direction))
+    trace.append(_entry(Step.IMPROVEMENT_CONE, stack.direction))
 
-    if direction is None:
+    if stack.direction is None:
         # No semipositive improving direction for the full stack exists, so
         # every feasible point is efficient before deletion.
-        reduced_direction = find_cone_point(reduced.rows)
-        trace.append(_entry(Step.REDUCED_CONE, reduced_direction))
-        if reduced_direction is None:
+        trace.append(_entry(Step.REDUCED_CONE, reduced.direction))
+        if reduced.direction is None:
             return verdict(Outcome.NONESSENTIAL, Step.REDUCED_CONE)
 
         interior = region.interior_point
@@ -292,7 +282,7 @@ def _classify(
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
 
     try:
-        face = optimal_face(region, full.rows[-1])
+        face = optimal_face(region, stack.rows[candidate])
     except UnboundedObjective as exc:
         raise UnboundedRegion(str(exc)) from exc
     trace.append(TraceEntry(Step.OPTIMAL_FACE, True, tuple(region.vertices[i] for i in face)))
@@ -308,7 +298,7 @@ def _classify(
         # only if the other direction holds as well, so confirm it face by
         # face before concluding; a point that is efficient for the full
         # stack but not the reduced one settles the question the other way.
-        escaped = efficient_point_outside(region, full, reduced)
+        escaped = efficient_point_outside(region, stack, reduced)
         if escaped is not None:
             certificate = {**certificate, "uncontained": (escaped,)}
         trace.append(TraceEntry(Step.KERNEL, separated, certificate))
@@ -331,11 +321,11 @@ def step0(stack: ObjectiveStack) -> bool:
 
 
 def step1(stack: ObjectiveStack) -> bool:
-    return find_cone_point(stack.rows) is not None
+    return stack.direction is not None
 
 
 def step2(stack: ObjectiveStack) -> bool:
-    return find_cone_point(stack.drop(stack.count - 1).rows) is not None
+    return stack.drop(stack.count - 1).direction is not None
 
 
 def step3(region: Polytope) -> bool:
@@ -385,7 +375,7 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     history records every classification performed, keyed by the original
     objective index.  All classifications share one region object, so each
     region fact is computed once per call, and the candidates of a pass
-    share the full stack's step-1 direction.
+    share one ``ObjectiveStack``, whose step-1 direction is found once.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     rows = list(problem.objectives)
@@ -396,10 +386,9 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     removed = True
     while removed and len(rows) > 1:
         removed = False
-        current = MolpProblem(tuple(rows), problem.a, problem.b)
-        cone: list[Vector | None] = []
+        stack = ObjectiveStack(tuple(rows))
         for pos in reversed(range(len(rows))):
-            result = _classify(current, pos, region, cone)
+            result = _classify(stack, pos, region)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))

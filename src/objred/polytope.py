@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InfeasibleRegion, UnboundedObjective
+from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     ONE,
     ZERO,
@@ -319,6 +319,13 @@ def is_bounded(p: Polytope) -> bool:
     return not p.walk[2]
 
 
+def require_bounded(p: Polytope, what: str) -> None:
+    """Raise UnboundedRegion, saying that ``what`` needs a bounded region,
+    unless the region is bounded."""
+    if not is_bounded(p):
+        raise UnboundedRegion(f"{what} needs a bounded region, and this one is unbounded")
+
+
 def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     """Vertex sets of every nonempty face of a bounded region, sorted: the
     vertices of each face of ``Polytope.faces``."""
@@ -345,10 +352,13 @@ def optimal_face(p: Polytope, c: Vector) -> list[int]:
     search (see ``_search``); otherwise the maximum is attained at a vertex,
     so it is the best c . x / d over the vertices' keys (x, d), compared in
     integers by cross-multiplying.  Raises InfeasibleRegion on an empty
-    region and UnboundedObjective when c . x has no finite maximum, and
-    TypeError on an entry of c that is neither an int nor a Fraction.
+    region and UnboundedObjective when c . x has no finite maximum,
+    TypeError on an entry of c that is neither an int nor a Fraction, and
+    ValueError when c's length is not the region's dimension.
     """
     require_rational((c,), "c".format)
+    if len(c) != p.dim:
+        raise ValueError(f"c has {len(c)} entries and the region {p.dim} columns")
     if p.start is None:
         raise InfeasibleRegion("region is empty")
     (cs,) = integer_rows((c,))  # a positive scale keeps the maximizers

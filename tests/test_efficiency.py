@@ -16,7 +16,7 @@ from objred.efficiency import (
     is_efficient,
 )
 from objred.engine import combination_multipliers
-from objred.errors import InfeasibleInput
+from objred.errors import InfeasibleInput, UnboundedRegion
 from objred.instances import ladder_region, random_problem
 from objred.linalg import mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
@@ -100,6 +100,15 @@ def test_efficiency_rejects_outside_point():
     f = ObjectiveStack(frows([1, 1], [1, 0]))
     with pytest.raises(InfeasibleInput):
         is_efficient(SEGMENT, f, fvec([1, 1]))
+
+
+def test_efficiency_rejects_a_point_of_the_wrong_length():
+    # (1, 1, 1) was reported as a point outside the region.
+    p = Polytope(frows([1, 1]), fvec([4]))
+    f = ObjectiveStack(frows([1, 0], [0, 1]))
+    for x0 in (fvec([1]), fvec([1, 1, 1])):
+        with pytest.raises(ValueError, match=f"x0 has {len(x0)} entries and the region 2 columns"):
+            is_efficient(p, f, x0)
 
 
 def test_efficiency_refuses_a_float_point_naming_it():
@@ -195,6 +204,19 @@ def test_escaping_efficient_vertex_found():
     assert out == fvec(["9/2", 0, "9/2"])
     assert is_efficient(region, full, out)
     assert not is_efficient(region, reduced, out)
+
+
+def test_face_sweep_raises_on_an_unbounded_region():
+    # On the strip 0 <= x2 <= 1, (1, 1) is efficient for the outer stack and
+    # not for the inner one, yet no vertex or bounded face shows it: the
+    # sweep returned None here.
+    region = Polytope(frows([0, 1]), fvec([1]))
+    outer = ObjectiveStack(frows([1, 0], [-1, 0], [0, 1]))
+    inner = ObjectiveStack(frows([-1, 0], [0, 1]))
+    assert is_efficient(region, outer, fvec([1, 1]))
+    assert not is_efficient(region, inner, fvec([1, 1]))
+    with pytest.raises(UnboundedRegion, match="needs a bounded region"):
+        efficient_point_outside(region, outer, inner)
 
 
 def test_escaping_efficient_point_inside_an_edge():

@@ -165,8 +165,8 @@ def test_step0_solves_no_lp_with_either_answer(monkeypatch):
 
 
 def test_float_entries_raise_type_error_naming_their_position():
-    # An objective entry is named by the caller's index, although the stack
-    # classify builds holds the candidate last: here row 0 is row 2 there.
+    # An objective entry is named by its place in the problem, before
+    # classify builds a stack on it.
     floated = MolpProblem(((1, 0.5), (1, 1), (0, 1)), ((1, 1),), (4,))
     for run in (lambda: classify(floated, 0), lambda: reduce_objectives(floated)):
         with pytest.raises(TypeError, match=r"objectives\[0\]\[1\] is a float"):
@@ -206,11 +206,12 @@ def test_reduce_over_problems_solves_no_lp(monkeypatch):
 
 def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
     # The step-1 direction depends on the problem alone, so the candidates
-    # of one reduce pass share it.  Over problems/, 17 classifications make
-    # 13 cone tests (step-2 tests included); one per candidate made 21.
+    # of one reduce pass share it, as ``ObjectiveStack.direction`` of the
+    # pass's stack.  Over problems/, 17 classifications make 13 cone tests
+    # (step-2 tests included); one per candidate made 21.
     calls = []
-    find = engine.find_cone_point
-    monkeypatch.setattr(engine, "find_cone_point", lambda c: calls.append(c) or find(c))
+    find = efficiency.find_cone_point
+    monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
     reduced = []
     for path in sorted(PROBLEMS.glob("*.json")):
         problem = parse_document(path.read_text()).problem
@@ -222,6 +223,33 @@ def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
     # Each shared direction is the one classify finds on its own.
     for problem, result in reduced:
         assert [v for _, v in result.history] == list(_replayed(problem, result))
+
+
+def test_reduce_builds_one_stack_per_pass_and_one_per_classification(monkeypatch):
+    # A pass builds the stack of its objectives, and each classification the
+    # stack without its candidate.  Building the full and the reduced stack
+    # for each classification made 34 over problems/.
+    made = []
+    check = ObjectiveStack.__post_init__
+    monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
+    counts = {}
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = parse_document(path.read_text()).problem
+        made.clear()
+        try:
+            result = reduce_objectives(problem)
+        except InfeasibleRegion:
+            continue
+        passes = len(result.removals) + (len(result.survivors) > 1)
+        assert len(made) == passes + len(result.history), path.name
+        counts[path.stem] = len(made)
+    assert counts == {
+        "box5_4obj": 6,
+        "cube_3obj": 5,
+        "segment_4obj": 7,
+        "simplex_3obj": 4,
+        "unbounded6_3obj": 4,
+    }
 
 
 def _replayed(problem, result):
@@ -247,6 +275,13 @@ def test_no_library_module_holds_the_simplex():
         if name.startswith("objred.") and name != "objred.simplex":
             held = [attr for attr, value in vars(module).items() if any(value is v for v in own)]
             assert not held, (name, held)
+
+
+def test_step5_and_step6_reject_a_stack_of_the_wrong_width():
+    stack = ObjectiveStack(frows([1], [2]))
+    for step in (step5, step6):
+        with pytest.raises(ValueError, match="c has 1 entries and the region 2 columns"):
+            step(SEGMENT, stack)
 
 
 def test_step3_fixtures():

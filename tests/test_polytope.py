@@ -139,6 +139,18 @@ def test_optimal_face_vertices_single_corner():
     assert face == (fvec([1, 1]),)
 
 
+def test_optimal_face_rejects_an_objective_of_the_wrong_length():
+    # zip cut (1,) short, so it answered ((4, 0),), and the third entry of
+    # (0, 0, 1) multiplied each vertex key's denominator, so it answered
+    # every vertex.  A point of the wrong length is still just not inside.
+    p = Polytope(frows([1, 1]), fvec([4]))
+    for c in (fvec([1]), fvec([0, 0, 1])):
+        with pytest.raises(ValueError, match=f"c has {len(c)} entries and the region 2 columns"):
+            optimal_face_vertices(p, c)
+    assert not contains(p, fvec([1]))
+    assert not contains(p, fvec([1, 1, 1]))
+
+
 def test_optimal_face_raises_on_empty_region():
     empty = Polytope(frows([1, 1]), fvec([-1]))
     with pytest.raises(InfeasibleRegion):
