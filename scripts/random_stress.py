@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Classify seeded random instances, tally the verdicts, and cross-check
+"""Classify seeded random instances, tally the verdicts, re-check every
+verdict's certificates with ``objred.verify.check_verdict``, and cross-check
 every nonessential verdict against a direct comparison of the efficient
-vertex sets before and after deleting the candidate.
+vertex sets before and after deleting the candidate.  A refused certificate
+counts as a mismatch.
 
 The efficient vertices are found by the vertex-image dominance LP of
 ``tests/helpers.dominance_oracle``, not by ``objred.is_efficient``, so the
@@ -26,6 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from helpers import dominance_oracle  # noqa: E402
 from objred import MolpProblem, Outcome, classify  # noqa: E402
 from objred.instances import random_problem  # noqa: E402
+from objred.verify import check_verdict  # noqa: E402
 
 
 def check_nonessential(problem: MolpProblem, candidate: int) -> bool:
@@ -53,6 +56,10 @@ def main() -> int:
         verdict = classify(problem)
         key = f"{verdict.outcome.value}@{int(verdict.decided_at)}"
         tally[key] += 1
+        fault = check_verdict(problem.objectives, problem.a, problem.b, verdict)
+        if fault is not None:
+            mismatches += 1
+            print(f"REFUSED CERTIFICATE ({fault}) on {problem}")
         if verdict.outcome is Outcome.NONESSENTIAL:
             if not check_nonessential(problem, verdict.candidate):
                 mismatches += 1

@@ -12,10 +12,11 @@ index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
 the meet of its vertices', so no vertex is hashed.  The cone test's "no" is
 Stiemke's alternative, a positive y with C^T y = 0, which is the efficiency
 test where nothing is tight: both build one system (``_isermann``) decided
-by one integer phase 1 of ``linalg.farkas``, which builds a vector only on
-a "no".  Each certificate is read off the phase 1 that decides its answer:
-a cone direction is that Farkas vector, and the weights are the end point
-of a Stiemke system (``linalg.integer_solution``).  No LP is solved.
+by one integer phase 1 of ``linalg.farkas``.  Each certificate is read off
+the phase 1 that decides its answer: a cone direction is that Farkas vector
+(``opposite``), and the weights are the end point of a Stiemke system
+(``linalg.integer_solution``).  No LP is solved.  A stack goes into
+integers once, as its ``image``, which every efficiency test reads.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ class ObjectiveStack:
         return frozenset(self.rows)
 
     @cached_property
+    def image(self) -> list[list[int]]:
+        """The rows scaled to integers (``integer_rows``), which step 0 and
+        every efficiency test read: built on first use, and once, and handed
+        down by ``drop``.  A positive scale of a row keeps the efficient set
+        and the multipliers' support.  Not to be mutated."""
+        return integer_rows(self.rows)
+
+    @cached_property
     def direction(self) -> Vector | None:
         """The step-1 direction of the stack, ``find_cone_point`` on its rows
         in their order: built on first use, and once, so that every
@@ -83,8 +92,10 @@ class ObjectiveStack:
     def drop(self, index: int) -> "ObjectiveStack":
         if not 0 <= index < self.count:
             raise IndexError("objective index out of range")
-        kept = tuple(row for i, row in enumerate(self.rows) if i != index)
-        return ObjectiveStack(kept)
+        kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
+        # A cached property keeps its value in the instance's __dict__.
+        kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
+        return kept
 
 
 def find_cone_point(c: Matrix) -> Vector | None:
@@ -97,8 +108,12 @@ def find_cone_point(c: Matrix) -> Vector | None:
     integer vector; it depends on the order of C's rows alone.
     """
     z = farkas(_isermann(integer_rows(c), [], []))
-    if z is None:
-        return None
+    return None if z is None else opposite(z)
+
+
+def opposite(z: list[int]) -> Vector:
+    """-z over the gcd of its entries, for a Farkas vector z != 0: the
+    primitive integer direction it gives, as Fractions."""
     g = math.gcd(*z)
     return tuple(ratio(-a // g, 1) for a in z)
 
@@ -151,7 +166,7 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     if key in p.efficient:
         return p.efficient[key]
     tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
-    system = _isermann(integer_rows(f.rows), tight, [c for c in zeros if c < p.dim])
+    system = _isermann(f.image, tight, [c for c in zeros if c < p.dim])
     efficient = farkas(system) is None
     p.efficient[key] = efficient
     return efficient

@@ -5,13 +5,16 @@ max {F(x) : Ax <= b, x >= 0} unchanged.  classify() walks a fixed decision
 tree of eight tests (steps 0 to 7); each is exact linear algebra or one
 integer phase 1 that yields both the answer and its certificate (no LP is
 solved), and every answer is recorded in a trace together with a checkable
-certificate where one exists.
+certificate where one exists.  Step 2 alone runs nothing: steps 0 and 1
+decide it.
 
 Tree shape.  Step 0 asks whether the candidate gradient is a nonnegative
 combination of the others (sufficient for nonessential).  Step 1 asks for a
 direction improving the full stack semipositively; if none exists every
 feasible point is efficient and the routine continues with steps 2-4, which
-compare that situation against the reduced stack.  Otherwise steps 5-7
+compare that situation against the reduced stack.  Step 2's direction for
+the reduced stack always exists there, and step 0's Farkas vector gives it
+(see ``_classify``), so the tree never ends at step 2.  Otherwise steps 5-7
 examine the candidate's optimal face and a kernel condition that certifies
 the reduced objective map is one-to-one on the efficient set.  The kernel
 condition alone only proves that deletion cannot shrink the efficient set,
@@ -30,15 +33,18 @@ no finite maximum.  Step 7 instead degrades to the inconclusive verdict,
 which claims nothing.
 
 Stacks.  The tree reads one ``ObjectiveStack`` of all the objectives, in
-the problem's order, and the stack without the candidate that ``drop``
-builds from it; the step-1 and step-2 directions are their cached
-``direction``s.  reduce_objectives builds one stack per pass, so the
-candidates of a pass share one step-1 direction.
+the problem's order: step 0 solves on its integer ``image`` and step 1 reads
+its cached ``direction``.  Steps 4, 6 and 7 read the stack without the
+candidate, which ``drop`` builds, with its image, only when one of them
+runs.  reduce_objectives builds one stack per call and drops each deleted
+objective from it, so the candidates of a pass share one step-1 direction
+and every pass one integer image.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,12 +54,13 @@ from .efficiency import (
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
+    opposite,
 )
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     Matrix,
     Vector,
-    integer_solution,
+    alternative,
     intersect_spans,
     null_space,
     ratio,
@@ -161,17 +168,32 @@ def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     or None when no such multipliers exist (Farkas's alternative: then some
     direction hurts no other objective but lowers the last).
 
-    Both the answer and the multipliers come from one phase 1 on integers,
-    the end point y / d of ``linalg.integer_solution``; no LP is solved."""
+    Both the answer and the multipliers come from one phase 1 on the
+    stack's integer image (``linalg.alternative``); no LP is solved."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
-    return _multipliers(stack.rows[:-1], stack.rows[-1])
+    return _multipliers(stack, stack.count - 1)[0]
 
 
-def _multipliers(others: Matrix, target: Vector) -> Vector | None:
-    """``combination_multipliers`` of the stack of ``others`` and ``target``."""
-    found = integer_solution(tuple(zip(*others, target)))  # one equation per column
-    return None if found is None else tuple(ratio(y, found[1]) for y in found[0])
+def _multipliers(stack: ObjectiveStack, candidate: int) -> tuple[Vector | None, list[int] | None]:
+    """(alpha, None) with alpha the ``combination_multipliers`` of row
+    ``candidate`` over the other rows, or (None, z) with z the Farkas vector
+    of their "no": c_i . z <= 0 on every other row and c_k . z > 0.
+
+    The system has one equation per column, sum_i y_i s_i c_i = s_k c_k on
+    the image's rows s_i c_i, over the frame d = 1.  That is the system on
+    the rows themselves with column i scaled by s_i > 0 and the right-hand
+    side by s_k, so Bland's rule takes the same pivots to the same basis,
+    and alpha_i = y_i s_i / (d s_k) is the same point."""
+    image = stack.image
+    others = image[:candidate] + image[candidate + 1 :]
+    found, z = alternative([list(column) for column in zip(*others, image[candidate])])
+    if found is None:
+        return None, z
+    y, d = found
+    scale = [math.lcm(*(a.denominator for a in row)) for row in stack.rows]
+    s_k = scale.pop(candidate)
+    return tuple(ratio(v * s, d * s_k) for v, s in zip(y, scale)), None
 
 
 def kernel_separation(
@@ -245,14 +267,15 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
     """classify() of row ``candidate`` of ``stack`` on a region object whose
     facts may already be known.  The stack is in the problem's own order, so
     that its step-1 direction does not depend on the candidate; a reduce
-    pass shares one stack, and with it one direction."""
-    reduced = stack.drop(candidate)
+    pass shares one stack, and with it one direction.  Step 2 is read off
+    steps 0 and 1, and the stack without the candidate is built only for
+    steps 4, 6 and 7, which read it."""
     trace: list[TraceEntry] = []
 
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
         return Verdict(candidate, outcome, step, relation, tuple(trace))
 
-    alpha = _multipliers(reduced.rows, stack.rows[candidate])
+    alpha, z = _multipliers(stack, candidate)
     trace.append(_entry(Step.COMBINATION, alpha))
     if alpha is not None:
         return verdict(Outcome.NONESSENTIAL, Step.COMBINATION)
@@ -264,10 +287,13 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
 
     if stack.direction is None:
         # No semipositive improving direction for the full stack exists, so
-        # every feasible point is efficient before deletion.
-        trace.append(_entry(Step.REDUCED_CONE, reduced.direction))
-        if reduced.direction is None:
-            return verdict(Outcome.NONESSENTIAL, Step.REDUCED_CONE)
+        # every feasible point is efficient before deletion.  Then step 2
+        # always finds one for the reduced stack: step 1's "no" gives some
+        # y > 0 with sum_i y_i c_i = 0, and step 0's Farkas vector z has
+        # c_i . z <= 0 on the others and c_k . z > 0, so that
+        # sum_{i != k} y_i c_i . z = -y_k c_k . z < 0.  Some other c_i . z is
+        # negative, and -z improves the reduced stack semipositively.
+        trace.append(TraceEntry(Step.REDUCED_CONE, True, opposite(z)))
 
         interior = region.interior_point
         trace.append(_entry(Step.INTERIOR, interior))
@@ -276,7 +302,7 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
             # stays feasible and leaves the reduced efficient set.
             return verdict(Outcome.ESSENTIAL, Step.INTERIOR)
 
-        trace.append(_all_efficient(region, reduced, check_bounded=True))
+        trace.append(_all_efficient(region, stack.drop(candidate), check_bounded=True))
         if trace[-1].answer:
             return verdict(Outcome.NONESSENTIAL, Step.ALL_EFFICIENT)
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
@@ -287,6 +313,7 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
         raise UnboundedRegion(str(exc)) from exc
     trace.append(TraceEntry(Step.OPTIMAL_FACE, True, tuple(region.vertices[i] for i in face)))
 
+    reduced = stack.drop(candidate)
     trace.append(_face_efficient(region, reduced, face, check_bounded=True))
     if not trace[-1].answer:
         return verdict(Outcome.ESSENTIAL, Step.FACE_EFFICIENT)
@@ -375,26 +402,27 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     history records every classification performed, keyed by the original
     objective index.  All classifications share one region object, so each
     region fact is computed once per call, and the candidates of a pass
-    share one ``ObjectiveStack``, whose step-1 direction is found once.
+    share one ``ObjectiveStack``, whose step-1 direction is found once.  The
+    next pass's stack is ``drop`` of the deleted candidate, so the problem's
+    objectives go into integers once per call.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
-    rows = list(problem.objectives)
-    labels = list(range(len(rows)))
+    labels = list(range(problem.n_objectives))
     removals: list[Removal] = []
     history: list[tuple[int, Verdict]] = []
     region = problem.region()
     removed = True
-    while removed and len(rows) > 1:
+    stack = problem.stack()
+    while removed and stack.count > 1:
         removed = False
-        stack = ObjectiveStack(tuple(rows))
-        for pos in reversed(range(len(rows))):
+        for pos in reversed(range(stack.count)):
             result = _classify(stack, pos, region)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))
-                del rows[pos]
+                stack = stack.drop(pos)
                 del labels[pos]
                 removed = True
                 break
-    reduced = MolpProblem(tuple(rows), problem.a, problem.b)
+    reduced = MolpProblem(stack.rows, problem.a, problem.b)
     return ReduceResult(reduced, tuple(removals), tuple(labels), tuple(history))

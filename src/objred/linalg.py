@@ -9,8 +9,8 @@ by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis, and the one
 that decides each feasibility question of the decision tree and yields its
-certificate: the end point (``integer_solution``) when there is a solution,
-the Farkas vector (``farkas``) when there is none.  The library
+certificate (``alternative``): the end point when there is a solution, the
+Farkas vector when there is none.  The library
 solves no LP; ``objred.simplex`` runs both its phases on the same kernel.
 Its tie-break, the minimum-ratio row of lowest basic index, is
 ``leaving_row``; the vertex search steps along the same rows, so it follows
@@ -159,22 +159,32 @@ def phase1(rows: list[list[int]], d: int, riders: Sequence[list[int]] = ()) -> D
     return basis, tableau, bland(tableau, basis, d, len(tableau) - 1)  # max -sum <= 0 is never unbounded
 
 
+def alternative(rows: list[list[int]], d: int = 1) -> tuple[tuple[list[int], int] | None, list[int] | None]:
+    """Farkas's alternative for y >= 0 with ``row[:-1] . y = row[-1]`` on the
+    integer rows over a frame d > 0 (1, or ``integer_frame``'s d), decided
+    by one ``phase1``.  When there
+    is a solution: ((y, d'), None), where y / d' is the point it ends at.
+    Otherwise: (None, z) with z . column <= 0 on every column and
+    z . rhs > 0, read off the cost row.  That row starts as the sum of the
+    rows, each row with b < 0 negated (s_i = -1, else 1), and each pivot
+    subtracts a multiple of a row; artificial i starts at 0 and is nonzero
+    in row i alone.  So the final row is sum_i (1 + u_i) s_i row_i / d, where
+    u_i is artificial i's entry over the final pivot d'.  At a positive least
+    sum it is nowhere positive and its right-hand side is positive:
+    z_i = s_i (1 + u_i), returned times d' > 0, whatever the frame d."""
+    basis, tableau, d = phase1(rows, d)
+    cost = tableau[-1]
+    n = len(cost) - 1 - len(rows)
+    if cost[-1]:
+        return None, [d + u if row[-1] >= 0 else -d - u for row, u in zip(rows, cost[n:-1])]
+    values = {c: row[-1] for c, row in zip(basis, tableau)}
+    return ([values.get(j, 0) for j in range(n)], d), None
+
+
 def farkas(rows: list[list[int]]) -> list[int] | None:
     """None when some y >= 0 solves the integer rows ``row[:-1] . y =
-    row[-1]``; otherwise z with z . column <= 0 on every column and
-    z . rhs > 0 (Farkas's alternative), read off the ``phase1`` that decides
-    it.  Its cost row starts as the sum of the rows, each row with b < 0
-    negated (s_i = -1, else 1), and each pivot subtracts a multiple of a row;
-    artificial i starts at 0 and is nonzero in row i alone.  So the final
-    row is sum_i (1 + u_i) s_i row_i, where u_i is artificial i's entry over
-    d.  At a positive least sum it is nowhere positive and its right-hand
-    side is positive: z_i = s_i (1 + u_i), returned times d > 0."""
-    basis, tableau, d = phase1(rows, 1)
-    cost = tableau[-1]
-    if not cost[-1]:
-        return None
-    n = len(cost) - 1 - len(rows)
-    return [d + u if row[-1] >= 0 else -d - u for row, u in zip(rows, cost[n:-1])]
+    row[-1]``; otherwise ``alternative``'s Farkas vector z."""
+    return alternative(rows)[1]
 
 
 def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
@@ -183,11 +193,7 @@ def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
     which makes the pivots of ``simplex.solve``: the point it returns for a
     zero objective.  Rows scaled to integers one by one would change the
     cost row, and so the pivots."""
-    basis, rows, d = phase1(*integer_frame(m))
-    if rows[-1][-1]:
-        return None
-    values = {c: row[-1] for c, row in zip(basis, rows)}
-    return [values.get(j, 0) for j in range(len(m[0]) - 1)], d
+    return alternative(*integer_frame(m))[0]
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

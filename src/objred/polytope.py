@@ -30,15 +30,13 @@ from functools import cached_property
 
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
-    ONE,
-    ZERO,
     Dictionary,
     Matrix,
     Vector,
+    alternative,
     bland,
     integer_frame,
     integer_rows,
-    integer_solution,
     leaving_row,
     pivot,
     ratio,
@@ -72,6 +70,14 @@ class Polytope:
         the scale is positive, so every comparison a_i . x <= b_i keeps its
         answer."""
         return integer_rows(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
+
+    @cached_property
+    def frame(self) -> tuple[list[list[int]], int]:
+        """[A | b] over its common denominator d (``integer_frame``), from
+        which the phase 1s of ``start`` and ``interior_point`` are built:
+        with the same d their pivots repeat the rational ones.  Not to be
+        mutated."""
+        return integer_frame(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
 
     @cached_property
     def start(self) -> Dictionary | None:
@@ -254,7 +260,7 @@ def _primitive(v: list[int], d: int) -> Key:
 def _first_feasible(p: Polytope) -> Dictionary | None:
     """A feasible dictionary of [A | I] y = b, or None iff the region is
     empty.  The slack-basis dictionary is d [A | I | b] over d > 0, the
-    product of the rows' denominator LCMs (``integer_frame`` of [A | b]); it
+    product of the rows' denominator LCMs (``Polytope.frame``); it
     is feasible when b >= 0.  Otherwise phase 1 adds one
     auxiliary column x0 = n with -1 in every row and a cost row for max
     -x0; x0 enters on the row of the most negative b_i, which makes the
@@ -267,7 +273,7 @@ def _first_feasible(p: Polytope) -> Dictionary | None:
     m = len(p.a)
     k = p.dim
     n = k + m
-    rows, d = integer_frame(tuple(row) + (rhs,) for row, rhs in zip(p.a, p.b))
+    rows, d = p.frame
     rows = [row[:k] + [d if j == i else 0 for j in range(m)] + row[k:] for i, row in enumerate(rows)]
     basis = list(range(k, n))
     if any(row[-1] < 0 for row in rows):
@@ -295,13 +301,17 @@ def find_interior_point(p: Polytope) -> Vector | None:
     The strict system as a phase 1: Aq + s - tb = b - A1 - 1 with q, s, t >= 0
     gives A(1 + q) + (1 + s) = (1 + t)b, so x = (1 + q) / (1 + t) is strictly
     interior; and any interior point, scaled up, gives such q, s and t.
+    The system's rows are built from ``p.frame``: they have the common
+    denominator d of [A | b], so the phase 1 over d makes the rational
+    pivots, as ``integer_solution`` on the system would.
     """
-    m = len(p.a)
+    frame, d = p.frame
+    m = len(frame)
     rows = [
-        (*row, *(ONE if j == i else ZERO for j in range(m)), -rhs, rhs - sum(row) - 1)
-        for i, (row, rhs) in enumerate(zip(p.a, p.b))
+        row[:-1] + [d if j == i else 0 for j in range(m)] + [-row[-1], row[-1] - sum(row[:-1]) - d]
+        for i, row in enumerate(frame)
     ]
-    found = integer_solution(rows)
+    found = alternative(rows, d)[0]
     if found is None:
         return None
     y, d = found

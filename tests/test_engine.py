@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from objred import (
     FULL_WITHIN_REDUCED,
@@ -20,6 +22,7 @@ from objred import (
     classify,
     efficiency,
     engine,
+    linalg,
     parse_document,
     polytope,
     reduce_objectives,
@@ -42,6 +45,7 @@ from objred.engine import (
 from objred.errors import InfeasibleRegion, UnboundedRegion
 from objred.linalg import dot, mat_vec
 from objred.polytope import enumerate_vertices
+from objred.verify import check_verdict
 
 from helpers import (
     CUBE,
@@ -49,6 +53,7 @@ from helpers import (
     box5_4obj,
     combination_multipliers_reference,
     cube_3obj,
+    find_cone_point_reference,
     frows,
     fvec,
     segment_3obj,
@@ -99,6 +104,45 @@ def test_step1_fixtures():
 
 def test_step2_fixture():
     assert step2(segment_3obj().stack())
+
+
+@st.composite
+def step_2_problems(draw):
+    """A bounded region, a stack and a candidate.  Half the stacks end in a
+    row that balances the others with positive weights, so that step 1
+    answers "no"; the candidate is any row."""
+    k = draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+    rows = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        weights = [draw(st.integers(1, 3)) for _ in rows]
+        scale = Fraction(draw(st.integers(1, 3)))
+        rows.append([-sum(w * row[j] for w, row in zip(weights, rows)) / scale for j in range(k)])
+    else:
+        rows.append([draw(ints) for _ in range(k)])
+    a = [[draw(ints) for _ in range(k)] for _ in range(draw(st.integers(0, 2)))] + [[1] * k]
+    b = [draw(st.integers(0, 4)) for _ in a[:-1]] + [draw(st.integers(1, 4))]
+    return frows(*rows), draw(st.integers(0, len(rows) - 1)), frows(*a), fvec(b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(step_2_problems())
+def test_steps_0_and_1_decide_step_2(drawn):
+    # Step 0's "no" gives z with c_i . z <= 0 on the others and c_k . z > 0,
+    # and step 1's "no" some y > 0 with sum_i y_i c_i = 0; so some other
+    # c_i . z < 0, and -z is a step-2 direction: step 2 always answers yes.
+    rows, candidate, a, b = drawn
+    stack = ObjectiveStack(rows[:candidate] + rows[candidate + 1 :] + rows[candidate : candidate + 1])
+    assume(not step0(stack) and not step1(stack))
+    assert step2(stack) is True
+    others = stack.rows[:-1]
+    assert find_cone_point_reference(others) is not None
+    verdict = classify(MolpProblem(rows, a, b), candidate)
+    entry = verdict.trace[Step.REDUCED_CONE]
+    assert (entry.step, entry.answer) == (Step.REDUCED_CONE, True)
+    values = [sum((c * x for c, x in zip(row, entry.certificate)), Fraction(0)) for row in others]
+    assert all(v >= 0 for v in values) and any(values)
+    assert check_verdict(rows, a, b, verdict) is None
 
 
 def _raise_on_lp(*args, **kwargs):
@@ -207,8 +251,9 @@ def test_reduce_over_problems_solves_no_lp(monkeypatch):
 def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
     # The step-1 direction depends on the problem alone, so the candidates
     # of one reduce pass share it, as ``ObjectiveStack.direction`` of the
-    # pass's stack.  Over problems/, 17 classifications make 13 cone tests
-    # (step-2 tests included); one per candidate made 21.
+    # pass's stack, and step 2 reads step 0's Farkas vector.  Over
+    # problems/, 17 classifications make 9 cone tests; with a cone test for
+    # each step 2 they made 13, and with one per candidate 21.
     calls = []
     find = efficiency.find_cone_point
     monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
@@ -219,16 +264,18 @@ def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
             reduced.append((problem, reduce_objectives(problem)))
         except InfeasibleRegion:
             pass
-    assert (sum(len(result.history) for _, result in reduced), len(calls)) == (17, 13)
+    assert (sum(len(result.history) for _, result in reduced), len(calls)) == (17, 9)
     # Each shared direction is the one classify finds on its own.
     for problem, result in reduced:
         assert [v for _, v in result.history] == list(_replayed(problem, result))
 
 
-def test_reduce_builds_one_stack_per_pass_and_one_per_classification(monkeypatch):
-    # A pass builds the stack of its objectives, and each classification the
-    # stack without its candidate.  Building the full and the reduced stack
-    # for each classification made 34 over problems/.
+def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(monkeypatch):
+    # A reduce builds the stack of the problem's objectives, each deletion
+    # drops its candidate from it for the next pass, and a classification
+    # builds the stack without its candidate only when step 4 or step 6
+    # reads it.  Building the reduced stack for every classification made
+    # 26 over problems/, and the full and the reduced stack for each 34.
     made = []
     check = ObjectiveStack.__post_init__
     monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
@@ -240,16 +287,82 @@ def test_reduce_builds_one_stack_per_pass_and_one_per_classification(monkeypatch
             result = reduce_objectives(problem)
         except InfeasibleRegion:
             continue
-        passes = len(result.removals) + (len(result.survivors) > 1)
-        assert len(made) == passes + len(result.history), path.name
+        reading = sum(v.decided_at >= Step.ALL_EFFICIENT for _, v in result.history)
+        assert len(made) == 1 + len(result.removals) + reading, path.name
         counts[path.stem] = len(made)
     assert counts == {
         "box5_4obj": 6,
         "cube_3obj": 5,
         "segment_4obj": 7,
-        "simplex_3obj": 4,
+        "simplex_3obj": 1,
         "unbounded6_3obj": 4,
     }
+
+
+def test_reduce_repeats_no_cone_test(monkeypatch):
+    # Within one reduce, every cone test is a pass's step-1 direction, and
+    # each pass has its own objectives, so no cone test repeats the rows of
+    # an earlier one.  A cone test for each step 2 repeated one in
+    # segment_4obj.
+    calls = []
+    find = efficiency.find_cone_point
+    monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
+    tested = 0
+    for path in sorted(PROBLEMS.glob("*.json")):
+        calls.clear()
+        try:
+            reduce_objectives(parse_document(path.read_text()).problem)
+        except InfeasibleRegion:
+            continue
+        assert len(set(calls)) == len(calls), path.name
+        tested += len(calls)
+    assert tested == 9
+
+
+def test_the_problem_goes_into_integers_once(monkeypatch):
+    # Step 0 and every efficiency test read the stack's integer image, which
+    # a reduce builds once and ``drop`` hands down, and the region's phase 1s
+    # are built from its one frame.  Neither step 0 nor ``efficient_at``
+    # scales a stack's Fraction rows itself.  Over problems/, the efficiency
+    # tests scaled them 136 times and step 0 framed its system 18 times, and
+    # the start and the interior point framed the region 8 times.
+    calls = []
+    for name in ("integer_rows", "integer_frame"):
+        convert = getattr(linalg, name)
+
+        def counted(m, convert=convert, name=name):
+            rows = tuple(tuple(row) for row in m)
+            calls.append((name, sys._getframe(1).f_code.co_name, rows, m))
+            return convert(rows)
+
+        for module in (linalg, efficiency, polytope, engine):
+            if getattr(module, name, None) is convert:
+                monkeypatch.setattr(module, name, counted)
+    made = []
+    check = ObjectiveStack.__post_init__
+    monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
+    images = 0
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = parse_document(path.read_text()).problem
+        calls.clear()
+        made.clear()
+        try:
+            reduce_objectives(problem)
+        except InfeasibleRegion:
+            pass
+        stacks = {id(stack.rows) for stack in made}
+        region = tuple(row + (rhs,) for row, rhs in zip(problem.a, problem.b))
+        assert not [c for c in calls if c[1] in ("efficient_at", "_multipliers")], path.name
+        # Step 1's direction and step 7's kernel scale the rows on their own.
+        on_stacks = {caller for name, caller, _, m in calls if id(m) in stacks}
+        assert on_stacks <= {"image", "find_cone_point", "null_space"}, path.name
+        built = [rows for name, caller, rows, _ in calls if caller == "image"]
+        assert built == [problem.objectives][: len(built)], path.name
+        framed = [c[:2] for c in calls if c[0] == "integer_frame" and c[2] == region]
+        assert framed == [("integer_frame", "frame")], path.name
+        images += len(built)
+    # The empty region ends after step 0, which builds the image too.
+    assert images == 6
 
 
 def _replayed(problem, result):
@@ -608,7 +721,7 @@ def test_step_functions_answer_on_unbounded_regions():
 # Each region fact is computed at most once per classify or reduce call.
 
 REGION_FUNCTIONS = ("enumerate_vertices", "find_interior_point")
-REGION_PROPERTIES = ("start", "walk", "faces")
+REGION_PROPERTIES = ("frame", "start", "walk", "faces")
 # The public form of the lattice, which objred never builds.
 REGION_VIEWS = ("face_vertex_sets",)
 
@@ -670,5 +783,5 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     region = cube_3obj().region()
     assert len(polytope.face_vertex_sets(region)) == len(region.vertices) + 19
     assert fact_counts == dict.fromkeys(
-        ("start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
+        ("frame", "start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
     )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from objred.linalg import (
     ZERO,
+    alternative,
     dot,
     farkas,
     integer_frame,
@@ -260,6 +261,13 @@ def test_integer_solution_is_the_simplex_phase_1_point(m):
     out = solve_reference(LpProblem((ZERO,) * width, rows, (VarKind.NONNEG,) * width))
     assert rational_solution(m) == out.point
     assert (out.status is LpStatus.INFEASIBLE) == (farkas(integer_rows(m)) is not None)
+    # The same phase 1 reads the Farkas vector off its cost row over the
+    # frame's d as over 1.
+    z = alternative(*integer_frame(m))[1]
+    assert (out.status is LpStatus.INFEASIBLE) == (z is not None)
+    if z is not None:
+        assert all(dot(z, column) <= 0 for column in list(zip(*m))[:-1])
+        assert dot(z, [row[-1] for row in m]) > 0
 
 
 def rational_solution(m):
