@@ -5,8 +5,7 @@ max {F(x) : Ax <= b, x >= 0} unchanged.  classify() walks a fixed decision
 tree of eight tests (steps 0 to 7); each is exact linear algebra or one
 integer phase 1 that yields both the answer and its certificate (no LP is
 solved), and every answer is recorded in a trace together with a checkable
-certificate where one exists.  Step 2 alone runs nothing: steps 0 and 1
-decide it.
+certificate where one exists.
 
 Tree shape.  Step 0 asks whether the candidate gradient is a nonnegative
 combination of the others (sufficient for nonessential).  Step 1 asks for a
