@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Classify seeded random instances, tally the verdicts, re-check every
 verdict's certificates with ``objred.verify.check_verdict``, and cross-check
-every nonessential verdict against a direct comparison of the efficient
-vertex sets before and after deleting the candidate.  A refused certificate
-counts as a mismatch.
+every essential and nonessential verdict against the paper's definition:
+whether deleting the candidate changes the efficient set, face by face
+(``tests/helpers.essential_oracle``).  A refused certificate or a verdict
+the definition contradicts counts as a mismatch; the true answer of each
+inconclusive verdict is tallied.
 
-The efficient vertices are found by the vertex-image dominance LP of
-``tests/helpers.dominance_oracle``, not by ``objred.is_efficient``, so the
-cross-check does not rest on the efficiency test that ``classify`` uses.
-The instances are bounded, which that formulation needs.
+The efficient faces are found by the vertex-image dominance LP of
+``tests/helpers.dominance_oracle`` at each face centroid, over vertices and
+faces found by brute force, not by ``objred.is_efficient`` or ``Polytope``,
+so the cross-check does not rest on what ``classify`` uses.  The instances
+are bounded, which that formulation needs.
 
     python3 scripts/random_stress.py --count 30 --seed 1
 """
@@ -25,20 +28,10 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import dominance_oracle  # noqa: E402
-from objred import MolpProblem, Outcome, classify  # noqa: E402
+from helpers import essential_oracle  # noqa: E402
+from objred import Outcome, classify  # noqa: E402
 from objred.instances import random_problem  # noqa: E402
 from objred.verify import check_verdict  # noqa: E402
-
-
-def check_nonessential(problem: MolpProblem, candidate: int) -> bool:
-    vertices = problem.region().vertices
-    full = problem.stack()
-    reduced = full.drop(candidate)
-    return all(
-        dominance_oracle(vertices, full, v) == dominance_oracle(vertices, reduced, v)
-        for v in vertices
-    )
 
 
 def main() -> int:
@@ -49,6 +42,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     tally: collections.Counter[str] = collections.Counter()
+    settled: collections.Counter[bool] = collections.Counter()  # inconclusive, by the true answer
     mismatches = 0
     started = time.perf_counter()
     for _ in range(args.count):
@@ -60,14 +54,17 @@ def main() -> int:
         if fault is not None:
             mismatches += 1
             print(f"REFUSED CERTIFICATE ({fault}) on {problem}")
-        if verdict.outcome is Outcome.NONESSENTIAL:
-            if not check_nonessential(problem, verdict.candidate):
-                mismatches += 1
-                print(f"MISMATCH on {problem}")
+        essential = essential_oracle(problem, verdict.candidate)
+        if verdict.outcome is Outcome.INCONCLUSIVE:
+            settled[essential] += 1
+        elif essential != (verdict.outcome is Outcome.ESSENTIAL):
+            mismatches += 1
+            print(f"MISMATCH on {problem}")
     elapsed = time.perf_counter() - started
 
     for key in sorted(tally):
         print(f"{key:20s} {tally[key]}")
+    print(f"inconclusive verdicts, truly: {settled[True]} essential, {settled[False]} nonessential")
     print(f"{args.count} instances in {elapsed:.2f}s, {mismatches} mismatch(es)")
     return 1 if mismatches else 0
 

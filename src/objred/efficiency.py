@@ -89,13 +89,23 @@ class ObjectiveStack:
     def values(self, x: Vector) -> Vector:
         return mat_vec(self.rows, x)
 
+    @cached_property
+    def _dropped(self) -> dict[int, "ObjectiveStack"]:
+        """The stacks ``drop`` has built, by the index dropped."""
+        return {}
+
     def drop(self, index: int) -> "ObjectiveStack":
+        """The stack without row ``index``, with its image: built on first
+        use for each index, and once, so that a reduce's next pass is the
+        stack a classification of the deleted objective read."""
         if not 0 <= index < self.count:
             raise IndexError("objective index out of range")
-        kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
-        # A cached property keeps its value in the instance's __dict__.
-        kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
-        return kept
+        if index not in self._dropped:
+            kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
+            # A cached property keeps its value in the instance's __dict__.
+            kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
+            self._dropped[index] = kept
+        return self._dropped[index]
 
 
 def find_cone_point(c: Matrix) -> Vector | None:
@@ -141,9 +151,11 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
     decided on integers: x0 is efficient iff ``linalg.farkas`` finds no
     Farkas vector.  No LP is solved.
-    F and A_T enter with each row scaled to integers: a positive scale of
-    an objective keeps the efficient set, and one of a tight row keeps the
-    normal cone.  Holds on unbounded regions as well as bounded ones.
+    F enters as the stack's ``image``, each row times the LCM of its own
+    denominators, and A_T as rows of ``Polytope.frame``, [A | b] times one
+    common denominator: a positive scale of an objective keeps the efficient
+    set, and one of a tight row keeps the normal cone.  Holds on unbounded
+    regions as well as bounded ones.
     Raises ValueError when the stack's width or x0's length is not the
     region's dimension, and TypeError on an entry of x0 that is neither an
     int nor a Fraction.
@@ -165,7 +177,7 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     key = (f.row_set, zeros)
     if key in p.efficient:
         return p.efficient[key]
-    tight = [p.int_rows[c - p.dim] for c in zeros if c >= p.dim]
+    tight = [p.frame[0][c - p.dim] for c in zeros if c >= p.dim]
     system = _isermann(f.image, tight, [c for c in zeros if c < p.dim])
     efficient = farkas(system) is None
     p.efficient[key] = efficient

@@ -35,9 +35,10 @@ Stacks.  The tree reads one ``ObjectiveStack`` of all the objectives, in
 the problem's order: step 0 solves on its integer ``image`` and step 1 reads
 its cached ``direction``.  Steps 4, 6 and 7 read the stack without the
 candidate, which ``drop`` builds, with its image, only when one of them
-runs.  reduce_objectives builds one stack per call and drops each deleted
-objective from it, so the candidates of a pass share one step-1 direction
-and every pass one integer image.
+runs, and keeps.  reduce_objectives builds one stack per call and drops
+each deleted objective from it, so the candidates of a pass share one
+step-1 direction, every pass one integer image, and a pass after a deletion
+at step 4 or 7 the stack that step read.
 """
 
 from __future__ import annotations
@@ -403,7 +404,8 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     region fact is computed once per call, and the candidates of a pass
     share one ``ObjectiveStack``, whose step-1 direction is found once.  The
     next pass's stack is ``drop`` of the deleted candidate, so the problem's
-    objectives go into integers once per call.
+    objectives go into integers once per call, and a candidate deleted at
+    step 4 or 7 leaves the stack its classification built.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     labels = list(range(problem.n_objectives))

@@ -16,10 +16,11 @@ of its phase 1s; no LP is solved.
 A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
 is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
 it: ``walk`` reads each vertex's off a dictionary, and ``zero_set`` compares
-any point with the integer rows of [A | b].  The search runs in integers: a
-vertex is a primitive key (x, d), d > 0, for x / d, with its zero set at its
-index in ``zero_sets`` and its ``Fraction``s built once, in ``vertices``; a
-face is a tuple of vertex indices (``faces``).
+any point with the rows of ``Polytope.frame``, the region's one integer
+image of [A | b].  The search runs in integers: a vertex is a primitive key
+(x, d), d > 0, for x / d, with its zero set at its index in ``zero_sets``
+and its ``Fraction``s built once, in ``vertices``; a face is a tuple of
+vertex indices (``faces``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     Dictionary,
     Matrix,
+    ONE,
     Vector,
     alternative,
     bland,
@@ -65,18 +67,13 @@ class Polytope:
         return len(self.a[0])
 
     @cached_property
-    def int_rows(self) -> list[list[int]]:
-        """The rows of [A | b], each scaled to integers by ``integer_rows``;
-        the scale is positive, so every comparison a_i . x <= b_i keeps its
-        answer."""
-        return integer_rows(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
-
-    @cached_property
     def frame(self) -> tuple[list[list[int]], int]:
-        """[A | b] over its common denominator d (``integer_frame``), from
-        which the phase 1s of ``start`` and ``interior_point`` are built:
-        with the same d their pivots repeat the rational ones.  Not to be
-        mutated."""
+        """[A | b] over its common denominator d (``integer_frame``), the
+        region's one integer image.  The phase 1s of ``start`` and
+        ``interior_point`` are built from it, with the same d, so their
+        pivots repeat the rational ones.  ``zero_set`` and every efficiency
+        test read its rows: a positive scale of a row keeps each slack's
+        sign and the normal cone of the tight rows.  Not to be mutated."""
         return integer_frame(tuple(row) + (rhs,) for row, rhs in zip(self.a, self.b))
 
     @cached_property
@@ -155,18 +152,17 @@ def check_region(a: Matrix, b: Vector) -> None:
 
 def zero_set(p: Polytope, x: Vector) -> frozenset[int] | None:
     """The zero set of x, or None when x is not in the region; exact, no
-    tolerance.  x is put over its common denominator once, and each row is
-    compared in integers.  Raises TypeError on an entry that is neither an
-    int nor a Fraction."""
+    tolerance.  x is put over its common denominator once, and each row of
+    ``Polytope.frame`` is compared with it in integers.  Raises TypeError on
+    an entry that is neither an int nor a Fraction."""
     require_rational((x,), "x".format)
     if len(x) != p.dim:
         return None
-    scale = math.lcm(*(c.denominator for c in x))
-    xs = [c.numerator * (scale // c.denominator) for c in x]
+    *xs, scale = integer_rows(((*x, ONE),))[0]
     if min(xs) < 0:
         return None
     zeros = [j for j, c in enumerate(xs) if c == 0]
-    for i, row in enumerate(p.int_rows):
+    for i, row in enumerate(p.frame[0]):
         # zip stops at len(xs), so row[-1] (b_i) is left out of the sum.
         slack = row[-1] * scale - sum(a * c for a, c in zip(row, xs))
         if slack < 0:

@@ -1,13 +1,13 @@
-"""Fixture problems, the independent efficiency oracle, the plain
-``Fraction`` elimination references, the two-LP region checks, the
-LP-based efficiency and optimal-face references, the LP-only step-0 to
+"""Fixture problems, the independent efficiency and essentiality oracles,
+the plain ``Fraction`` elimination references, the two-LP region checks,
+the LP-based efficiency and optimal-face references, the LP-only step-0 to
 step-4 tests, the ``Fraction`` zero-set and face references and the
 externally priced simplex reference shared by tests."""
 
 import itertools
 from fractions import Fraction
 
-from objred import MolpProblem, ObjectiveStack, Polytope
+from objred import MolpProblem, ObjectiveStack, Polytope, verify
 from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
 from objred.linalg import ONE, ZERO, Vector, dot, eliminate, integer_rows
 from objred.polytope import contains
@@ -136,6 +136,26 @@ def dominance_oracle(
     )
     assert out.status is LpStatus.OPTIMAL
     return out.value == 0
+
+
+def essential_oracle(problem, candidate):
+    """Whether objective ``candidate`` is essential by the paper's
+    definition: deleting it changes the efficient set.  For a bounded,
+    nonempty region only.  The efficient set is then a union of faces, and a
+    face is efficient iff the centroid of its vertices is, so the objective
+    is essential iff ``dominance_oracle`` tells the full and the reduced
+    stack apart at some face centroid.  The vertices come from every basis
+    (``objred.verify.vertices``) and the faces from ``faces_reference``:
+    nothing here reads a ``Polytope``."""
+    vertices = tuple(sorted(verify.vertices(problem.a, problem.b)))
+    full = ObjectiveStack(problem.objectives)
+    reduced = ObjectiveStack(tuple(row for i, row in enumerate(problem.objectives) if i != candidate))
+    for face in faces_reference(vertices, problem.a, problem.b):
+        size = Fraction(len(face))
+        centroid = tuple(sum(column) / size for column in zip(*face))
+        if dominance_oracle(vertices, full, centroid) != dominance_oracle(vertices, reduced, centroid):
+            return True
+    return False
 
 
 # Plain Fraction Gauss-Jordan references.  The library eliminates on
@@ -390,15 +410,16 @@ def zero_set_reference(p, x):
     return {c for c, value in enumerate(tuple(x) + tuple(slacks)) if value == 0}
 
 
-def face_vertex_sets_reference(p):
-    """The facet vertex sets from a Fraction dot product of every row with
-    every vertex (and the zero coordinates), closed under intersection."""
-    vertices = p.vertices
+def faces_reference(vertices, a, b):
+    """The vertex sets of every nonempty face of {x >= 0 : Ax <= b}, given
+    its vertices: the facet vertex sets from a Fraction dot product of every
+    row with every vertex (and the zero coordinates), closed under
+    intersection."""
     everything = frozenset(range(len(vertices)))
     facets = []
-    for row, rhs in zip(p.a, p.b):
+    for row, rhs in zip(a, b):
         facets.append(frozenset(i for i, v in enumerate(vertices) if dot(row, v) == rhs))
-    for j in range(p.dim):
+    for j in range(len(a[0])):
         facets.append(frozenset(i for i, v in enumerate(vertices) if v[j] == ZERO))
     closed = {everything} if vertices else set()
     queue = [everything] if vertices else []

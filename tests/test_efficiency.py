@@ -255,9 +255,11 @@ def test_escaping_efficient_point_inside_an_edge():
     ids=["fractional-objective", "fractional-tight-row"],
 )
 def test_efficiency_with_mixed_denominators(a, b, objectives, vertex, expected):
-    # Each row is scaled to integers by the LCM of its own denominators; the
-    # hypothesis property divides whole rows by one number, which leaves
-    # such scaling faults mostly unseen.
+    # Each objective is scaled to integers by the LCM of its own
+    # denominators, and the tight rows come from [A | b] over one common
+    # denominator (``Polytope.frame``); the hypothesis property divides
+    # whole rows by one number, which leaves such scaling faults mostly
+    # unseen.
     p = Polytope(a, b)
     stack = ObjectiveStack(objectives)
     assert vertex in enumerate_vertices(p)

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +44,7 @@ from objred.engine import (
     step7,
 )
 from objred.errors import InfeasibleRegion, UnboundedRegion
+from objred.instances import random_problem
 from objred.linalg import dot, mat_vec
 from objred.polytope import enumerate_vertices
 from objred.verify import check_verdict
@@ -53,6 +55,7 @@ from helpers import (
     box5_4obj,
     combination_multipliers_reference,
     cube_3obj,
+    essential_oracle,
     find_cone_point_reference,
     frows,
     fvec,
@@ -274,8 +277,10 @@ def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(monkeypatch):
     # A reduce builds the stack of the problem's objectives, each deletion
     # drops its candidate from it for the next pass, and a classification
     # builds the stack without its candidate only when step 4 or step 6
-    # reads it.  Building the reduced stack for every classification made
-    # 26 over problems/, and the full and the reduced stack for each 34.
+    # reads it.  ``drop`` keeps what it built, so a deletion at step 4 or 7
+    # hands the next pass that stack.  Building it again made 23 over
+    # problems/, building the reduced stack for every classification 26, and
+    # the full and the reduced stack for each 34.
     made = []
     check = ObjectiveStack.__post_init__
     monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
@@ -288,12 +293,13 @@ def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(monkeypatch):
         except InfeasibleRegion:
             continue
         reading = sum(v.decided_at >= Step.ALL_EFFICIENT for _, v in result.history)
-        assert len(made) == 1 + len(result.removals) + reading, path.name
+        early = sum(r.step < Step.ALL_EFFICIENT for r in result.removals)
+        assert len(made) == 1 + early + reading, path.name
         counts[path.stem] = len(made)
     assert counts == {
-        "box5_4obj": 6,
-        "cube_3obj": 5,
-        "segment_4obj": 7,
+        "box5_4obj": 5,
+        "cube_3obj": 4,
+        "segment_4obj": 5,
         "simplex_3obj": 1,
         "unbounded6_3obj": 4,
     }
@@ -322,10 +328,12 @@ def test_reduce_repeats_no_cone_test(monkeypatch):
 def test_the_problem_goes_into_integers_once(monkeypatch):
     # Step 0 and every efficiency test read the stack's integer image, which
     # a reduce builds once and ``drop`` hands down, and the region's phase 1s
-    # are built from its one frame.  Neither step 0 nor ``efficient_at``
-    # scales a stack's Fraction rows itself.  Over problems/, the efficiency
-    # tests scaled them 136 times and step 0 framed its system 18 times, and
-    # the start and the interior point framed the region 8 times.
+    # and every efficiency test's tight rows come from its one frame.
+    # Neither step 0 nor ``efficient_at`` scales a stack's Fraction rows
+    # itself, and nothing scales [A | b] row by row.  Over problems/, the
+    # efficiency tests scaled the stacks 136 times and step 0 framed its
+    # system 18 times, the start and the interior point framed the region 8
+    # times, and a second, row-wise image of [A | b] was built 4 times.
     calls = []
     for name in ("integer_rows", "integer_frame"):
         convert = getattr(linalg, name)
@@ -358,11 +366,24 @@ def test_the_problem_goes_into_integers_once(monkeypatch):
         assert on_stacks <= {"image", "find_cone_point", "null_space"}, path.name
         built = [rows for name, caller, rows, _ in calls if caller == "image"]
         assert built == [problem.objectives][: len(built)], path.name
-        framed = [c[:2] for c in calls if c[0] == "integer_frame" and c[2] == region]
+        framed = [c[:2] for c in calls if c[2] == region]
         assert framed == [("integer_frame", "frame")], path.name
         images += len(built)
     # The empty region ends after step 0, which builds the image too.
     assert images == 6
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_decisive_verdicts_match_the_definition(seed, candidate):
+    # The paper's definition, face by face, on small bounded draws: an
+    # essential verdict needs the efficient set to change when the
+    # candidate is deleted, and a nonessential one needs it to stay.
+    problem = random_problem(random.Random(seed), max_variables=3, max_constraints=5, max_objectives=4)
+    candidate %= problem.n_objectives
+    verdict = classify(problem, candidate)
+    if verdict.outcome is not Outcome.INCONCLUSIVE:
+        assert (verdict.outcome is Outcome.ESSENTIAL) == essential_oracle(problem, candidate)
 
 
 def _replayed(problem, result):

@@ -29,7 +29,7 @@ from helpers import (
     SQUARE,
     count_feasible_bases,
     enumerate_vertices_reference,
-    face_vertex_sets_reference,
+    faces_reference,
     find_interior_point_reference,
     frows,
     fvec,
@@ -270,7 +270,7 @@ def test_tight_sets_and_faces_match_fraction_reference(p, shift):
     # a shift that may leave the region; and the faces built from the
     # vertices' zero sets against the facets built from dot products.
     faces = face_vertex_sets(p)
-    assert faces == face_vertex_sets_reference(p)
+    assert faces == faces_reference(p.vertices, p.a, p.b)
     points = [tuple(sum(column) / Fraction(len(face)) for column in zip(*face)) for face in faces]
     points += [tuple(c + s for c, s in zip(x, shift)) for x in points]
     for x in points:

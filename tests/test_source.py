@@ -1,6 +1,8 @@
 """The library reports a failed check by a named exception of
 ``objred.errors`` or by a ValueError or TypeError, never by an ``assert``
-(which ``python -O`` strips) or a bare RuntimeError or AssertionError."""
+(which ``python -O`` strips) or a bare RuntimeError or AssertionError.  And
+it keeps no module-global cache: every fact lives on the object it is a
+fact of, for as long as that object does."""
 
 import ast
 from pathlib import Path
@@ -23,4 +25,73 @@ def test_no_library_module_asserts_or_raises_a_generic_error():
                 found.append(f"{path.name}:{node.lineno}: assert")
             elif isinstance(node, ast.Raise) and _raised_name(node) in BANNED:
                 found.append(f"{path.name}:{node.lineno}: raise {_raised_name(node)}")
+    assert found == []
+
+
+MUTATORS = {"append", "add", "update", "setdefault", "pop", "clear"}
+CACHES = {"cache", "lru_cache"}
+
+
+def _base(node: ast.expr) -> ast.expr:
+    """The object at the root of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _global_writes(function: ast.FunctionDef | ast.AsyncFunctionDef, shared: set[str]) -> list[str]:
+    """What ``function`` (nested functions included) does that keeps state
+    across calls at module level: a write into a container bound at the top
+    level and not shadowed in the function, a ``global``, or a memoizing
+    decorator."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.arg):
+            shared = shared - {node.arg}
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            shared = shared - {node.id}
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = called.attr if isinstance(called, ast.Attribute) else getattr(called, "id", None)
+                if name in CACHES:
+                    found.append(f"{decorator.lineno}: @{name} on {node.name}")
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            base = _base(node)
+            if isinstance(base, ast.Name) and base.id in shared:
+                found.append(f"{node.lineno}: writes {base.id}[...]")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            base = _base(node.func)
+            if isinstance(base, ast.Name) and base.id in shared:
+                found.append(f"{node.lineno}: {base.id}...{node.func.attr}(...)")
+    return found
+
+
+def test_no_library_function_keeps_a_module_global_cache():
+    # Read-only tables built at import, such as linalg._SMALL and
+    # engine._NOT_FOUND, are allowed; filling one from a function is not.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        shared = _module_names(tree)
+        for node in tree.body:
+            functions = node.body if isinstance(node, ast.ClassDef) else [node]
+            for function in functions:
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [f"{path.name}:{line}" for line in _global_writes(function, shared)]
     assert found == []
