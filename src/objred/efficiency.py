@@ -17,6 +17,12 @@ the phase 1 that decides its answer: a cone direction is that Farkas vector
 (``opposite``), and the weights are the end point of a Stiemke system
 (``linalg.integer_solution``).  No LP is solved.  A stack goes into
 integers once, as its ``image``, which every efficiency test reads.
+
+A "no" of the efficiency test also yields a direction d = -z, z the Farkas
+vector, that improves the stack semipositively and stays feasible at the
+point.  The region keeps it per row set (``Polytope.improving``), and a
+later zero set at which d stays feasible is answered "no" from it
+(``_covering``), with no phase 1 (Isermann 1974).
 """
 
 from __future__ import annotations
@@ -171,17 +177,51 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
 
 def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     """``is_efficient`` at a point of zero set ``zeros``, such as a vertex's
-    in ``p.zero_sets``; the answer is kept in ``p.efficient``."""
+    in ``p.zero_sets``; the answer is kept in ``p.efficient``.
+
+    A "no" yields an improving direction: the Farkas vector z of the phase
+    1 has F . z <= 0 with 1^T F . z < 0, a_i . z >= 0 on each tight row and
+    z_j <= 0 on each zero coordinate, so d = -z improves F semipositively
+    and stays feasible.  d is kept in ``p.improving`` under the stack's row
+    set, and a later zero set that ``_covering`` finds covered by it gets
+    "no" with no phase 1."""
     if f.dim != p.dim:
         raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
     key = (f.row_set, zeros)
     if key in p.efficient:
         return p.efficient[key]
-    tight = [p.frame[0][c - p.dim] for c in zeros if c >= p.dim]
-    system = _isermann(f.image, tight, [c for c in zeros if c < p.dim])
-    efficient = farkas(system) is None
+    if _covering(p, f, zeros) is not None:
+        efficient = False
+    else:
+        tight = [p.frame[0][c - p.dim] for c in zeros if c >= p.dim]
+        z = farkas(_isermann(f.image, tight, [c for c in zeros if c < p.dim]))
+        efficient = z is None
+        if z is not None:
+            p.improving.setdefault(f.row_set, []).append([[-a for a in z], None])
     p.efficient[key] = efficient
     return efficient
+
+
+def _covering(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> list[int] | None:
+    """The first direction d kept in ``p.improving`` for f's row set that
+    covers every column of ``zeros``, or None.  d covers j < k when d_j >= 0
+    and k + i when a_i . d <= 0 on row i of ``Polytope.frame`` (a positive
+    scale of a_i).  At a point of such a zero set x + eps d is feasible for
+    a small eps > 0, and F . d >= 0 with 1^T F . d > 0, so the point is not
+    efficient.  A direction's covered columns are built on the first test
+    that reads them, and kept."""
+    for direction in p.improving.get(f.row_set, ()):
+        if direction[1] is None:
+            d = direction[0]
+            rows = p.frame[0]
+            # zip stops at len(d), so row[-1] (b_i) is left out of the sum.
+            direction[1] = frozenset(
+                [j for j, a in enumerate(d) if a >= 0]
+                + [p.dim + i for i, row in enumerate(rows) if sum(a * b for a, b in zip(row, d)) <= 0]
+            )
+        if zeros <= direction[1]:
+            return direction[0]
+    return None
 
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:

@@ -22,6 +22,15 @@ face, that deletion does not grow it; a face that is efficient before
 deletion but not after is decisive evidence the other way and yields an
 essential verdict at step 7.
 
+Steps 5 and 6.  classify climbs: Bland's rule on the candidate from the
+region's first feasible basis, then a search of the optimal face alone
+(``polytope.climb_face``), whose vertices and zero sets step 6 tests; step
+6's boundedness is a climb on sum(x).  So an essential verdict at step 6
+builds no whole vertex search.  reduce_objectives classifies every
+objective on one region, so it builds that search once and reads every
+optimal face, and the boundedness, off it.  Both ways the face and the
+verdict are the same.
+
 Boundedness.  Several terminal conclusions rest on theorems whose
 hypotheses need a bounded region.  Exits backed by a direct witness (a
 combination vector, an interior point plus an improving direction, an
@@ -71,6 +80,7 @@ from .linalg import (
 from .polytope import (
     Polytope,
     check_region,
+    climb_face,
     is_bounded,
     nonempty,
     optimal_face,
@@ -232,13 +242,24 @@ def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: boo
     return _entry(Step.ALL_EFFICIENT, equalizing_weights(reduced, region.vertices))
 
 
+def _searched_face(
+    region: Polytope, indices: list[int]
+) -> tuple[tuple[Vector, ...], tuple[frozenset[int], ...]]:
+    """The vertices at ``indices`` in the region's vertex search, and their
+    zero sets, as ``polytope.climb_face`` gives a face."""
+    return tuple(region.vertices[i] for i in indices), tuple(region.zero_sets[i] for i in indices)
+
+
 def _face_efficient(
-    region: Polytope, reduced: ObjectiveStack, face: list[int], check_bounded: bool
+    region: Polytope,
+    reduced: ObjectiveStack,
+    face: tuple[tuple[Vector, ...], tuple[frozenset[int], ...]],
+    check_bounded: bool,
 ) -> TraceEntry:
-    """Step 6: a vertex of the candidate's optimal face, given by its indices
-    in ``region.vertices``, that stays efficient for the reduced stack."""
-    vertices, zero_sets = region.vertices, region.zero_sets
-    witness = next((vertices[i] for i in face if efficient_at(region, reduced, zero_sets[i])), None)
+    """Step 6: a vertex of the candidate's optimal face, given as its
+    vertices and their zero sets, that stays efficient for the reduced
+    stack."""
+    witness = next((v for v, zeros in zip(*face) if efficient_at(region, reduced, zeros)), None)
     if witness is None and check_bounded:
         require_bounded(region, "the optimal-face separation argument")
     return _entry(Step.FACE_EFFICIENT, witness)
@@ -260,16 +281,23 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
         raise ValueError(f"objective index {candidate} out of range")
     if problem.n_objectives < 2:
         raise ValueError("need a second objective to compare against")
-    return _classify(problem.stack(), candidate, problem.region())
+    return _classify(problem.stack(), candidate, problem.region(), whole_search=False)
 
 
-def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdict:
+def _classify(stack: ObjectiveStack, candidate: int, region: Polytope, whole_search: bool) -> Verdict:
     """classify() of row ``candidate`` of ``stack`` on a region object whose
     facts may already be known.  The stack is in the problem's own order, so
     that its step-1 direction does not depend on the candidate; a reduce
     pass shares one stack, and with it one direction.  Step 2 is read off
     steps 0 and 1, and the stack without the candidate is built only for
-    steps 4, 6 and 7, which read it."""
+    steps 4, 6 and 7, which read it.
+
+    Steps 5 and 6 read the candidate's optimal face off the region's whole
+    vertex search (``Polytope.walk``) when ``whole_search`` is set, as a
+    caller that classifies many candidates on one region wants, and
+    otherwise off a climb to that face (``polytope.climb_face``), which
+    builds no search; step 6's boundedness is then a climb too, unless the
+    search has run.  The face, its order and so the verdict are the same."""
     trace: list[TraceEntry] = []
 
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
@@ -308,10 +336,13 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
 
     try:
-        face = optimal_face(region, stack.rows[candidate])
+        if whole_search:
+            face = _searched_face(region, optimal_face(region, stack.rows[candidate]))
+        else:
+            face = climb_face(region, stack.image[candidate])
     except UnboundedObjective as exc:
         raise UnboundedRegion(str(exc)) from exc
-    trace.append(TraceEntry(Step.OPTIMAL_FACE, True, tuple(region.vertices[i] for i in face)))
+    trace.append(TraceEntry(Step.OPTIMAL_FACE, True, face[0]))
 
     reduced = stack.drop(candidate)
     trace.append(_face_efficient(region, reduced, face, check_bounded=True))
@@ -371,7 +402,8 @@ def step6(
     region: Polytope, stack: ObjectiveStack, face: tuple[Vector, ...] | None = None
 ) -> bool:
     indices = optimal_face(region, stack.rows[-1]) if face is None else vertex_indices(region, face)
-    return _face_efficient(region, stack.drop(stack.count - 1), indices, check_bounded=False).answer
+    reduced = stack.drop(stack.count - 1)
+    return _face_efficient(region, reduced, _searched_face(region, indices), check_bounded=False).answer
 
 
 def step7(region: Polytope, stack: ObjectiveStack) -> bool:
@@ -401,7 +433,10 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     after a deletion, so later (typically auxiliary) objectives go first;
     history records every classification performed, keyed by the original
     objective index.  All classifications share one region object, so each
-    region fact is computed once per call, and the candidates of a pass
+    region fact is computed once per call: steps 5 and 6 read the region's
+    whole vertex search, built once, not a climb per candidate, and every
+    efficiency "no" of a stack covers later tests of it (``efficient_at``).
+    The candidates of a pass
     share one ``ObjectiveStack``, whose step-1 direction is found once.  The
     next pass's stack is ``drop`` of the deleted candidate, so the problem's
     objectives go into integers once per call, and a candidate deleted at
@@ -417,7 +452,7 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     while removed and stack.count > 1:
         removed = False
         for pos in reversed(range(stack.count)):
-            result = _classify(stack, pos, region)
+            result = _classify(stack, pos, region, whole_search=True)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))

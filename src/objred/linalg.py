@@ -7,8 +7,9 @@ in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
 division is exact; ``Fraction``s are built only when a result is returned,
 by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
-It runs the phase 1 that finds a region's first feasible basis, and the one
-that decides each feasibility question of the decision tree and yields its
+It runs the phase 1 that finds a region's first feasible basis, the climbs
+from it to an objective's optimal face (``polytope.climb_face``), and the
+phase 1 that decides each feasibility question of the decision tree and yields its
 certificate (``alternative``): the end point when there is a solution, the
 Farkas vector when there is none.  The library
 solves no LP; ``objred.simplex`` runs both its phases on the same kernel.
@@ -120,8 +121,8 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
     dictionary rides along in each pivot but stays out of the ratio test.
     The entering column is the lowest one whose reduced cost ``rows[cost][j]
     / d`` is positive, and the leaving row is ``leaving_row``'s.  Stops at an
-    optimum, or at a ray, which callers rule out by maximizing a cost bounded
-    above.  Returns the final pivot."""
+    optimum, where no reduced cost is positive, or at a ray, where one still
+    is: its column has no leaving row.  Returns the final pivot."""
     while True:
         j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
         if j is None:
@@ -148,7 +149,14 @@ def phase1(rows: list[list[int]], d: int, riders: Sequence[list[int]] = ()) -> D
     row) per row, whose sum is minimized from their basis.  Each of
     ``riders`` (an objective, say; with no rows, they give the width) rides
     along below the dictionary with zero artificial entries.  The final
-    dictionary's last row, the cost row, ends at that least sum times d."""
+    dictionary's last row, the cost row, ends at that least sum times d.
+
+    Raises ValueError unless d is a multiple of the product over the rows
+    of d / gcd(d, row): the rows' rational images ``row / d`` have those
+    denominators, and over a smaller d a ``pivot`` would truncate.  The
+    frame d = 1 needs no check."""
+    if d != 1 and (d < 1 or d % math.prod(d // math.gcd(d, *row) for row in rows)):
+        raise ValueError(f"{d} is not a frame of the rows: not a positive multiple of their denominators")
     m = len(rows)
     rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
     sums = [sum(column) for column in zip(*rows)] or [0] * len(riders[0])

@@ -9,13 +9,19 @@ from basis to adjacent feasible basis on the edges Bland's rule can take
 the vertices and the rays it meets: the region is bounded iff it meets none,
 and c . x has no finite maximum iff c . r > 0 for one of them.  Its work
 grows with the feasible bases those edges reach, not with all C(k + m, m)
-bases.  The results are exact, deterministic and sorted.  The Bland kernel
-lives in ``linalg``, and the step-3 interior point is the end point of one
-of its phase 1s; no LP is solved.
+bases.  The results are exact, deterministic and sorted.
+
+One objective's optimal face and the region's boundedness need no whole
+search.  ``climb_face`` runs Bland's rule on c from ``start`` (``_climb``)
+and then the same search from the optimal dictionary with every column of
+nonzero reduced cost kept out, which lists that face alone; and
+``Polytope.bounded`` climbs on sum(x) unless ``walk`` has run.  The Bland
+kernel lives in ``linalg``, and the step-3 interior point is the end point
+of one of its phase 1s; no LP is solved.
 
 A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
 is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
-it: ``walk`` reads each vertex's off a dictionary, and ``zero_set`` compares
+it: each search reads each vertex's off a dictionary, and ``zero_set`` compares
 any point with the rows of ``Polytope.frame``, the region's one integer
 image of [A | b].  The search runs in integers: a vertex is a primitive key
 (x, d), d > 0, for x / d, with its zero set at its index in ``zero_sets``
@@ -87,6 +93,17 @@ class Polytope:
         """The integer vertex search from ``start``: see ``_search``."""
         return _search(self)
 
+    @cached_property
+    def bounded(self) -> bool:
+        """Whether the region is bounded; an empty region counts as bounded.
+        sum(x) grows along every recession direction, so the region is
+        bounded iff sum(x) has a finite maximum.  When ``walk`` has run,
+        that is read off its rays; otherwise off Bland's rule on sum(x)
+        from ``start`` (``_climb``), which builds no vertex search."""
+        if "walk" in self.__dict__:  # a cached property keeps its value there
+            return not self.walk[2]
+        return self.start is None or _climb(self, [1] * self.dim) is not None
+
     @property
     def zero_sets(self) -> tuple[frozenset[int], ...]:
         """Each vertex's zero set, at its index in ``vertices``."""
@@ -137,6 +154,13 @@ class Polytope:
         the zero set of the point: they depend on nothing else."""
         return {}
 
+    @cached_property
+    def improving(self) -> dict[frozenset[Vector], list[list]]:
+        """The improving directions the efficiency test's "no"s have found,
+        by the set of stack rows: each a pair [d, the columns it covers, or
+        None until a later test reads them] (``efficiency.efficient_at``)."""
+        return {}
+
 
 def check_region(a: Matrix, b: Vector) -> None:
     """Raise ValueError unless A is rectangular, with at least one column
@@ -180,14 +204,43 @@ def contains(p: Polytope, x: Vector) -> bool:
 def enumerate_vertices(p: Polytope) -> tuple[Vector, ...]:
     """All vertices of the region, sorted lexicographically: x / d for each
     key (x, d) of its vertex search (``Polytope.walk``)."""
-    return tuple(tuple(ratio(c, key[-1]) for c in key[:-1]) for key in p.walk[0])
+    return tuple(map(_vertex, p.walk[0]))
+
+
+def _vertex(key: Key) -> Vector:
+    """The vertex x / d of the key (x, d)."""
+    return tuple(ratio(c, key[-1]) for c in key[:-1])
 
 
 def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], frozenset[Key]]:
+    """The whole vertex search, ``_explore`` from ``start`` with no column
+    fixed: every vertex's key, sorted, its zero set, aligned, and the rays
+    met.
+
+    Bland's rule on any c from ``start`` takes only the search's edges, so
+    every path it takes lies in the search: every vertex is reached, as some
+    c is maximized there alone, and when c . x has no finite maximum the ray
+    it ends on, with c . r > 0, is met.  As sum(x) grows along every
+    recession direction, a ray is met iff the region is unbounded.  The work
+    still grows with the bases these edges reach: 6,867 pivots for the one
+    vertex of ``instances.ordered_cone(6)``.
+    """
+    if p.start is None:
+        return (), (), frozenset()
+    return _explore(p, p.start, 0)
+
+
+def _explore(
+    p: Polytope, start: Dictionary, fixed: int
+) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], frozenset[Key]]:
     """The vertices' keys, sorted, their zero sets (the columns not basic at
     a nonzero value), aligned, and the primitive x-parts of the rays met, by
-    a search over the feasible bases of [A | I] y = b from ``start``, each
-    visited once, keyed by the bitmask of its columns, at one ``pivot``.
+    a search over the feasible bases of [A | I] y = b from the feasible
+    dictionary ``start`` that keep every column of the bitmask ``fixed``
+    nonbasic, each visited once, keyed by the bitmask of its columns, at one
+    ``pivot``.  Those bases are the feasible bases of the system without the
+    fixed columns, the face where they are 0, so the search lists that
+    face's vertices (``_search``'s argument, on the smaller system).
 
     A basis over d is at x / d, x its basic x-columns' values: key (x, d)
     over their gcd, d > 0, with the zero set of the first basis met there.
@@ -196,22 +249,13 @@ def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], f
     (``linalg.leaving_row``), or is a ray if it has none: x-part r / d >= 0
     (as x >= 0), r_j = d if j < k and r_c = -rows[i][j] for each basic
     x-column c = basis[i], kept primitive so that each direction is kept once.
-
-    Bland's rule on any c from ``start`` takes only these edges, so every
-    path it takes lies in the search: every vertex is reached, as some c is
-    maximized there alone, and when c . x has no finite maximum the ray it
-    ends on, with c . r > 0, is met.  As sum(x) grows along every recession
-    direction, a ray is met iff the region is unbounded.  The work still
-    grows with the bases these edges reach: 6,867 pivots for the one vertex
-    of ``instances.ordered_cone(6)``.
     """
-    if p.start is None:
-        return (), (), frozenset()
     k = p.dim
     n = k + len(p.a)
     everything = frozenset(range(n))
-    mask = sum(1 << c for c in p.start[0])
-    stack = [(mask, *p.start)]
+    free = [j for j in range(n) if not fixed >> j & 1]
+    mask = sum(1 << c for c in start[0])
+    stack = [(mask, *start)]
     seen = {mask}
     found: dict[Key, frozenset[int]] = {}
     rays: set[Key] = set()
@@ -224,7 +268,7 @@ def _search(p: Polytope) -> tuple[tuple[Key, ...], tuple[frozenset[int], ...], f
         key = _primitive(x, d)
         if key not in found:
             found[key] = everything.difference(c for c, row in zip(basis, rows) if row[-1])
-        for j in range(n):
+        for j in free:
             if mask >> j & 1:
                 continue
             i = leaving_row(rows, basis, j, d)
@@ -251,6 +295,48 @@ def _primitive(v: list[int], d: int) -> Key:
     """v divided by its gcd, and negated when d < 0."""
     g = math.gcd(*v) if d > 0 else -math.gcd(*v)
     return tuple(c // g for c in v)
+
+
+def _climb(p: Polytope, c: list[int]) -> Dictionary | None:
+    """Bland's rule maximizing the integer c . x from ``start``, which must
+    exist: the optimal dictionary with its cost row below it, or None when
+    the rule ends on a ray, as it does iff c . x has no finite maximum.
+
+    Over start's d, the cost row is d (c, 0) minus c_B times the basic
+    rows: d times c's reduced costs, the row that would have ridden along
+    every pivot from the slack dictionary (``linalg.bland``), so each later
+    ``pivot`` divides exactly.  Its last entry is -d c . x.  The start is
+    not touched: ``pivot`` leaves its rows as they are."""
+    basis, rows, d = p.start
+    k = p.dim
+    cost = [d * a for a in c] + [0] * (len(rows[0]) - k)
+    for col, row in zip(basis, rows):
+        if col < k and c[col]:
+            cost = [a - c[col] * b for a, b in zip(cost, row)]
+    rows = [*rows, cost]
+    basis = basis.copy()
+    d = bland(rows, basis, d, len(basis))
+    if any(a * d > 0 for a in rows[-1][:-1]):
+        return None
+    return basis, rows, d
+
+
+def climb_face(p: Polytope, c: list[int]) -> tuple[tuple[Vector, ...], tuple[frozenset[int], ...]]:
+    """The vertices where the integer c . x attains its maximum, sorted, and
+    their zero sets, aligned, without the whole vertex search: ``_climb`` to
+    an optimal dictionary, where c . x is its maximum minus a nonnegative
+    combination of the columns of nonzero reduced cost, so that the optimal
+    face is where those columns are 0; then ``_explore`` from it with them
+    fixed.  ``Fraction``s are built for the face's vertices alone.  The
+    region must be nonempty; raises UnboundedObjective when c . x has no
+    finite maximum."""
+    top = _climb(p, c)
+    if top is None:
+        raise UnboundedObjective("objective has no finite maximum on the region")
+    basis, rows, d = top
+    fixed = sum(1 << j for j, a in enumerate(rows.pop()[:-1]) if a)
+    keys, zero_sets, _ = _explore(p, (basis, rows, d), fixed)
+    return tuple(map(_vertex, keys)), zero_sets
 
 
 def _first_feasible(p: Polytope) -> Dictionary | None:
@@ -320,9 +406,9 @@ def nonempty(p: Polytope) -> bool:
 
 
 def is_bounded(p: Polytope) -> bool:
-    """True when the region is bounded; an empty region counts as bounded.
-    It is bounded iff its vertex search meets no ray."""
-    return not p.walk[2]
+    """True when the region is bounded; an empty region counts as bounded
+    (``Polytope.bounded``)."""
+    return p.bounded
 
 
 def require_bounded(p: Polytope, what: str) -> None:
@@ -348,26 +434,36 @@ def vertex_indices(p: Polytope, points: tuple[Vector, ...]) -> list[int]:
 
 
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
-    """Vertices of the region where c . x attains its maximum, sorted."""
-    return tuple(p.vertices[i] for i in optimal_face(p, c))
+    """Vertices of the region where c . x attains its maximum, sorted, by
+    ``climb_face``: the whole vertex search is not built.  Raises as
+    ``optimal_face`` does."""
+    return climb_face(p, _objective(p, c))[0]
 
 
-def optimal_face(p: Polytope, c: Vector) -> list[int]:
-    """The indices in ``p.vertices``, increasing, of the vertices where c . x
-    attains its maximum.  c . x has no finite maximum iff c . r > 0 for a ray r met by the vertex
-    search (see ``_search``); otherwise the maximum is attained at a vertex,
-    so it is the best c . x / d over the vertices' keys (x, d), compared in
-    integers by cross-multiplying.  Raises InfeasibleRegion on an empty
-    region and UnboundedObjective when c . x has no finite maximum,
-    TypeError on an entry of c that is neither an int nor a Fraction, and
-    ValueError when c's length is not the region's dimension.
-    """
+def _objective(p: Polytope, c: Vector) -> list[int]:
+    """c scaled to integers, which keeps its maximizers.  Raises TypeError on
+    an entry of c that is neither an int nor a Fraction, ValueError when
+    c's length is not the region's dimension, and InfeasibleRegion on an
+    empty region."""
     require_rational((c,), "c".format)
     if len(c) != p.dim:
         raise ValueError(f"c has {len(c)} entries and the region {p.dim} columns")
     if p.start is None:
         raise InfeasibleRegion("region is empty")
-    (cs,) = integer_rows((c,))  # a positive scale keeps the maximizers
+    return integer_rows((c,))[0]
+
+
+def optimal_face(p: Polytope, c: Vector) -> list[int]:
+    """The indices in ``p.vertices``, increasing, of the vertices where c . x
+    attains its maximum, read off the whole vertex search.  c . x has no
+    finite maximum iff c . r > 0 for a ray r met by the search (see
+    ``_search``); otherwise the maximum is attained at a vertex, so it is
+    the best c . x / d over the vertices' keys (x, d), compared in integers
+    by cross-multiplying.  Raises UnboundedObjective when c . x has no
+    finite maximum, and as ``_objective`` does on a bad c or an empty
+    region.
+    """
+    cs = _objective(p, c)
     keys, _, rays = p.walk
     if any(sum(a * b for a, b in zip(cs, r)) > 0 for r in rays):
         raise UnboundedObjective("objective has no finite maximum on the region")

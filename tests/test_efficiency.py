@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from objred import efficiency, simplex
 from objred.efficiency import (
     ObjectiveStack,
+    efficient_at,
     efficient_point_outside,
     efficient_vertices,
     equalizing_weights,
     find_cone_point,
     is_efficient,
 )
-from objred.engine import combination_multipliers
+from objred.engine import combination_multipliers, reduce_objectives
 from objred.errors import InfeasibleInput, UnboundedRegion
 from objred.instances import ladder_region, random_problem
-from objred.linalg import mat_vec
+from objred.linalg import dot, mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
 from objred.verify import check_step
 
@@ -520,3 +521,49 @@ def test_normal_cone_efficiency_matches_slack_lp_reference(drawn):
     assert is_bounded(p) == (kind == "bounded")
     for x in sample_points(p):
         assert is_efficient(p, stack, x) == is_efficient_reference(p, stack, x), x
+
+
+def _recording_covers(monkeypatch):
+    """A list that collects (region, stack, zero set, d) for each "no"
+    that ``efficient_at`` reads off a kept direction d."""
+    covered = []
+    covering = efficiency._covering
+
+    def recorded(p, f, zeros):
+        d = covering(p, f, zeros)
+        if d is not None:
+            covered.append((p, f, zeros, d))
+        return d
+
+    monkeypatch.setattr(efficiency, "_covering", recorded)
+    return covered
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.booleans())
+def test_each_no_read_from_a_cover_is_an_improving_direction(seed, bounded):
+    # A "no" read off a direction d that an earlier "no" of the same stack
+    # found runs no phase 1.  d must improve the stack semipositively and
+    # stay feasible at the zero set, and a fresh region's phase 1 must say
+    # "no" too.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        covered = _recording_covers(monkeypatch)
+        try:
+            reduce_objectives(random_problem(random.Random(seed), max_objectives=5, ensure_bounded=bounded))
+        except UnboundedRegion:
+            pass
+    for p, f, zeros, d in covered:
+        values = [dot(row, d) for row in f.rows]
+        assert min(values) >= 0 and sum(values) > 0
+        assert all(d[j] >= 0 if j < p.dim else dot(p.a[j - p.dim], d) <= 0 for j in zeros)
+        assert not efficient_at(Polytope(p.a, p.b), f, zeros)
+
+
+def test_covers_answer_some_tests_of_a_seeded_stream(monkeypatch):
+    # The property above is not vacuous: a seeded stream of reductions reads
+    # many "no"s off covers.
+    covered = _recording_covers(monkeypatch)
+    rng = random.Random(28)
+    for _ in range(40):
+        reduce_objectives(random_problem(rng, max_objectives=5))
+    assert len(covered) > 20

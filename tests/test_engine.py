@@ -43,10 +43,10 @@ from objred.engine import (
     step6,
     step7,
 )
-from objred.errors import InfeasibleRegion, UnboundedRegion
-from objred.instances import random_problem
-from objred.linalg import dot, mat_vec
-from objred.polytope import enumerate_vertices
+from objred.errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
+from objred.instances import degenerate_cube, random_problem
+from objred.linalg import dot, integer_rows, mat_vec
+from objred.polytope import climb_face, enumerate_vertices, zero_set
 from objred.verify import check_verdict
 
 from helpers import (
@@ -59,6 +59,8 @@ from helpers import (
     find_cone_point_reference,
     frows,
     fvec,
+    is_bounded_reference,
+    optimal_face_vertices_reference,
     segment_3obj,
     segment_4obj,
     simplex_3obj,
@@ -742,7 +744,7 @@ def test_step_functions_answer_on_unbounded_regions():
 # Each region fact is computed at most once per classify or reduce call.
 
 REGION_FUNCTIONS = ("enumerate_vertices", "find_interior_point")
-REGION_PROPERTIES = ("frame", "start", "walk", "faces")
+REGION_PROPERTIES = ("frame", "start", "walk", "bounded", "faces")
 # The public form of the lattice, which objred never builds.
 REGION_VIEWS = ("face_vertex_sets",)
 
@@ -806,3 +808,119 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     assert fact_counts == dict.fromkeys(
         ("frame", "start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
     )
+
+
+# Steps 5 and 6 climb to the candidate's optimal face; reduce reads the
+# region's whole vertex search.
+
+
+def _refused(*args):
+    raise AssertionError("a refused search, climb or zero-set scan was run")
+
+
+@pytest.mark.parametrize("make, candidate", [(cube_3obj, 1), (box5_4obj, 2), (wide7_3obj, 2)])
+def test_classify_ending_at_step_6_runs_no_search(monkeypatch, make, candidate):
+    # Steps 5 and 6 need the candidate's optimal face and whether the region
+    # is bounded: a climb to the face, a search of the face alone, and a
+    # climb on sum(x).  The face's search records each vertex's zero set, so
+    # none is scanned either.
+    monkeypatch.setattr(polytope, "_search", _refused)
+    monkeypatch.setattr(efficiency, "zero_set", _refused)
+    verdict = classify(make(), candidate)
+    assert (verdict.outcome, verdict.decided_at) == (Outcome.ESSENTIAL, Step.FACE_EFFICIENT)
+
+
+def test_reduce_reads_the_whole_search_of_each_region(monkeypatch):
+    # reduce classifies every candidate on one region, so it builds that
+    # region's whole vertex search once and reads each optimal face and its
+    # boundedness off it, with no climb.  Over problems/ that is 4 searches,
+    # as many as before steps 5 and 6 could climb.
+    searches = []
+    search = polytope._search
+    monkeypatch.setattr(polytope, "_search", lambda p: searches.append(p) or search(p))
+    monkeypatch.setattr(polytope, "_climb", _refused)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        try:
+            reduce_objectives(parse_document(path.read_text()).problem)
+        except InfeasibleRegion:
+            assert path.name == "empty_region.json"
+    assert len(searches) == len({id(p) for p in searches}) == 4
+
+
+@st.composite
+def climbing_problems(draw):
+    """Problems on which a climb starts off the slack basis, ends on a ray,
+    or crosses degenerate vertices: nonempty regions with some b_i < 0 (a
+    point x0 >= 0 meets every row, the row -sum(x) <= -1 cuts off the
+    origin, and a cap sum(x) <= c may bound the region), unbounded regions (b >= 0 and a nonpositive column j,
+    so that e_j is a recession direction), and subsets of the rows of
+    ``degenerate_cube(k)``, which tie for the minimum ratio."""
+    kind = draw(st.sampled_from(["negative-b", "unbounded", "pair-rows"]))
+    k = draw(st.integers(2, 4))
+    if kind == "pair-rows":
+        cube = degenerate_cube(k)
+        chosen = draw(st.lists(st.sampled_from(range(len(cube.a))), min_size=1, max_size=8, unique=True))
+        a = [cube.a[i] for i in chosen]
+        b = [cube.b[i] for i in chosen]
+    else:
+        a = [[draw(st.integers(-2, 3)) for _ in range(k)] for _ in range(draw(st.integers(1, 4)))]
+        if kind == "negative-b":
+            x0 = [draw(st.integers(0, 2)) for _ in range(k)]
+            x0[draw(st.integers(0, k - 1))] = 1
+            b = [dot(row, x0) + draw(st.integers(0, 2)) for row in a]
+            a.append([-1] * k)
+            b.append(-1)
+            if draw(st.booleans()):
+                a.append([1] * k)
+                b.append(sum(x0) + draw(st.integers(0, 3)))
+        else:
+            b = [draw(st.integers(0, 4)) for _ in a]
+            j = draw(st.integers(0, k - 1))
+            for row in a:
+                row[j] = -abs(row[j])
+    objectives = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(draw(st.integers(2, 3)))]
+    return kind, MolpProblem(frows(*objectives), frows(*a), fvec(b))
+
+
+def _verdict_or_error(classify_on, problem, candidate):
+    try:
+        return classify_on(problem, candidate)
+    except (UnboundedRegion, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _classify_on_searched_region(problem, candidate):
+    region = problem.region()
+    region.walk
+    return engine._classify(problem.stack(), candidate, region, whole_search=True)
+
+
+def _climbed_face(p, c):
+    try:
+        return climb_face(p, integer_rows((c,))[0])
+    except UnboundedObjective as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(climbing_problems(), st.data())
+def test_climb_matches_the_whole_search(drawn, data):
+    # classify climbs on a fresh region; the same tree on a region whose
+    # vertex search is built reads steps 5 and 6 off that search.  Verdicts,
+    # certificates and errors must be the same, and the climb's face and
+    # boundedness must match the LP references.
+    _, problem = drawn
+    candidate = data.draw(st.integers(0, problem.n_objectives - 1))
+    expected = _verdict_or_error(_classify_on_searched_region, problem, candidate)
+    assert _verdict_or_error(classify, problem, candidate) == expected
+    fresh = problem.region()
+    c = problem.objectives[candidate]
+    face = _climbed_face(fresh, c)
+    assert fresh.bounded is is_bounded_reference(fresh)
+    if face is UnboundedObjective:
+        with pytest.raises(UnboundedObjective):
+            optimal_face_vertices_reference(fresh, c)
+        return
+    vertices, zero_sets = face
+    assert vertices == optimal_face_vertices_reference(fresh, c)
+    assert zero_sets == tuple(zero_set(fresh, v) for v in vertices)

@@ -16,6 +16,7 @@ from objred.linalg import (
     leaving_row,
     mat_vec,
     null_space,
+    phase1,
     ratio,
     solve_square,
     span_basis,
@@ -274,6 +275,23 @@ def rational_solution(m):
     """``integer_solution``'s point y / d as Fractions, or None."""
     found = integer_solution(m)
     return None if found is None else tuple(Fraction(v, found[1]) for v in found[0])
+
+
+def test_phase_1_refuses_a_d_that_is_not_a_frame():
+    # Over d = 2 the rows stand for 0 . y = 1/2 and y_4 = 0, and pivot's
+    # floor division would truncate the 1/2 away and report a solution.
+    rows = [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    for call in (alternative, phase1):
+        with pytest.raises(ValueError, match="not a frame"):
+            call(rows, 2)
+    with pytest.raises(ValueError, match="not a frame"):
+        alternative([[1, 1]], 0)
+    # Over 1 the system is decided: 0 . y = 1 has a Farkas vector.
+    assert alternative(rows, 1)[1] is not None
+    # A multiple of the product of d / gcd(d, row) passes: y_1 / 2 = 1/2
+    # and y_2 / 2 = 1/2 over d = 4 have denominators 2 and 2, and 2 * 2
+    # divides 4.
+    assert alternative([[2, 0, 2], [0, 2, 2]], 4)[0] is not None
 
 
 @st.composite

@@ -406,14 +406,20 @@ def pair_row_regions(draw):
     st.data(),
 )
 def test_optimal_face_matches_lp_reference(drawn, data):
-    # The face is read off the vertex list, and an unbounded objective off
-    # the rays the vertex search meets; the reference solves max c . x on
-    # every region.  Faces and errors must agree.  Repeated, summed and
-    # pair rows give degenerate vertices with rays leaving them.
+    # optimal_face_vertices climbs to the face and searches it alone;
+    # polytope.optimal_face reads it off the vertex list, and an unbounded
+    # objective off the rays the whole search meets.  The reference solves
+    # max c . x on every region.  Faces and errors must agree.  Repeated,
+    # summed and pair rows give degenerate vertices with rays leaving them.
     _, p = drawn
     c = fvec(data.draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
+    climbed = _face_or_error(optimal_face_vertices, Polytope(p.a, p.b), c)
     expected = _face_or_error(optimal_face_vertices_reference, p, c)
-    assert _face_or_error(optimal_face_vertices, p, c) == expected
+    assert climbed == expected
+    searched = _face_or_error(polytope.optimal_face, p, c)
+    if not isinstance(searched, type):
+        searched = tuple(p.vertices[i] for i in searched)
+    assert searched == expected
 
 
 def _raise_on_lp(*args, **kwargs):
@@ -452,17 +458,25 @@ def _raise_on_lp(*args, **kwargs):
     ],
     ids=["cube", "ray-from-degenerate-vertex", "ordered-cone-5"],
 )
-def test_region_facts_run_no_lp_when_b_is_nonnegative(monkeypatch, p, bounded, faces):
-    # With b >= 0 the slack basis is feasible: emptiness, boundedness and
-    # unbounded objectives are all read off the vertex search, with no phase
-    # 1 and no LP.  Each region is fresh, so no fact is cached yet.
+def test_nonempty_runs_no_phase_1_when_b_is_nonnegative(monkeypatch, p, bounded, faces):
+    # With b >= 0 the slack basis is feasible, so emptiness is known with
+    # no phase 1 and no LP.  Boundedness and each optimal face are climbs of
+    # Bland's rule from that basis, which build no vertex search.  Each
+    # region is fresh, so no fact is cached yet.
     monkeypatch.setattr(linalg, "bland", _raise_on_lp)
     monkeypatch.setattr(polytope, "bland", _raise_on_lp)
+    monkeypatch.setattr(linalg, "phase1", _raise_on_lp)
     monkeypatch.setattr(simplex, "solve", _raise_on_lp)
     assert nonempty(p)
+    monkeypatch.undo()
+    monkeypatch.setattr(polytope, "_search", _raise_on_search)
     assert is_bounded(p) is bounded
     for c, expected in faces.items():
         assert _face_or_error(optimal_face_vertices, p, fvec(c)) == expected
+
+
+def _raise_on_search(*args, **kwargs):
+    raise AssertionError("the whole vertex search was run")
 
 
 @pytest.mark.parametrize(
