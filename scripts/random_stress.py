@@ -5,7 +5,9 @@ every essential and nonessential verdict against the paper's definition:
 whether deleting the candidate changes the efficient set, face by face
 (``tests/helpers.essential_oracle``).  A refused certificate or a verdict
 the definition contradicts counts as a mismatch; the true answer of each
-inconclusive verdict is tallied.
+inconclusive verdict is tallied.  Each instance is reduced too: every
+verdict of the reduce's history is re-checked on the objectives left at
+its pass, and every deletion against the definition.
 
 The efficient faces are found by the vertex-image dominance LP of
 ``tests/helpers.dominance_oracle`` at each face centroid, over vertices and
@@ -29,9 +31,28 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import essential_oracle  # noqa: E402
-from objred import Outcome, classify  # noqa: E402
+from objred import MolpProblem, Outcome, classify, reduce_objectives  # noqa: E402
 from objred.instances import random_problem  # noqa: E402
 from objred.verify import check_verdict  # noqa: E402
+
+
+def check_reduce(problem: MolpProblem) -> int:
+    """The faults of ``reduce_objectives`` on ``problem``, each printed: a
+    history verdict whose certificates fail on the objectives left at its
+    pass, or a deletion of an objective that is essential there."""
+    faults = 0
+    rows = list(problem.objectives)
+    for _, verdict in reduce_objectives(problem).history:
+        fault = check_verdict(rows, problem.a, problem.b, verdict)
+        if fault is not None:
+            faults += 1
+            print(f"REFUSED REDUCE CERTIFICATE ({fault}) on {problem}")
+        if verdict.outcome is Outcome.NONESSENTIAL:
+            if essential_oracle(MolpProblem(tuple(rows), problem.a, problem.b), verdict.candidate):
+                faults += 1
+                print(f"ESSENTIAL OBJECTIVE {verdict.candidate} DELETED on {problem}")
+            del rows[verdict.candidate]
+    return faults
 
 
 def main() -> int:
@@ -60,6 +81,7 @@ def main() -> int:
         elif essential != (verdict.outcome is Outcome.ESSENTIAL):
             mismatches += 1
             print(f"MISMATCH on {problem}")
+        mismatches += check_reduce(problem)
     elapsed = time.perf_counter() - started
 
     for key in sorted(tally):

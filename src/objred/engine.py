@@ -22,14 +22,11 @@ face, that deletion does not grow it; a face that is efficient before
 deletion but not after is decisive evidence the other way and yields an
 essential verdict at step 7.
 
-Steps 5 and 6.  classify climbs: Bland's rule on the candidate from the
-region's first feasible basis, then a search of the optimal face alone
-(``polytope.climb_face``), whose vertices and zero sets step 6 tests; step
-6's boundedness is a climb on sum(x).  So an essential verdict at step 6
-builds no whole vertex search.  reduce_objectives classifies every
-objective on one region, so it builds that search once and reads every
-optimal face, and the boundedness, off it.  Both ways the face and the
-verdict are the same.
+Steps 5 and 6.  The region gives the candidate's optimal face, with its
+vertices' zero sets, and its boundedness (``polytope.face_of``,
+``Polytope.bounded``): off its whole vertex search once a step 4 or 7 has
+built it, and otherwise by climbs, which build none.  The face and the
+verdict are the same both ways.
 
 Boundedness.  Several terminal conclusions rest on theorems whose
 hypotheses need a bounded region.  Exits backed by a direct witness (a
@@ -78,15 +75,15 @@ from .linalg import (
     vsub,
 )
 from .polytope import (
+    Face,
     Polytope,
     check_region,
-    climb_face,
+    face_of,
     is_bounded,
     nonempty,
     optimal_face,
-    optimal_face_vertices,
     require_bounded,
-    vertex_indices,
+    vertex_zero_sets,
 )
 
 # Containment notes attached to verdicts.  The first one is proven on its
@@ -242,20 +239,7 @@ def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: boo
     return _entry(Step.ALL_EFFICIENT, equalizing_weights(reduced, region.vertices))
 
 
-def _searched_face(
-    region: Polytope, indices: list[int]
-) -> tuple[tuple[Vector, ...], tuple[frozenset[int], ...]]:
-    """The vertices at ``indices`` in the region's vertex search, and their
-    zero sets, as ``polytope.climb_face`` gives a face."""
-    return tuple(region.vertices[i] for i in indices), tuple(region.zero_sets[i] for i in indices)
-
-
-def _face_efficient(
-    region: Polytope,
-    reduced: ObjectiveStack,
-    face: tuple[tuple[Vector, ...], tuple[frozenset[int], ...]],
-    check_bounded: bool,
-) -> TraceEntry:
+def _face_efficient(region: Polytope, reduced: ObjectiveStack, face: Face, check_bounded: bool) -> TraceEntry:
     """Step 6: a vertex of the candidate's optimal face, given as its
     vertices and their zero sets, that stays efficient for the reduced
     stack."""
@@ -281,10 +265,10 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
         raise ValueError(f"objective index {candidate} out of range")
     if problem.n_objectives < 2:
         raise ValueError("need a second objective to compare against")
-    return _classify(problem.stack(), candidate, problem.region(), whole_search=False)
+    return _classify(problem.stack(), candidate, problem.region())
 
 
-def _classify(stack: ObjectiveStack, candidate: int, region: Polytope, whole_search: bool) -> Verdict:
+def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdict:
     """classify() of row ``candidate`` of ``stack`` on a region object whose
     facts may already be known.  The stack is in the problem's own order, so
     that its step-1 direction does not depend on the candidate; a reduce
@@ -292,12 +276,8 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope, whole_sea
     steps 0 and 1, and the stack without the candidate is built only for
     steps 4, 6 and 7, which read it.
 
-    Steps 5 and 6 read the candidate's optimal face off the region's whole
-    vertex search (``Polytope.walk``) when ``whole_search`` is set, as a
-    caller that classifies many candidates on one region wants, and
-    otherwise off a climb to that face (``polytope.climb_face``), which
-    builds no search; step 6's boundedness is then a climb too, unless the
-    search has run.  The face, its order and so the verdict are the same."""
+    Steps 5 and 6 ask the region for the candidate's optimal face and its
+    boundedness, which it reads off its vertex search or climbs to."""
     trace: list[TraceEntry] = []
 
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
@@ -336,10 +316,7 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope, whole_sea
         return verdict(Outcome.ESSENTIAL, Step.ALL_EFFICIENT, REDUCED_WITHIN_FULL)
 
     try:
-        if whole_search:
-            face = _searched_face(region, optimal_face(region, stack.rows[candidate]))
-        else:
-            face = climb_face(region, stack.image[candidate])
+        face = face_of(region, stack.image[candidate])
     except UnboundedObjective as exc:
         raise UnboundedRegion(str(exc)) from exc
     trace.append(TraceEntry(Step.OPTIMAL_FACE, True, face[0]))
@@ -395,15 +372,14 @@ def step4(region: Polytope, stack: ObjectiveStack) -> bool:
 
 
 def step5(region: Polytope, stack: ObjectiveStack) -> tuple[Vector, ...]:
-    return optimal_face_vertices(region, stack.rows[-1])
+    return optimal_face(region, stack.rows[-1])[0]
 
 
 def step6(
     region: Polytope, stack: ObjectiveStack, face: tuple[Vector, ...] | None = None
 ) -> bool:
-    indices = optimal_face(region, stack.rows[-1]) if face is None else vertex_indices(region, face)
-    reduced = stack.drop(stack.count - 1)
-    return _face_efficient(region, reduced, _searched_face(region, indices), check_bounded=False).answer
+    found = optimal_face(region, stack.rows[-1]) if face is None else (face, vertex_zero_sets(region, face))
+    return _face_efficient(region, stack.drop(stack.count - 1), found, check_bounded=False).answer
 
 
 def step7(region: Polytope, stack: ObjectiveStack) -> bool:
@@ -433,10 +409,10 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     after a deletion, so later (typically auxiliary) objectives go first;
     history records every classification performed, keyed by the original
     objective index.  All classifications share one region object, so each
-    region fact is computed once per call: steps 5 and 6 read the region's
-    whole vertex search, built once, not a climb per candidate, and every
-    efficiency "no" of a stack covers later tests of it (``efficient_at``).
-    The candidates of a pass
+    region fact is computed once per call: once a step 4 or 7 has built the
+    region's whole vertex search, steps 5 and 6 read it instead of climbing,
+    and every efficiency "no" of a stack covers later tests of it
+    (``efficient_at``).  The candidates of a pass
     share one ``ObjectiveStack``, whose step-1 direction is found once.  The
     next pass's stack is ``drop`` of the deleted candidate, so the problem's
     objectives go into integers once per call, and a candidate deleted at
@@ -452,7 +428,7 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     while removed and stack.count > 1:
         removed = False
         for pos in reversed(range(stack.count)):
-            result = _classify(stack, pos, region, whole_search=True)
+            result = _classify(stack, pos, region)
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))

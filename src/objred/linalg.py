@@ -8,7 +8,7 @@ division is exact; ``Fraction``s are built only when a result is returned,
 by ``ratio``, which shares one object per small rational.
 ``bland`` runs Bland's rule on such an integer dictionary with that step.
 It runs the phase 1 that finds a region's first feasible basis, the climbs
-from it to an objective's optimal face (``polytope.climb_face``), and the
+from it to an objective's optimal face (``polytope.face_of``), and the
 phase 1 that decides each feasibility question of the decision tree and yields its
 certificate (``alternative``): the end point when there is a solution, the
 Farkas vector when there is none.  The library

@@ -11,13 +11,14 @@ and c . x has no finite maximum iff c . r > 0 for one of them.  Its work
 grows with the feasible bases those edges reach, not with all C(k + m, m)
 bases.  The results are exact, deterministic and sorted.
 
-One objective's optimal face and the region's boundedness need no whole
-search.  ``climb_face`` runs Bland's rule on c from ``start`` (``_climb``)
-and then the same search from the optimal dictionary with every column of
-nonzero reduced cost kept out, which lists that face alone; and
-``Polytope.bounded`` climbs on sum(x) unless ``walk`` has run.  The Bland
-kernel lives in ``linalg``, and the step-3 interior point is the end point
-of one of its phase 1s; no LP is solved.
+One objective's optimal face (``optimal_face``) and the region's
+boundedness (``Polytope.bounded``) are read off ``walk`` when it has run
+(``Polytope.walked``), and otherwise need no whole search: Bland's rule on c
+from ``start`` (``_climb``), then the same search from the optimal
+dictionary with every column of nonzero reduced cost kept out, which lists
+that face alone, and a climb on sum(x).  The Bland kernel lives in
+``linalg``, and the step-3 interior point is the end point of one of its
+phase 1s; no LP is solved.
 
 A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
 is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
@@ -52,6 +53,7 @@ from .linalg import (
 )
 
 Key = tuple[int, ...]  # a vertex x / d as primitive (x, d), d > 0; a ray's x-part
+Face = tuple[tuple[Vector, ...], tuple[frozenset[int], ...]]  # vertices, sorted; zero sets
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,11 @@ class Polytope:
         """The integer vertex search from ``start``: see ``_search``."""
         return _search(self)
 
+    @property
+    def walked(self) -> bool:
+        """Whether ``walk`` has run; ``bounded`` and ``face_of`` then read it."""
+        return "walk" in self.__dict__  # a cached property keeps its value there
+
     @cached_property
     def bounded(self) -> bool:
         """Whether the region is bounded; an empty region counts as bounded.
@@ -100,7 +107,7 @@ class Polytope:
         bounded iff sum(x) has a finite maximum.  When ``walk`` has run,
         that is read off its rays; otherwise off Bland's rule on sum(x)
         from ``start`` (``_climb``), which builds no vertex search."""
-        if "walk" in self.__dict__:  # a cached property keeps its value there
+        if self.walked:
             return not self.walk[2]
         return self.start is None or _climb(self, [1] * self.dim) is not None
 
@@ -321,15 +328,26 @@ def _climb(p: Polytope, c: list[int]) -> Dictionary | None:
     return basis, rows, d
 
 
-def climb_face(p: Polytope, c: list[int]) -> tuple[tuple[Vector, ...], tuple[frozenset[int], ...]]:
-    """The vertices where the integer c . x attains its maximum, sorted, and
-    their zero sets, aligned, without the whole vertex search: ``_climb`` to
-    an optimal dictionary, where c . x is its maximum minus a nonnegative
-    combination of the columns of nonzero reduced cost, so that the optimal
-    face is where those columns are 0; then ``_explore`` from it with them
-    fixed.  ``Fraction``s are built for the face's vertices alone.  The
-    region must be nonempty; raises UnboundedObjective when c . x has no
-    finite maximum."""
+def face_of(p: Polytope, c: list[int]) -> Face:
+    """The vertices of a nonempty region where the integer c . x attains its
+    maximum, sorted, and their zero sets, aligned; UnboundedObjective when
+    it has none.  Once the region has walked, both are read off ``walk``:
+    c . x has no maximum iff c . r > 0 for a ray r met (``_search``), and
+    the face is the keys (x, d) of best c . x / d, compared in integers.
+    Otherwise ``_climb`` to an optimal dictionary, where c . x is its
+    maximum minus a nonnegative combination of the columns of nonzero
+    reduced cost, and ``_explore`` the face where those are 0, building
+    ``Fraction``s for its vertices alone.  Both give one face, in one order."""
+    if p.walked:
+        keys, zero_sets, rays = p.walk
+        if any(sum(a * b for a, b in zip(c, r)) > 0 for r in rays):
+            raise UnboundedObjective("objective has no finite maximum on the region")
+        scale = math.lcm(*(key[-1] for key in keys))
+        # zip stops at len(c), so each key's d is left out of its sum.
+        values = [sum(a * x for a, x in zip(c, key)) * (scale // key[-1]) for key in keys]
+        best = max(values)
+        face = [i for i, value in enumerate(values) if value == best]
+        return tuple(p.vertices[i] for i in face), tuple(zero_sets[i] for i in face)
     top = _climb(p, c)
     if top is None:
         raise UnboundedObjective("objective has no finite maximum on the region")
@@ -425,55 +443,28 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     return tuple(tuple(vertices[i] for i in face) for face in p.faces)
 
 
-def vertex_indices(p: Polytope, points: tuple[Vector, ...]) -> list[int]:
-    """Each point's index in ``p.vertices``; ValueError names a non-vertex."""
+def vertex_zero_sets(p: Polytope, points: tuple[Vector, ...]) -> tuple[frozenset[int], ...]:
+    """Each point's zero set, read off the vertex search; ValueError names a
+    point that is not a vertex."""
     index = {v: i for i, v in enumerate(p.vertices)}
     if missing := [x for x in points if tuple(x) not in index]:
         raise ValueError(f"({', '.join(map(str, missing[0]))}) is not a vertex of the region")
-    return [index[tuple(x)] for x in points]
+    return tuple(p.zero_sets[index[tuple(x)]] for x in points)
 
 
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
-    """Vertices of the region where c . x attains its maximum, sorted, by
-    ``climb_face``: the whole vertex search is not built.  Raises as
-    ``optimal_face`` does."""
-    return climb_face(p, _objective(p, c))[0]
+    """The vertices of ``optimal_face``."""
+    return optimal_face(p, c)[0]
 
 
-def _objective(p: Polytope, c: Vector) -> list[int]:
-    """c scaled to integers, which keeps its maximizers.  Raises TypeError on
-    an entry of c that is neither an int nor a Fraction, ValueError when
-    c's length is not the region's dimension, and InfeasibleRegion on an
-    empty region."""
+def optimal_face(p: Polytope, c: Vector) -> Face:
+    """``face_of`` c scaled to integers, which keeps its maximizers.  Raises
+    TypeError on an entry of c that is neither an int nor a Fraction,
+    ValueError on a c of the wrong length, InfeasibleRegion on an empty
+    region, and UnboundedObjective when c . x has no finite maximum."""
     require_rational((c,), "c".format)
     if len(c) != p.dim:
         raise ValueError(f"c has {len(c)} entries and the region {p.dim} columns")
     if p.start is None:
         raise InfeasibleRegion("region is empty")
-    return integer_rows((c,))[0]
-
-
-def optimal_face(p: Polytope, c: Vector) -> list[int]:
-    """The indices in ``p.vertices``, increasing, of the vertices where c . x
-    attains its maximum, read off the whole vertex search.  c . x has no
-    finite maximum iff c . r > 0 for a ray r met by the search (see
-    ``_search``); otherwise the maximum is attained at a vertex, so it is
-    the best c . x / d over the vertices' keys (x, d), compared in integers
-    by cross-multiplying.  Raises UnboundedObjective when c . x has no
-    finite maximum, and as ``_objective`` does on a bad c or an empty
-    region.
-    """
-    cs = _objective(p, c)
-    keys, _, rays = p.walk
-    if any(sum(a * b for a, b in zip(cs, r)) > 0 for r in rays):
-        raise UnboundedObjective("objective has no finite maximum on the region")
-    face, best, best_d = [], 0, 1
-    for i, key in enumerate(keys):
-        # zip stops at len(cs), so the key's d is left out of the sum.
-        value = sum(a * x for a, x in zip(cs, key))
-        diff = value * best_d - best * key[-1]
-        if diff > 0 or not face:
-            face, best, best_d = [i], value, key[-1]
-        elif diff == 0:
-            face.append(i)
-    return face
+    return face_of(p, integer_rows((c,))[0])

@@ -1,18 +1,21 @@
 """Independent re-checks of a verdict's certificates.
 
-Plain ``Fraction`` arithmetic on the problem's raw data: nothing here calls
-the rest of objred, so a fault in its integer kernels cannot vouch for
-itself.  Each check returns None when the certificate holds, else why not.
-Steps 0 to 4 are checked fully (multipliers that rebuild the candidate, a
+Exact arithmetic on the problem's raw data, with its own brute force:
+nothing here calls the rest of objred, so a fault in its integer kernels
+cannot vouch for itself.  Each check returns None when the certificate holds, else why not.
+Steps 0 to 5 are checked fully (multipliers that rebuild the candidate, a
 semipositive direction, a strictly interior point, positive weights that sum
-to one and equalize every vertex); steps 5 to 7 only in part (the face ties,
-the witness lies on it, the kernel vectors are in the kernel).  A "no" of
-steps 0 to 3 carries no certificate yet.
+to one and equalize every vertex, and the face: exactly the vertices where
+the candidate is largest, with no extreme ray along which it grows); steps 6
+and 7 only in part (the witness lies on the face, the kernel vectors are in
+the kernel).  A "no" of steps 0, 1 and 3 carries no certificate yet, and
+step 2 never answers "no" inside a verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -31,7 +34,7 @@ def vertices(a: Sequence[Row], b: Row) -> set[Row]:
     """All vertices of {x >= 0 : Ax <= b}: the feasible x-parts of every
     basis of [A | I] y = b, each solved by Gauss–Jordan."""
     m, k = len(a), len(a[0])
-    full = [list(row) + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i, row in enumerate(a)]
+    full = [_integer([*row, *(int(i == j) for j in range(m)), b[i]]) for i, row in enumerate(a)]
     found: set[Row] = set()
     for cols in itertools.combinations(range(k + m), m):
         y = _solve([[row[c] for c in cols] + [row[-1]] for row in full])
@@ -41,20 +44,44 @@ def vertices(a: Sequence[Row], b: Row) -> set[Row]:
     return found
 
 
-def _solve(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """The solution of a square system given as [M | rhs] rows, or None
-    when M is singular."""
+def _extreme_rays(a: Sequence[Row]) -> set[Row]:
+    """The extreme rays of the cone {r >= 0 : Ar <= 0}, each scaled to sum
+    1: the points of the cone where sum(r) = 1 and k - 1 independent walls
+    (r_j = 0 or a_i . r = 0) are tight."""
+    k = len(a[0])
+    walls = [[int(i == j) for j in range(k)] for i in range(k)] + [_integer(row) for row in a]
+    found: set[Row] = set()
+    for tight in itertools.combinations(walls, k - 1):
+        r = _solve([*([*row, 0] for row in tight), [1] * (k + 1)])
+        if r is not None and all(v >= 0 for v in r) and all(_dot(row, r) <= 0 for row in a):
+            found.add(tuple(r))
+    return found
+
+
+def _integer(row: Sequence[Fraction]) -> list[int]:
+    """The row times the least common multiple of its denominators."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return [int(v * scale) for v in row]
+
+
+def _solve(rows: list[list[int]]) -> list[Fraction] | None:
+    """The solution of a square integer system given as [M | rhs] rows, or
+    None when M is singular, by fraction-free Gauss–Jordan: each step
+    divides exactly by the last pivot, and det M ends on the diagonal."""
     n = len(rows)
+    prev = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             return None
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
+        top = rows[c]
         for i in range(n):
-            if i != c and rows[i][c] != 0:
-                rows[i] = [v - rows[i][c] * w for v, w in zip(rows[i], rows[c])]
-    return [row[n] for row in rows]
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(top[c] * v - f * w) // prev for v, w in zip(rows[i], top)]
+        prev = top[c]
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
 
 
 def check_verdict(objectives: Sequence[Row], a: Sequence[Row], b: Row, verdict: Any) -> str | None:
@@ -115,9 +142,13 @@ def check_step(
         weighted = {_dot(cert, [_dot(row, v) for row in others]) for v in vertices(a, b)}
         return None if len(weighted) == 1 else "weights do not equalize the vertices"
     if step == 5:
-        if not cert or not all(_feasible(a, b, v) for v in cert):
-            return "face vertices missing or infeasible"
-        return None if len({_dot(target, v) for v in cert}) == 1 else "face does not tie"
+        values = {v: _dot(target, v) for v in vertices(a, b)}
+        best = max(values.values(), default=None)
+        if not cert or sorted(map(tuple, cert)) != sorted(v for v, value in values.items() if value == best):
+            return "face is not every vertex where the candidate is largest"
+        if any(_dot(target, r) > 0 for r in _extreme_rays(a)):
+            return "the candidate grows along an extreme ray"
+        return None
     if step == 6:
         return None if cert in tuple(face) else "witness is not on the optimal face"
     if step == 7:

@@ -46,7 +46,7 @@ from objred.engine import (
 from objred.errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from objred.instances import degenerate_cube, random_problem
 from objred.linalg import dot, integer_rows, mat_vec
-from objred.polytope import climb_face, enumerate_vertices, zero_set
+from objred.polytope import enumerate_vertices, face_of, zero_set
 from objred.verify import check_verdict
 
 from helpers import (
@@ -810,8 +810,8 @@ def test_fact_counts_see_every_kind_of_fact(fact_counts):
     )
 
 
-# Steps 5 and 6 climb to the candidate's optimal face; reduce reads the
-# region's whole vertex search.
+# Steps 5 and 6 climb to the candidate's optimal face until the region's
+# whole vertex search has run, and then read that search.
 
 
 def _refused(*args):
@@ -830,21 +830,34 @@ def test_classify_ending_at_step_6_runs_no_search(monkeypatch, make, candidate):
     assert (verdict.outcome, verdict.decided_at) == (Outcome.ESSENTIAL, Step.FACE_EFFICIENT)
 
 
-def test_reduce_reads_the_whole_search_of_each_region(monkeypatch):
-    # reduce classifies every candidate on one region, so it builds that
-    # region's whole vertex search once and reads each optimal face and its
-    # boundedness off it, with no climb.  Over problems/ that is 4 searches,
-    # as many as before steps 5 and 6 could climb.
-    searches = []
-    search = polytope._search
-    monkeypatch.setattr(polytope, "_search", lambda p: searches.append(p) or search(p))
-    monkeypatch.setattr(polytope, "_climb", _refused)
+def test_reduce_climbs_until_a_step_searches_its_region(monkeypatch):
+    # reduce classifies every candidate on one region: it climbs to each
+    # optimal face and on sum(x) until a step 4 or 7 builds the region's
+    # whole vertex search, and from then on reads both off that search.  So
+    # each region is searched at most once, and never climbed on after.
+    events = []
+    search, climb = polytope._search, polytope._climb
+    monkeypatch.setattr(polytope, "_search", lambda p: events.append(("search", p)) or search(p))
+    monkeypatch.setattr(polytope, "_climb", lambda p, c: events.append(("climb", p)) or climb(p, c))
+    counts = {}
     for path in sorted(PROBLEMS.glob("*.json")):
+        events.clear()
         try:
             reduce_objectives(parse_document(path.read_text()).problem)
         except InfeasibleRegion:
             assert path.name == "empty_region.json"
-    assert len(searches) == len({id(p) for p in searches}) == 4
+        kinds = [kind for kind, _ in events]
+        assert len({id(p) for _, p in events}) <= 1
+        assert kinds.count("search") <= 1
+        if "search" in kinds:
+            assert "climb" not in kinds[kinds.index("search") :]
+        counts[path.stem] = collections.Counter(kinds)
+    assert {name: dict(c) for name, c in counts.items() if c} == {
+        "box5_4obj": {"climb": 1, "search": 1},
+        "cube_3obj": {"climb": 1, "search": 1},
+        "unbounded6_3obj": {"climb": 1, "search": 1},
+        "segment_4obj": {"search": 1},
+    }
 
 
 @st.composite
@@ -882,9 +895,9 @@ def climbing_problems(draw):
     return kind, MolpProblem(frows(*objectives), frows(*a), fvec(b))
 
 
-def _verdict_or_error(classify_on, problem, candidate):
+def _result_or_error(run, *args):
     try:
-        return classify_on(problem, candidate)
+        return run(*args)
     except (UnboundedRegion, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -892,12 +905,12 @@ def _verdict_or_error(classify_on, problem, candidate):
 def _classify_on_searched_region(problem, candidate):
     region = problem.region()
     region.walk
-    return engine._classify(problem.stack(), candidate, region, whole_search=True)
+    return engine._classify(problem.stack(), candidate, region)
 
 
 def _climbed_face(p, c):
     try:
-        return climb_face(p, integer_rows((c,))[0])
+        return face_of(p, integer_rows((c,))[0])
     except UnboundedObjective as exc:
         return type(exc)
 
@@ -911,8 +924,8 @@ def test_climb_matches_the_whole_search(drawn, data):
     # boundedness must match the LP references.
     _, problem = drawn
     candidate = data.draw(st.integers(0, problem.n_objectives - 1))
-    expected = _verdict_or_error(_classify_on_searched_region, problem, candidate)
-    assert _verdict_or_error(classify, problem, candidate) == expected
+    expected = _result_or_error(_classify_on_searched_region, problem, candidate)
+    assert _result_or_error(classify, problem, candidate) == expected
     fresh = problem.region()
     c = problem.objectives[candidate]
     face = _climbed_face(fresh, c)
@@ -924,3 +937,32 @@ def test_climb_matches_the_whole_search(drawn, data):
     vertices, zero_sets = face
     assert vertices == optimal_face_vertices_reference(fresh, c)
     assert zero_sets == tuple(zero_set(fresh, v) for v in vertices)
+
+
+def _classify_each_pass(problem):
+    """The verdicts of reduce's passes, each pass's candidates from the
+    highest down until one is nonessential, each found by ``classify`` of
+    that pass's problem on a fresh region."""
+    rows = list(problem.objectives)
+    verdicts = []
+    removed = True
+    while removed and len(rows) > 1:
+        removed = False
+        for pos in reversed(range(len(rows))):
+            verdicts.append(classify(MolpProblem(tuple(rows), problem.a, problem.b), pos))
+            if verdicts[-1].outcome is Outcome.NONESSENTIAL:
+                del rows[pos]
+                removed = True
+                break
+    return verdicts
+
+
+@settings(deadline=None, max_examples=100)
+@given(climbing_problems())
+def test_reduce_history_matches_classify_of_each_pass(drawn):
+    # reduce climbs on its region until a step 4 or 7 searches it, and then
+    # reads steps 5 and 6 off that search; classify on a fresh region
+    # climbs.  Each verdict, and an error's type and message, must agree.
+    _, problem = drawn
+    history = _result_or_error(lambda: [verdict for _, verdict in reduce_objectives(problem).history])
+    assert history == _result_or_error(_classify_each_pass, problem)

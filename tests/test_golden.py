@@ -13,7 +13,9 @@ import pytest
 
 from objred import Error, ObjectiveStack, classify, parse_document, simplex
 from objred.engine import step0, step1, step2, step3, step4, step5, step6, step7
-from objred.verify import check_verdict
+from objred.verify import check_step, check_verdict
+
+from helpers import fvec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("freeze_golden", ROOT / "scripts" / "freeze_golden.py")
@@ -115,6 +117,42 @@ def test_verify_rejects_perturbed_certificates():
                 t.certificate = kept
                 rejected.add(t.step)
     assert rejected == set(_PERTURB)
+
+
+_NOT_THE_FACE = "face is not every vertex where the candidate is largest"
+
+
+def test_verify_refuses_a_face_missing_a_maximizing_vertex():
+    # Step 5's face is every vertex where the candidate is largest: a golden
+    # face of several vertices with one dropped is refused.
+    refused = 0
+    for section in ("classify", "unbounded"):
+        for problem, entry in zip(getattr(freeze_golden, f"{section}_inputs")(), GOLDEN[section]):
+            if "error" in entry:
+                continue
+            verdict = _verdict(entry)
+            face = next((t for t in verdict.trace if t.step == 5), None)
+            if face is None or len(face.certificate) < 2:
+                continue
+            assert check_verdict(problem.objectives, problem.a, problem.b, verdict) is None
+            face.certificate = face.certificate[1:]
+            fault = check_verdict(problem.objectives, problem.a, problem.b, verdict)
+            assert fault == f"step 5: {_NOT_THE_FACE}", entry
+            refused += 1
+    assert refused >= 10
+
+
+def test_verify_refuses_a_face_of_an_unbounded_candidate():
+    # On x >= 0, x1 - x2 <= 1 the vertex (1, 0) maximizes x1 over the
+    # vertices, but x1 grows along the ray (1, 1).
+    a, b = (fvec([1, -1]),), fvec([1])
+    def check(face, target):
+        return check_step(5, True, (fvec(face),), [], fvec(target), a, b)
+
+    assert check([1, 0], [1, 0]) == "the candidate grows along an extreme ray"
+    # Both vertices maximize -x2, and the face holds one.
+    assert check([0, 0], [0, -1]) == _NOT_THE_FACE
+    assert check([0, 0], [-1, -1]) is None
 
 
 _STEPS = (step0, step1, step2, step3, step4, step5, step6, step7)
