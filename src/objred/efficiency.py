@@ -12,17 +12,22 @@ index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
 the meet of its vertices', so no vertex is hashed.  The cone test's "no" is
 Stiemke's alternative, a positive y with C^T y = 0, which is the efficiency
 test where nothing is tight: both build one system (``_isermann``) decided
-by one integer phase 1 of ``linalg.farkas``.  Each certificate is read off
-the phase 1 that decides its answer: a cone direction is that Farkas vector
-(``opposite``), and the weights are the end point of a Stiemke system
+by one integer phase 1 (``linalg.alternative``).  Each certificate is read
+off the phase 1 that decides its answer: a cone direction is that Farkas
+vector (``opposite``), and the weights are the end point of a Stiemke system
 (``linalg.integer_solution``).  No LP is solved.  A stack goes into
 integers once, as its ``image``, which every efficiency test reads.
 
-A "no" of the efficiency test also yields a direction d = -z, z the Farkas
-vector, that improves the stack semipositively and stays feasible at the
-point.  The region keeps it per row set (``Polytope.improving``), and a
+Each answer of the efficiency test settles more than its own zero set
+(Isermann 1974).  A "yes" ends at weights l > 0 whose weighted sum l^T F is
+maximized exactly where the point is tight on the columns of positive
+multipliers, its support: the region keeps it per row set
+(``Polytope.supports``), and a later zero set that contains it is answered
+"yes" from it (``_supporting``).  A "no" yields a direction d = -z, z the
+Farkas vector, that improves the stack semipositively and stays feasible at
+the point: the region keeps it per row set (``Polytope.improving``), and a
 later zero set at which d stays feasible is answered "no" from it
-(``_covering``), with no phase 1 (Isermann 1974).
+(``_covering``).  Neither reading runs a phase 1.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import InfeasibleInput
 from .linalg import (
     Matrix,
     Vector,
+    alternative,
     farkas,
     integer_rows,
     integer_solution,
@@ -155,7 +161,7 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     the rows a_i tight at x0 and by -e_j for x0_j = 0: by x0's zero set.
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
-    decided on integers: x0 is efficient iff ``linalg.farkas`` finds no
+    decided on integers: x0 is efficient iff ``linalg.alternative`` finds no
     Farkas vector.  No LP is solved.
     F enters as the stack's ``image``, each row times the LCM of its own
     denominators, and A_T as rows of ``Polytope.frame``, [A | b] times one
@@ -179,27 +185,52 @@ def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     """``is_efficient`` at a point of zero set ``zeros``, such as a vertex's
     in ``p.zero_sets``; the answer is kept in ``p.efficient``.
 
-    A "no" yields an improving direction: the Farkas vector z of the phase
-    1 has F . z <= 0 with 1^T F . z < 0, a_i . z >= 0 on each tight row and
-    z_j <= 0 on each zero coordinate, so d = -z improves F semipositively
-    and stays feasible.  d is kept in ``p.improving`` under the stack's row
-    set, and a later zero set that ``_covering`` finds covered by it gets
-    "no" with no phase 1."""
+    Each answer of the phase 1 also settles later zero sets of the stack's
+    row set, which then get it with no phase 1:
+
+    - A "yes" ends at a point (mu, u, w) / d.  With l = 1 + mu / d > 0,
+      d l^T F = sum_i u_i a_i - sum_j w_j e_j, so every feasible x has
+      d l^T F x <= sum_i u_i b_i, with equality exactly where x is tight
+      on the columns of positive u_i or w_j: the support S.  Every point
+      of a zero set that contains S maximizes l^T F, so it is efficient
+      (Isermann 1974).  S is kept in ``p.supports``, and a later zero set
+      that ``_supporting`` finds containing it gets "yes".
+    - A "no" ends with a Farkas vector z: F . z <= 0 with 1^T F . z < 0,
+      a_i . z >= 0 on each tight row and z_j <= 0 on each zero coordinate,
+      so d = -z improves F semipositively and stays feasible.  d is kept in
+      ``p.improving``, and a later zero set that ``_covering`` finds covered
+      by it gets "no"."""
     if f.dim != p.dim:
         raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
     key = (f.row_set, zeros)
     if key in p.efficient:
         return p.efficient[key]
-    if _covering(p, f, zeros) is not None:
+    if _supporting(p, f, zeros) is not None:
+        efficient = True
+    elif _covering(p, f, zeros) is not None:
         efficient = False
     else:
-        tight = [p.frame[0][c - p.dim] for c in zeros if c >= p.dim]
-        z = farkas(_isermann(f.image, tight, [c for c in zeros if c < p.dim]))
-        efficient = z is None
-        if z is not None:
+        tight = [c for c in zeros if c >= p.dim]
+        at_zero = [c for c in zeros if c < p.dim]
+        rows = p.frame[0]
+        found, z = alternative(_isermann(f.image, [rows[c - p.dim] for c in tight], at_zero))
+        efficient = found is not None
+        if efficient:
+            multipliers = found[0][f.count :]
+            support = frozenset(c for c, m in zip(tight + at_zero, multipliers) if m > 0)
+            p.supports.setdefault(f.row_set, []).append(support)
+        else:
             p.improving.setdefault(f.row_set, []).append([[-a for a in z], None])
     p.efficient[key] = efficient
     return efficient
+
+
+def _supporting(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> frozenset[int] | None:
+    """The first support kept in ``p.supports`` for f's row set that
+    ``zeros`` contains, or None.  A point of such a zero set is tight on
+    every column of the support, so it maximizes the weighted sum l^T F of
+    the "yes" that found it, with l > 0: it is efficient."""
+    return next((s for s in p.supports.get(f.row_set, ()) if s <= zeros), None)
 
 
 def _covering(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> list[int] | None:

@@ -44,7 +44,9 @@ candidate, which ``drop`` builds, with its image, only when one of them
 runs, and keeps.  reduce_objectives builds one stack per call and drops
 each deleted objective from it, so the candidates of a pass share one
 step-1 direction, every pass one integer image, and a pass after a deletion
-at step 4 or 7 the stack that step read.
+at step 4 or 7 the stack that step read.  A deletion at step 0 keeps the
+cone of the objectives, so when its pass found no step-1 direction, the
+next pass reads that "no" with no cone test.
 """
 
 from __future__ import annotations
@@ -411,12 +413,13 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     objective index.  All classifications share one region object, so each
     region fact is computed once per call: once a step 4 or 7 has built the
     region's whole vertex search, steps 5 and 6 read it instead of climbing,
-    and every efficiency "no" of a stack covers later tests of it
+    and every efficiency answer of a stack covers later tests of it
     (``efficient_at``).  The candidates of a pass
     share one ``ObjectiveStack``, whose step-1 direction is found once.  The
     next pass's stack is ``drop`` of the deleted candidate, so the problem's
     objectives go into integers once per call, and a candidate deleted at
-    step 4 or 7 leaves the stack its classification built.
+    step 4 or 7 leaves the stack its classification built.  A candidate
+    deleted at step 0 leaves step 1's "no", when its pass found one.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     labels = list(range(problem.n_objectives))
@@ -432,7 +435,16 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))
+                # A cached property keeps its value in the instance's __dict__.
+                found = "direction" in stack.__dict__
+                carried = result.decided_at is Step.COMBINATION and found and stack.direction is None
                 stack = stack.drop(pos)
+                if carried:
+                    # Step 1's "no" is some y > 0 with sum_i y_i c_i = 0, and
+                    # the deleted c_k is sum_i alpha_i c_i over the others
+                    # with alpha >= 0: y_i + y_k alpha_i > 0 is the kept
+                    # stack's "no".  It has no certificate to recompute.
+                    stack.__dict__["direction"] = None
                 del labels[pos]
                 removed = True
                 break

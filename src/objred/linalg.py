@@ -102,16 +102,21 @@ def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
 
     ``prev`` is the previous pivot (1 before the first).  Every other row
     becomes ``(p * row - row[c] * top) // prev`` with ``top = rows[r]`` and
-    ``p = top[c]``; the pivot row is left as it is.  The other rows are new
-    lists, so a shallow copy of ``rows`` keeps the old state.  Returns p,
-    the ``prev`` of the next step.
+    ``p = top[c]``: ``p * row // prev`` when its row[c] is 0, and the row
+    itself when p == prev as well.  The pivot row is left as it is.  A row
+    is never changed in place, only replaced by a new list, so a shallow
+    copy of ``rows`` keeps the old state, though the rows left as they are
+    stay shared with it.  Returns p, the ``prev`` of the next step.
     """
     top = rows[r]
     p = top[c]
     for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        f = row[c]
+        if f:
+            if i != r:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        elif p != prev:
+            rows[i] = [p * a // prev for a in row]
     return p
 
 
@@ -123,9 +128,13 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
     / d`` is positive, and the leaving row is ``leaving_row``'s.  Stops at an
     optimum, where no reduced cost is positive, or at a ray, where one still
     is: its column has no leaving row.  Returns the final pivot."""
+    last = len(rows[cost]) - 1
     while True:
-        j = next((j for j, c in enumerate(rows[cost][:-1]) if c * d > 0), None)
-        if j is None:
+        costs = rows[cost]
+        for j in range(last):
+            if costs[j] * d > 0:
+                break
+        else:
             return d
         r = leaving_row(rows, basis, j, d)
         if r is None:
@@ -158,11 +167,18 @@ def phase1(rows: list[list[int]], d: int, riders: Sequence[list[int]] = ()) -> D
     if d != 1 and (d < 1 or d % math.prod(d // math.gcd(d, *row) for row in rows)):
         raise ValueError(f"{d} is not a frame of the rows: not a positive multiple of their denominators")
     m = len(rows)
-    rows = [row if row[-1] >= 0 else [-a for a in row] for row in rows]
-    sums = [sum(column) for column in zip(*rows)] or [0] * len(riders[0])
-    n = len(sums) - 1
-    tableau = [row[:-1] + [d if i == r else 0 for i in range(m)] + row[-1:] for r, row in enumerate(rows)]
-    tableau.extend(row[:-1] + [0] * m + row[-1:] for row in (*riders, sums))
+    n = len((rows or riders)[0]) - 1
+    zeros = [0] * m
+    tableau = []
+    for r, row in enumerate(rows):
+        unit = zeros.copy()
+        unit[r] = d
+        b = row[-1]
+        tableau.append(row[:-1] + unit + [b] if b >= 0 else [-a for a in row[:-1]] + unit + [-b])
+    # The cost row sums the rows, with 0 in the artificial columns.
+    sums = [sum(column) for column in zip(*tableau)] or [0] * (n + 1)
+    sums[n:-1] = zeros
+    tableau.extend([*(row[:-1] + zeros + row[-1:] for row in riders), sums])
     basis = list(range(n, n + m))
     return basis, tableau, bland(tableau, basis, d, len(tableau) - 1)  # max -sum <= 0 is never unbounded
 
@@ -215,12 +231,11 @@ def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int 
         if a * d <= 0:
             continue
         if best is not None:
-            top = rows[best]
-            # a and top[j] have the sign of d, so cross-multiplying keeps the order.
-            diff = row[-1] * top[j] - top[-1] * a
-            if diff > 0 or diff == 0 and c > basis[best]:
+            # a and best_a have the sign of d, so cross-multiplying keeps the order.
+            diff = row[-1] * best_a - best_b * a
+            if diff > 0 or diff == 0 and c > best_c:
                 continue
-        best = i
+        best, best_c, best_a, best_b = i, c, a, row[-1]
     return best
 
 

@@ -162,6 +162,13 @@ class Polytope:
         return {}
 
     @cached_property
+    def supports(self) -> dict[frozenset[Vector], list[frozenset[int]]]:
+        """The supports of the efficiency test's "yes"s, by the set of stack
+        rows: a zero set that contains one is efficient
+        (``efficiency.efficient_at``)."""
+        return {}
+
+    @cached_property
     def improving(self) -> dict[frozenset[Vector], list[list]]:
         """The improving directions the efficiency test's "no"s have found,
         by the set of stack rows: each a pair [d, the columns it covers, or

@@ -187,6 +187,16 @@ def rref_reference(m):
     return rows, pivots
 
 
+def pivot_reference(rows, r, c, prev):
+    """(new rows, p): ``linalg.pivot``'s step by its full formula, every row
+    but the pivot row as ``(p * row - row[c] * top) // prev``, into new
+    lists."""
+    top = rows[r]
+    p = top[c]
+    new = [list(top) if i == r else [(p * a - row[c] * b) // prev for a, b in zip(row, top)] for i, row in enumerate(rows)]
+    return new, p
+
+
 def rank_reference(m):
     return len(rref_reference(m)[1])
 

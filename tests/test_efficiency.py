@@ -1,4 +1,6 @@
 import collections
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from objred.efficiency import (
     find_cone_point,
     is_efficient,
 )
-from objred.engine import combination_multipliers, reduce_objectives
+from objred.engine import classify, combination_multipliers, reduce_objectives
 from objred.errors import InfeasibleInput, UnboundedRegion
 from objred.instances import ladder_region, random_problem
 from objred.linalg import dot, mat_vec
@@ -567,3 +569,67 @@ def test_covers_answer_some_tests_of_a_seeded_stream(monkeypatch):
     for _ in range(40):
         reduce_objectives(random_problem(rng, max_objectives=5))
     assert len(covered) > 20
+
+
+def _recording_supports(monkeypatch):
+    """A list that collects (region, stack, zero set, S) for each "yes"
+    that ``efficient_at`` reads off a kept support S."""
+    supported = []
+    supporting = efficiency._supporting
+
+    def recorded(p, f, zeros):
+        support = supporting(p, f, zeros)
+        if support is not None:
+            supported.append((p, f, zeros, support))
+        return support
+
+    monkeypatch.setattr(efficiency, "_supporting", recorded)
+    return supported
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.booleans())
+def test_each_yes_read_from_a_support_is_efficient(seed, bounded):
+    # A "yes" read off the support S of an earlier "yes" of the same stack
+    # runs no phase 1.  The zero set must contain S, and a fresh region's
+    # phase 1 must say "yes" too, on unbounded regions as well.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        supported = _recording_supports(monkeypatch)
+        try:
+            reduce_objectives(random_problem(random.Random(seed), max_objectives=5, ensure_bounded=bounded))
+        except UnboundedRegion:
+            pass
+    for p, f, zeros, support in supported:
+        assert support <= zeros
+        assert efficient_at(Polytope(p.a, p.b), f, zeros)
+
+
+def test_supports_answer_some_tests_of_a_seeded_stream(monkeypatch):
+    # The property above is not vacuous: a seeded stream of reductions reads
+    # many "yes"s off supports, some of them on unbounded regions.
+    supported = _recording_supports(monkeypatch)
+    rng = random.Random(30)
+    for bounded in [True, False] * 20:
+        try:
+            reduce_objectives(random_problem(rng, max_objectives=5, ensure_bounded=bounded))
+        except UnboundedRegion:
+            pass
+    assert len(supported) > 20
+    assert any(not is_bounded(p) for p, _, _, _ in supported)
+
+
+def test_classify_ladder_k9_runs_few_efficiency_phase_1s(monkeypatch):
+    # scripts/bench.py's k = 9 classify-ladder case sweeps the faces of its
+    # region at step 7.  The supports of the "yes"s answer almost every
+    # test of the sweep: 48 phase 1s, against 3,985 when each zero set ran
+    # its own.
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+    run = efficiency.alternative
+    monkeypatch.setattr(efficiency, "alternative", lambda rows: calls.append(rows) or run(rows))
+    verdict = classify(bench.ladder_problem(9, 0))
+    assert verdict.decided_at == 7
+    assert len(calls) <= 100

@@ -327,6 +327,22 @@ def test_reduce_repeats_no_cone_test(monkeypatch):
     assert tested == 9
 
 
+def test_a_step_0_deletion_keeps_step_1s_no(monkeypatch):
+    # The objectives span the plane, so no direction improves one of them
+    # and hurts none: step 1 says "no".  (1, 0) is half of (2, 0), so step
+    # 0 deletes it, which leaves the cone of the objectives, and with it
+    # that "no": the next pass runs no cone test.  Running one made 2.
+    calls = []
+    find = efficiency.find_cone_point
+    monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
+    problem = MolpProblem(frows([2, 0], [1, 0], [-1, 0], [0, 1], [0, -1]), frows([1, 0], [0, 1]), fvec([1, 1]))
+    result = reduce_objectives(problem)
+    assert [(r.objective, r.step) for r in result.removals] == [(1, Step.COMBINATION)]
+    assert len(result.history) == 8 and len(calls) == 1
+    # The carried "no" has no certificate, so each verdict is classify's.
+    assert [v for _, v in result.history] == _classify_each_pass(problem)
+
+
 def test_the_problem_goes_into_integers_once(monkeypatch):
     # Step 0 and every efficiency test read the stack's integer image, which
     # a reduce builds once and ``drop`` hands down, and the region's phase 1s

@@ -17,6 +17,7 @@ from objred.linalg import (
     mat_vec,
     null_space,
     phase1,
+    pivot,
     ratio,
     solve_square,
     span_basis,
@@ -27,6 +28,7 @@ from helpers import (
     frows,
     fvec,
     null_space_reference,
+    pivot_reference,
     rank_reference,
     solve_reference,
     solve_square_reference,
@@ -121,6 +123,44 @@ def test_leaving_row_is_blands_row():
     assert leaving_row(rows, basis, 0, 1) == leaving_row(negated, basis, 0, -1) == 2
     assert leaving_row(rows, basis, 1, 1) is None
     assert leaving_row(negated, basis, 1, -1) is None
+
+
+@st.composite
+def pivot_sequences(draw):
+    """An integer matrix of up to 5 rows and 6 columns with entries in
+    [-2, 2], so that many pivot-column entries are 0 and many pivots equal
+    the one before, and pivot positions in distinct rows and columns, as
+    Gauss–Jordan takes them (each division is then exact)."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n_cols)] for _ in range(n_rows)]
+    order = draw(st.permutations(range(n_rows)))
+    columns = draw(st.permutations(range(n_cols)))
+    return rows, list(zip(order, columns))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pivot_sequences())
+@example(([[1, 2, 3], [0, 4, 5], [2, 0, 1]], [(0, 0), (1, 1)]))  # p == prev, a zero entry, then neither
+def test_pivot_matches_the_full_formula(drawn):
+    # ``pivot`` skips the product with the pivot row where row[c] is 0, and
+    # leaves the row as it is when p == prev too; every row must still be
+    # the full formula's.  A shallow copy taken before keeps the old state.
+    rows, steps = drawn
+    prev = 1
+    for r, c in steps:
+        if rows[r][c] == 0:
+            continue
+        want = pivot_reference(rows, r, c, prev)
+        copy = list(rows)
+        before = [list(row) for row in rows]
+        p = pivot(rows, r, c, prev)
+        assert (rows, p) == want
+        assert copy == before
+        # The pivot row stays, and so does a row with a 0 in the pivot
+        # column when p == prev; every other row is a new list.
+        for i, (new, old) in enumerate(zip(rows, copy)):
+            assert (new is old) == (i == r or old[c] == 0 and p == prev)
+        prev = p
 
 
 def test_solve_square_rejects_non_square():
