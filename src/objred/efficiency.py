@@ -18,15 +18,15 @@ vector (``opposite``), and the weights are the end point of a Stiemke system
 (``linalg.integer_solution``).  No LP is solved.  A stack goes into
 integers once, as its ``image``, which every efficiency test reads.
 
-Each answer of the efficiency test settles more than its own zero set
-(Isermann 1974).  A "yes" ends at weights l > 0 whose weighted sum l^T F is
-maximized exactly where the point is tight on the columns of positive
-multipliers, its support: the region keeps it per row set
-(``Polytope.supports``), and a later zero set that contains it is answered
-"yes" from it (``_supporting``).  A "no" yields a direction d = -z, z the
-Farkas vector, that improves the stack semipositively and stays feasible at
-the point: the region keeps it per row set (``Polytope.improving``), and a
-later zero set at which d stays feasible is answered "no" from it
+Each answer of the efficiency test settles its own zero set and more
+(Isermann 1974), so the region keeps its certificate, not the answer, in one
+record per row set (``Polytope.certificates``, laid out by ``_record``).  A
+"yes" ends at weights l > 0 whose weighted sum l^T F is maximized exactly
+where the point is tight on the columns of positive multipliers, its
+support, and a zero set that contains it is answered "yes" from it
+(``_supporting``).  A "no" yields a direction d = -z, z the Farkas vector,
+that improves the stack semipositively and stays feasible at the point, and
+a zero set at which d stays feasible is answered "no" from it
 (``_covering``).  Neither reading runs a phase 1.
 """
 
@@ -69,7 +69,7 @@ class ObjectiveStack:
 
     @cached_property
     def row_set(self) -> frozenset[Vector]:
-        """The stack's half of the key of ``Polytope.efficient``: the
+        """The key of the stack's record in ``Polytope.certificates``: the
         efficient set depends on the set of rows alone, not on their order
         or repeats.  Built on the first efficiency test, and once, so that
         each lookup hashes no Fraction."""
@@ -101,23 +101,16 @@ class ObjectiveStack:
     def values(self, x: Vector) -> Vector:
         return mat_vec(self.rows, x)
 
-    @cached_property
-    def _dropped(self) -> dict[int, "ObjectiveStack"]:
-        """The stacks ``drop`` has built, by the index dropped."""
-        return {}
-
     def drop(self, index: int) -> "ObjectiveStack":
-        """The stack without row ``index``, with its image: built on first
-        use for each index, and once, so that a reduce's next pass is the
-        stack a classification of the deleted objective read."""
+        """The stack without row ``index``, with its image.  What efficiency
+        tests of those rows found is kept on the region by row set, so a
+        stack built here anew reads all of it."""
         if not 0 <= index < self.count:
             raise IndexError("objective index out of range")
-        if index not in self._dropped:
-            kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
-            # A cached property keeps its value in the instance's __dict__.
-            kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
-            self._dropped[index] = kept
-        return self._dropped[index]
+        kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
+        # A cached property keeps its value in the instance's __dict__.
+        kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
+        return kept
 
 
 def find_cone_point(c: Matrix) -> Vector | None:
@@ -183,76 +176,69 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
 
 def efficient_at(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> bool:
     """``is_efficient`` at a point of zero set ``zeros``, such as a vertex's
-    in ``p.zero_sets``; the answer is kept in ``p.efficient``.
+    in ``p.zero_sets``.
 
-    Each answer of the phase 1 also settles later zero sets of the stack's
-    row set, which then get it with no phase 1:
+    The answer is read off the record of f's row set (``_record``) when a
+    certificate there settles ``zeros``; otherwise one phase 1 decides it,
+    and its certificate, which settles ``zeros`` too, joins the record:
 
     - A "yes" ends at a point (mu, u, w) / d.  With l = 1 + mu / d > 0,
       d l^T F = sum_i u_i a_i - sum_j w_j e_j, so every feasible x has
       d l^T F x <= sum_i u_i b_i, with equality exactly where x is tight
-      on the columns of positive u_i or w_j: the support S.  Every point
-      of a zero set that contains S maximizes l^T F, so it is efficient
-      (Isermann 1974).  S is kept in ``p.supports``, and a later zero set
-      that ``_supporting`` finds containing it gets "yes".
+      on the columns of positive u_i or w_j: the support S, a subset of
+      ``zeros``.  Every point of a zero set that contains S maximizes
+      l^T F, so it is efficient (Isermann 1974): ``_supporting``.
     - A "no" ends with a Farkas vector z: F . z <= 0 with 1^T F . z < 0,
       a_i . z >= 0 on each tight row and z_j <= 0 on each zero coordinate,
-      so d = -z improves F semipositively and stays feasible.  d is kept in
-      ``p.improving``, and a later zero set that ``_covering`` finds covered
-      by it gets "no"."""
+      so d = -z improves F semipositively and stays feasible at every
+      point of a zero set it covers, ``zeros`` among them: ``_covering``."""
     if f.dim != p.dim:
         raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
-    key = (f.row_set, zeros)
-    if key in p.efficient:
-        return p.efficient[key]
     if _supporting(p, f, zeros) is not None:
-        efficient = True
-    elif _covering(p, f, zeros) is not None:
-        efficient = False
-    else:
-        tight = [c for c in zeros if c >= p.dim]
-        at_zero = [c for c in zeros if c < p.dim]
-        rows = p.frame[0]
-        found, z = alternative(_isermann(f.image, [rows[c - p.dim] for c in tight], at_zero))
-        efficient = found is not None
-        if efficient:
-            multipliers = found[0][f.count :]
-            support = frozenset(c for c, m in zip(tight + at_zero, multipliers) if m > 0)
-            p.supports.setdefault(f.row_set, []).append(support)
-        else:
-            p.improving.setdefault(f.row_set, []).append([[-a for a in z], None])
-    p.efficient[key] = efficient
-    return efficient
+        return True
+    if _covering(p, f, zeros) is not None:
+        return False
+    tight = [c for c in zeros if c >= p.dim]
+    at_zero = [c for c in zeros if c < p.dim]
+    rows = p.frame[0]
+    found, z = alternative(_isermann(f.image, [rows[c - p.dim] for c in tight], at_zero))
+    supports, directions = _record(p, f)
+    if found is not None:
+        multipliers = found[0][f.count :]
+        supports.append(frozenset(c for c, m in zip(tight + at_zero, multipliers) if m > 0))
+        return True
+    d = [-a for a in z]
+    # zip stops at len(d), so row[-1] (b_i) is left out of the sum.
+    covered = frozenset(
+        [j for j, a in enumerate(d) if a >= 0]
+        + [p.dim + i for i, row in enumerate(rows) if sum(a * b for a, b in zip(row, d)) <= 0]
+    )
+    directions.append((d, covered))
+    return False
+
+
+def _record(p: Polytope, f: ObjectiveStack) -> tuple[list[frozenset[int]], list[tuple[list[int], frozenset[int]]]]:
+    """The record of f's row set in ``p.certificates``, made empty on first
+    use: the supports of its "yes"s, and each "no"'s direction d with the
+    columns it covers.  d covers j < k when d_j >= 0 and k + i when
+    a_i . d <= 0 on row i of ``Polytope.frame`` (a positive scale of a_i)."""
+    return p.certificates.setdefault(f.row_set, ([], []))
 
 
 def _supporting(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> frozenset[int] | None:
-    """The first support kept in ``p.supports`` for f's row set that
-    ``zeros`` contains, or None.  A point of such a zero set is tight on
-    every column of the support, so it maximizes the weighted sum l^T F of
-    the "yes" that found it, with l > 0: it is efficient."""
-    return next((s for s in p.supports.get(f.row_set, ()) if s <= zeros), None)
+    """The first support in f's record that ``zeros`` contains, or None.  A
+    point of such a zero set is tight on every column of the support, so it
+    maximizes the weighted sum l^T F of the "yes" that found it, with l > 0:
+    it is efficient."""
+    return next((s for s in _record(p, f)[0] if s <= zeros), None)
 
 
 def _covering(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> list[int] | None:
-    """The first direction d kept in ``p.improving`` for f's row set that
-    covers every column of ``zeros``, or None.  d covers j < k when d_j >= 0
-    and k + i when a_i . d <= 0 on row i of ``Polytope.frame`` (a positive
-    scale of a_i).  At a point of such a zero set x + eps d is feasible for
-    a small eps > 0, and F . d >= 0 with 1^T F . d > 0, so the point is not
-    efficient.  A direction's covered columns are built on the first test
-    that reads them, and kept."""
-    for direction in p.improving.get(f.row_set, ()):
-        if direction[1] is None:
-            d = direction[0]
-            rows = p.frame[0]
-            # zip stops at len(d), so row[-1] (b_i) is left out of the sum.
-            direction[1] = frozenset(
-                [j for j, a in enumerate(d) if a >= 0]
-                + [p.dim + i for i, row in enumerate(rows) if sum(a * b for a, b in zip(row, d)) <= 0]
-            )
-        if zeros <= direction[1]:
-            return direction[0]
-    return None
+    """The first direction d in f's record that covers every column of
+    ``zeros``, or None.  At a point of such a zero set x + eps d is feasible
+    for a small eps > 0, and F . d >= 0 with 1^T F . d > 0, so the point is
+    not efficient."""
+    return next((d for d, covered in _record(p, f)[1] if zeros <= covered), None)
 
 
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:

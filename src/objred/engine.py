@@ -41,12 +41,12 @@ Stacks.  The tree reads one ``ObjectiveStack`` of all the objectives, in
 the problem's order: step 0 solves on its integer ``image`` and step 1 reads
 its cached ``direction``.  Steps 4, 6 and 7 read the stack without the
 candidate, which ``drop`` builds, with its image, only when one of them
-runs, and keeps.  reduce_objectives builds one stack per call and drops
-each deleted objective from it, so the candidates of a pass share one
-step-1 direction, every pass one integer image, and a pass after a deletion
-at step 4 or 7 the stack that step read.  A deletion at step 0 keeps the
-cone of the objectives, so when its pass found no step-1 direction, the
-next pass reads that "no" with no cone test.
+runs.  reduce_objectives builds one stack per call and drops each deleted
+objective from it, so the candidates of a pass share one step-1 direction,
+and every pass one integer image.  Efficiency answers are kept on the
+region by row set, so a pass reads those of every earlier classification.
+A deletion at step 0 keeps the cone of the objectives, so when its pass
+found no step-1 direction, the next pass reads that "no" with no cone test.
 """
 
 from __future__ import annotations
@@ -413,13 +413,12 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     objective index.  All classifications share one region object, so each
     region fact is computed once per call: once a step 4 or 7 has built the
     region's whole vertex search, steps 5 and 6 read it instead of climbing,
-    and every efficiency answer of a stack covers later tests of it
-    (``efficient_at``).  The candidates of a pass
-    share one ``ObjectiveStack``, whose step-1 direction is found once.  The
-    next pass's stack is ``drop`` of the deleted candidate, so the problem's
-    objectives go into integers once per call, and a candidate deleted at
-    step 4 or 7 leaves the stack its classification built.  A candidate
-    deleted at step 0 leaves step 1's "no", when its pass found one.
+    and every efficiency answer covers later tests of the same rows, in any
+    stack (``efficient_at``).  The candidates of a pass share one
+    ``ObjectiveStack``, whose step-1 direction is found once.  The next
+    pass's stack is ``drop`` of the deleted candidate, so the problem's
+    objectives go into integers once per call.  A candidate deleted at step
+    0 leaves step 1's "no", when its pass found one.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     labels = list(range(problem.n_objectives))

@@ -27,7 +27,8 @@ any point with the rows of ``Polytope.frame``, the region's one integer
 image of [A | b].  The search runs in integers: a vertex is a primitive key
 (x, d), d > 0, for x / d, with its zero set at its index in ``zero_sets``
 and its ``Fraction``s built once, in ``vertices``; a face is a tuple of
-vertex indices (``faces``).
+vertex indices (``faces``).  The efficiency test keeps what it finds on the
+region, one record per set of stack rows (``Polytope.certificates``).
 """
 
 from __future__ import annotations
@@ -156,23 +157,10 @@ class Polytope:
         return find_interior_point(self)
 
     @cached_property
-    def efficient(self) -> dict[tuple[frozenset[Vector], frozenset[int]], bool]:
-        """Answers of the efficiency test, keyed by the set of stack rows and
-        the zero set of the point: they depend on nothing else."""
-        return {}
-
-    @cached_property
-    def supports(self) -> dict[frozenset[Vector], list[frozenset[int]]]:
-        """The supports of the efficiency test's "yes"s, by the set of stack
-        rows: a zero set that contains one is efficient
-        (``efficiency.efficient_at``)."""
-        return {}
-
-    @cached_property
-    def improving(self) -> dict[frozenset[Vector], list[list]]:
-        """The improving directions the efficiency test's "no"s have found,
-        by the set of stack rows: each a pair [d, the columns it covers, or
-        None until a later test reads them] (``efficiency.efficient_at``)."""
+    def certificates(self) -> dict:
+        """What the efficiency test has found, one record per set of stack
+        rows: the efficient set depends on nothing else.  Only
+        ``efficiency`` builds and reads the records (``efficient_at``)."""
         return {}
 
 

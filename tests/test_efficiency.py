@@ -22,7 +22,7 @@ from objred.engine import classify, combination_multipliers, reduce_objectives
 from objred.errors import InfeasibleInput, UnboundedRegion
 from objred.instances import ladder_region, random_problem
 from objred.linalg import dot, mat_vec
-from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded
+from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded, zero_set
 from objred.verify import check_step
 
 from helpers import (
@@ -149,6 +149,20 @@ def test_no_efficient_point_escapes_on_cube():
     assert efficient_point_outside(CUBE, full, full.drop(2)) is None
 
 
+def _recording_tests(monkeypatch):
+    """A list that collects (stack, zero set) for each call of
+    ``efficient_at`` made inside ``efficiency``."""
+    tested = []
+    test = efficiency.efficient_at
+
+    def recorded(p, f, zeros):
+        tested.append((f, zeros))
+        return test(p, f, zeros)
+
+    monkeypatch.setattr(efficiency, "efficient_at", recorded)
+    return tested
+
+
 def test_vertices_and_faces_are_tested_on_search_zero_sets(monkeypatch):
     # Every vertex and every face of the cube is tested on the zero sets the
     # vertex search recorded, so no point is scanned and no centroid built.
@@ -156,13 +170,13 @@ def test_vertices_and_faces_are_tested_on_search_zero_sets(monkeypatch):
         raise AssertionError("a zero set was scanned")
 
     monkeypatch.setattr(efficiency, "zero_set", scanned)
+    tested = _recording_tests(monkeypatch)
     region = Polytope(CUBE.a, CUBE.b)
     full = cube_3obj().stack()
     assert efficient_vertices(region, full) == (fvec([0, 1, 1]), fvec([1, 1, 1]))
     assert efficient_point_outside(region, full, full.drop(2)) is None
     # The edge between them, x2 = x3 = 1, was tested on its own zero set.
-    tested = {zeros for _, zeros in region.efficient}
-    assert tested - set(region.zero_sets) == {frozenset({4, 5})}
+    assert {zeros for _, zeros in tested} - set(region.zero_sets) == {frozenset({4, 5})}
 
 
 @pytest.mark.parametrize(
@@ -181,6 +195,7 @@ def test_search_lattice_and_sweep_hash_and_compare_no_fraction(monkeypatch, regi
     region = Polytope(region.a, region.b)
     inner = stack.drop(stack.count - 1)
     stack.row_set, inner.row_set
+    tested = _recording_tests(monkeypatch)
     counts = collections.Counter()
     for name in ("__hash__", "__eq__", "__lt__"):
         original = getattr(Fraction, name)
@@ -196,7 +211,7 @@ def test_search_lattice_and_sweep_hash_and_compare_no_fraction(monkeypatch, regi
     monkeypatch.undo()
     assert counts == {}
     assert escaped is None and len(faces) == {3: 27, 5: 279}[region.dim]
-    assert len(region.efficient) > len(region.vertices)
+    assert len({(f.row_set, zeros) for f, zeros in tested}) > len(region.vertices)
 
 
 def test_escaping_efficient_vertex_found():
@@ -616,6 +631,37 @@ def test_supports_answer_some_tests_of_a_seeded_stream(monkeypatch):
             pass
     assert len(supported) > 20
     assert any(not is_bounded(p) for p, _, _, _ in supported)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.booleans())
+def test_a_zero_set_runs_one_phase_1_for_every_order_of_the_rows(seed, bounded):
+    # Each certificate settles its own zero set: a "yes" support is made of
+    # the zero set's columns, and a "no" direction stays feasible at it.  So
+    # right after a phase 1 the region's record answers that zero set, and
+    # testing it again, for the stack or for its rows in another order,
+    # gives the same answer with no phase 1.
+    problem = random_problem(random.Random(seed), max_objectives=5, ensure_bounded=bounded)
+    p, f = problem.region(), problem.stack()
+    rotated = ObjectiveStack(f.rows[1:] + f.rows[:1])
+    found = []
+    run = efficiency.alternative
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(efficiency, "alternative", lambda rows: found.append(run(rows)) or found[-1])
+        for x in sample_points(p):
+            zeros = zero_set(p, x)
+            before = len(found)
+            answer = efficient_at(p, f, zeros)
+            assert len(found) <= before + 1
+            if len(found) > before and answer:
+                support = efficiency._supporting(p, f, zeros)
+                assert support is not None and support <= zeros
+            elif len(found) > before:
+                assert efficiency._covering(p, f, zeros) == [-a for a in found[-1][1]]
+            ran = len(found)
+            assert efficient_at(p, f, zeros) == answer
+            assert efficient_at(p, rotated, zeros) == answer
+            assert len(found) == ran
 
 
 def test_classify_ladder_k9_runs_few_efficiency_phase_1s(monkeypatch):
