@@ -29,7 +29,11 @@ from typing import NamedTuple
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 EFFICIENCY = "src/objred/efficiency.py"
 ENGINE = "src/objred/engine.py"
+LINALG = "src/objred/linalg.py"
+POLYTOPE = "src/objred/polytope.py"
 EFFICIENCY_TESTS = "tests/test_efficiency.py::"
+ENGINE_TESTS = "tests/test_engine.py::"
+POLYTOPE_TESTS = "tests/test_polytope.py::"
 
 
 class Mutant(NamedTuple):
@@ -92,10 +96,69 @@ MUTANTS = (
     ),
     Mutant(
         "no step-1 carry across a step-0 deletion",
-        ENGINE,
-        'stack.__dict__["direction"] = None',
+        EFFICIENCY,
+        'kept.__dict__["direction"] = None',
         "pass",
-        ("tests/test_engine.py::test_a_step_0_deletion_keeps_step_1s_no",),
+        (ENGINE_TESTS + "test_a_step_0_deletion_keeps_step_1s_no",),
+    ),
+    Mutant(
+        "drop carries step 1's no on every drop",
+        EFFICIENCY,
+        'if self.__dict__.get("direction", ()) is None and self.combinations.get(index, (None,))[0] is not None:',
+        "if True:",
+        (ENGINE_TESTS + "test_step2_fixture", ENGINE_TESTS + "test_reduce_history_matches_classify_of_each_pass"),
+    ),
+    Mutant(
+        "bland returns its pivot at a ray",
+        LINALG,
+        "        if r is None:\n            return None\n",
+        "        if r is None:\n            return d\n",
+        (POLYTOPE_TESTS + "test_optimal_face_raises_on_unbounded_objective", "tests/test_simplex.py::test_unbounded"),
+    ),
+    Mutant(
+        "drive_out skips its pivot",
+        LINALG,
+        "                d = pivot(rows, i, j, d)\n                basis[i] = j\n",
+        "                basis[i] = j\n",
+        (POLYTOPE_TESTS + "test_is_bounded", POLYTOPE_TESTS + "test_vertices_match_fraction_reference"),
+    ),
+    Mutant(
+        "step 6 answers no on every face",
+        ENGINE,
+        "witness = next((v for v, zeros in zip(*face) if efficient_at(region, reduced, zeros)), None)",
+        "witness = None",
+        (ENGINE_TESTS + "test_step6_fixtures", ENGINE_TESTS + "test_decisive_verdicts_match_the_definition"),
+    ),
+    Mutant(
+        "efficient_point_outside without its face loop",
+        EFFICIENCY,
+        "    for face in p.faces:",
+        "    for face in ():",
+        (
+            EFFICIENCY_TESTS + "test_escaping_efficient_point_inside_an_edge",
+            ENGINE_TESTS + "test_classify_essential_at_kernel_when_an_edge_escapes",
+        ),
+    ),
+    Mutant(
+        "walked always False",
+        POLYTOPE,
+        'return "walk" in self.__dict__',
+        "return False",
+        (ENGINE_TESTS + "test_reduce_climbs_until_a_step_searches_its_region",),
+    ),
+    Mutant(
+        "a walk read that drops face vertices",
+        POLYTOPE,
+        "face = [i for i, value in enumerate(values) if value == best]",
+        "face = [values.index(best)]",
+        (ENGINE_TESTS + "test_climb_matches_the_whole_search", POLYTOPE_TESTS + "test_optimal_face_vertices_cube_edge"),
+    ),
+    Mutant(
+        "efficiency test blind to the last variable's zero",
+        EFFICIENCY,
+        "at_zero = [c for c in zeros if c < p.dim]",
+        "at_zero = [c for c in zeros if c < p.dim - 1]",
+        (ENGINE_TESTS + "test_verdicts_keep_to_the_region_and_the_objectives",),
     ),
 )
 

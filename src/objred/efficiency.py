@@ -1,33 +1,16 @@
-"""Efficiency machinery for linear multiobjective maximization.
+"""Efficiency for linear multiobjective maximization.
 
-Holds the objective stack, the cone test for directions that improve some
-objective without hurting any other (a stack finds its own direction once),
-the point efficiency test (a phase-1 feasibility problem over the normal
-cone of the constraints tight at the point, after Isermann 1974), and the
-search for strictly positive weights that equalize the weighted objective
-value across vertices.
-
-The efficiency test reads only the point's zero set: a vertex's is at its
-index in ``Polytope.zero_sets``, and a face's (a tuple of vertex indices)
-the meet of its vertices', so no vertex is hashed.  The cone test's "no" is
-Stiemke's alternative, a positive y with C^T y = 0, which is the efficiency
-test where nothing is tight: both build one system (``_isermann``) decided
-by one integer phase 1 (``linalg.alternative``).  Each certificate is read
-off the phase 1 that decides its answer: a cone direction is that Farkas
-vector (``opposite``), and the weights are the end point of a Stiemke system
-(``linalg.integer_solution``).  No LP is solved.  A stack goes into
-integers once, as its ``image``, which every efficiency test reads.
-
-Each answer of the efficiency test settles its own zero set and more
-(Isermann 1974), so the region keeps its certificate, not the answer, in one
-record per row set (``Polytope.certificates``, laid out by ``_record``).  A
-"yes" ends at weights l > 0 whose weighted sum l^T F is maximized exactly
-where the point is tight on the columns of positive multipliers, its
-support, and a zero set that contains it is answered "yes" from it
-(``_supporting``).  A "no" yields a direction d = -z, z the Farkas vector,
-that improves the stack semipositively and stays feasible at the point, and
-a zero set at which d stays feasible is answered "no" from it
-(``_covering``).  Neither reading runs a phase 1.
+Holds the objective stack (``ObjectiveStack``, with its step-0 combinations
+and its step-1 direction), the cone test (``find_cone_point``), the point
+efficiency test (``efficient_at``, after Isermann 1974), the face sweep
+(``efficient_point_outside``) and the equalizing weights.  Each test is one
+integer phase 1 (``linalg.alternative``), whose end point or Farkas vector
+is its certificate.  The efficiency test reads only a point's zero set and
+keeps each certificate on the region, one record per set of stack rows
+(``Polytope.certificates``, laid out by ``_record``), which answers later
+zero sets it settles with no phase 1.  It relies on a positive scale of an
+objective keeping the efficient set, and of a tight row the normal cone.
+README, "Library quickstart", has the design.
 """
 
 from __future__ import annotations
@@ -42,9 +25,8 @@ from .linalg import (
     Matrix,
     Vector,
     alternative,
-    farkas,
+    integer_frame,
     integer_rows,
-    integer_solution,
     mat_vec,
     ratio,
     require_rational,
@@ -90,6 +72,11 @@ class ObjectiveStack:
         candidate of a reduce pass reads one."""
         return find_cone_point(self.rows)
 
+    @cached_property
+    def combinations(self) -> dict[int, tuple[Vector | None, list[int] | None]]:
+        """``combination``'s answer for each row it has been asked about."""
+        return {}
+
     @property
     def count(self) -> int:
         return len(self.rows)
@@ -101,15 +88,48 @@ class ObjectiveStack:
     def values(self, x: Vector) -> Vector:
         return mat_vec(self.rows, x)
 
+    def combination(self, k: int) -> tuple[Vector | None, list[int] | None]:
+        """Step 0 for row k, once per row: (alpha, None) with alpha >= 0 and
+        sum_i alpha_i c_i = c_k over the other rows, or (None, z) with z the
+        Farkas vector of their "no": c_i . z <= 0 on every other row and
+        c_k . z > 0.
+
+        The system has one equation per column, sum_i y_i s_i c_i = s_k c_k
+        on the image's rows s_i c_i, over the frame d = 1.  That is the
+        system on the rows themselves with column i scaled by s_i > 0 and
+        the right-hand side by s_k, so Bland's rule takes the same pivots to
+        the same basis, and alpha_i = y_i s_i / (d s_k) is the same point."""
+        known = self.combinations
+        if k not in known:
+            image = self.image
+            found, z = alternative([list(column) for column in zip(*image[:k], *image[k + 1 :], image[k])])
+            if found is None:
+                known[k] = None, z
+            else:
+                y, d = found
+                scale = [math.lcm(*(a.denominator for a in row)) for row in self.rows]
+                s_k = scale.pop(k)
+                known[k] = tuple(ratio(v * s, d * s_k) for v, s in zip(y, scale)), None
+        return known[k]
+
     def drop(self, index: int) -> "ObjectiveStack":
         """The stack without row ``index``, with its image.  What efficiency
         tests of those rows found is kept on the region by row set, so a
-        stack built here anew reads all of it."""
+        stack built here anew reads all of it.
+
+        When this stack is known to have no step-1 direction and row
+        ``index`` to be a combination of the others, the kept stack has
+        none either, and gets that "no" with no cone test: step 1's "no" is
+        some y > 0 with sum_i y_i c_i = 0, and c_index = sum_i alpha_i c_i
+        with alpha >= 0, so y_i + y_index alpha_i > 0 is the kept stack's.
+        Both facts are read off the caches, never computed."""
         if not 0 <= index < self.count:
             raise IndexError("objective index out of range")
         kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
         # A cached property keeps its value in the instance's __dict__.
         kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
+        if self.__dict__.get("direction", ()) is None and self.combinations.get(index, (None,))[0] is not None:
+            kept.__dict__["direction"] = None
         return kept
 
 
@@ -122,7 +142,7 @@ def find_cone_point(c: Matrix) -> Vector | None:
     on every row and -sum_i c_i . z > 0, so x = -z, scaled to a primitive
     integer vector; it depends on the order of C's rows alone.
     """
-    z = farkas(_isermann(integer_rows(c), [], []))
+    z = alternative(_isermann(integer_rows(c), [], []))[1]
     return None if z is None else opposite(z)
 
 
@@ -155,7 +175,7 @@ def is_efficient(p: Polytope, f: ObjectiveStack, x0: Vector) -> bool:
     Writing l = 1 + mu with mu >= 0, the test is one phase-1 problem with a
     row per variable: F^T mu - A_T^T u + E_J w = -F^T 1, mu, u, w >= 0,
     decided on integers: x0 is efficient iff ``linalg.alternative`` finds no
-    Farkas vector.  No LP is solved.
+    Farkas vector.
     F enters as the stack's ``image``, each row times the LCM of its own
     denominators, and A_T as rows of ``Polytope.frame``, [A | b] times one
     common denominator: a positive scale of an objective keeps the efficient
@@ -286,7 +306,7 @@ def equalizing_weights(f: ObjectiveStack, points: tuple[Vector, ...]) -> Vector 
         raise ValueError("need at least one point")
     first = f.values(points[0])
     rows = [vsub(first, f.values(v)) for v in points[1:]]
-    found = integer_solution(tuple(row + (-sum(row),) for row in rows)) if rows else ([0] * f.count, 1)
+    found = alternative(*integer_frame(row + (-sum(row),) for row in rows))[0] if rows else ([0] * f.count, 1)
     if found is None:
         return None
     mu, d = found

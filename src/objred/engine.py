@@ -1,58 +1,19 @@
-"""Classification of a single objective as essential or nonessential.
+"""The decision tree: ``classify`` one objective, ``reduce_objectives`` all.
 
 An objective is nonessential when deleting it leaves the efficient set of
-max {F(x) : Ax <= b, x >= 0} unchanged.  classify() walks a fixed decision
-tree of eight tests (steps 0 to 7); each is exact linear algebra or one
-integer phase 1 that yields both the answer and its certificate (no LP is
-solved), and every answer is recorded in a trace together with a checkable
-certificate where one exists.
-
-Tree shape.  Step 0 asks whether the candidate gradient is a nonnegative
-combination of the others (sufficient for nonessential).  Step 1 asks for a
-direction improving the full stack semipositively; if none exists every
-feasible point is efficient and the routine continues with steps 2-4, which
-compare that situation against the reduced stack.  Step 2's direction for
-the reduced stack always exists there, and step 0's Farkas vector gives it
-(see ``_classify``), so the tree never ends at step 2.  Otherwise steps 5-7
-examine the candidate's optimal face and a kernel condition that certifies
-the reduced objective map is one-to-one on the efficient set.  The kernel
-condition alone only proves that deletion cannot shrink the efficient set,
-so before reporting nonessential the classifier also confirms, face by
-face, that deletion does not grow it; a face that is efficient before
-deletion but not after is decisive evidence the other way and yields an
-essential verdict at step 7.
-
-Steps 5 and 6.  The region gives the candidate's optimal face, with its
-vertices' zero sets, and its boundedness (``polytope.face_of``,
-``Polytope.bounded``): off its whole vertex search once a step 4 or 7 has
-built it, and otherwise by climbs, which build none.  The face and the
-verdict are the same both ways.
-
-Boundedness.  Several terminal conclusions rest on theorems whose
-hypotheses need a bounded region.  Exits backed by a direct witness (a
-combination vector, an interior point plus an improving direction, an
-inefficient vertex) stay valid on unbounded regions and are reported
-normally.  The step-4 and step-6 conclusions raise UnboundedRegion when
-the region is unbounded, and so does step 5 when the candidate itself has
-no finite maximum.  Step 7 instead degrades to the inconclusive verdict,
-which claims nothing.
-
-Stacks.  The tree reads one ``ObjectiveStack`` of all the objectives, in
-the problem's order: step 0 solves on its integer ``image`` and step 1 reads
-its cached ``direction``.  Steps 4, 6 and 7 read the stack without the
-candidate, which ``drop`` builds, with its image, only when one of them
-runs.  reduce_objectives builds one stack per call and drops each deleted
-objective from it, so the candidates of a pass share one step-1 direction,
-and every pass one integer image.  Efficiency answers are kept on the
-region by row set, so a pass reads those of every earlier classification.
-A deletion at step 0 keeps the cone of the objectives, so when its pass
-found no step-1 direction, the next pass reads that "no" with no cone test.
+max {F(x) : Ax <= b, x >= 0} unchanged.  ``_classify`` runs steps 0 to 7
+once, on one ``ObjectiveStack`` in the problem's order and one
+``Polytope``, and records each answer, with its certificate, in the trace;
+``step0`` to ``step7`` run the steps one at a time.  An exit whose theorem
+needs a bounded region raises UnboundedRegion on an unbounded one, and
+step 7 there degrades to inconclusive.  README, "The decision tree" and
+"Boundedness policy", has the steps and their certificates, and "Library
+quickstart" what the classifications of a reduce share.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,10 +29,8 @@ from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
     Matrix,
     Vector,
-    alternative,
     intersect_spans,
     null_space,
-    ratio,
     require_rational,
     span_basis,
     vsub,
@@ -175,34 +134,11 @@ class MolpProblem:
 def combination_multipliers(stack: ObjectiveStack) -> Vector | None:
     """alpha >= 0 with sum(alpha_i * c^i) equal to the last objective row,
     or None when no such multipliers exist (Farkas's alternative: then some
-    direction hurts no other objective but lowers the last).
-
-    Both the answer and the multipliers come from one phase 1 on the
-    stack's integer image (``linalg.alternative``); no LP is solved."""
+    direction hurts no other objective but lowers the last); see
+    ``ObjectiveStack.combination``."""
     if stack.count < 2:
         raise ValueError("need a second objective to combine from")
-    return _multipliers(stack, stack.count - 1)[0]
-
-
-def _multipliers(stack: ObjectiveStack, candidate: int) -> tuple[Vector | None, list[int] | None]:
-    """(alpha, None) with alpha the ``combination_multipliers`` of row
-    ``candidate`` over the other rows, or (None, z) with z the Farkas vector
-    of their "no": c_i . z <= 0 on every other row and c_k . z > 0.
-
-    The system has one equation per column, sum_i y_i s_i c_i = s_k c_k on
-    the image's rows s_i c_i, over the frame d = 1.  That is the system on
-    the rows themselves with column i scaled by s_i > 0 and the right-hand
-    side by s_k, so Bland's rule takes the same pivots to the same basis,
-    and alpha_i = y_i s_i / (d s_k) is the same point."""
-    image = stack.image
-    others = image[:candidate] + image[candidate + 1 :]
-    found, z = alternative([list(column) for column in zip(*others, image[candidate])])
-    if found is None:
-        return None, z
-    y, d = found
-    scale = [math.lcm(*(a.denominator for a in row)) for row in stack.rows]
-    s_k = scale.pop(candidate)
-    return tuple(ratio(v * s, d * s_k) for v, s in zip(y, scale)), None
+    return stack.combination(stack.count - 1)[0]
 
 
 def kernel_separation(
@@ -258,11 +194,14 @@ def classify(problem: MolpProblem, candidate: int | None = None) -> Verdict:
     Raises InfeasibleRegion when the region is empty and UnboundedRegion
     when an exit would need a boundedness hypothesis that does not hold;
     the combination test at step 0 is region-independent and is reported
-    before either check.  A TypeError names an entry ``objectives[i][j]``.
+    before either check.  A TypeError names an entry ``objectives[i][j]``,
+    or a candidate that is not an int (a bool is refused too).
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     if candidate is None:
         candidate = problem.n_objectives - 1
+    elif isinstance(candidate, bool) or not isinstance(candidate, int):
+        raise TypeError(f"candidate is a {type(candidate).__name__}, not an int")
     if not 0 <= candidate < problem.n_objectives:
         raise ValueError(f"objective index {candidate} out of range")
     if problem.n_objectives < 2:
@@ -285,7 +224,7 @@ def _classify(stack: ObjectiveStack, candidate: int, region: Polytope) -> Verdic
     def verdict(outcome: Outcome, step: Step, relation: str | None = None) -> Verdict:
         return Verdict(candidate, outcome, step, relation, tuple(trace))
 
-    alpha, z = _multipliers(stack, candidate)
+    alpha, z = stack.combination(candidate)
     trace.append(_entry(Step.COMBINATION, alpha))
     if alpha is not None:
         return verdict(Outcome.NONESSENTIAL, Step.COMBINATION)
@@ -417,8 +356,8 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
     stack (``efficient_at``).  The candidates of a pass share one
     ``ObjectiveStack``, whose step-1 direction is found once.  The next
     pass's stack is ``drop`` of the deleted candidate, so the problem's
-    objectives go into integers once per call.  A candidate deleted at step
-    0 leaves step 1's "no", when its pass found one.
+    objectives go into integers once per call, and across a deletion at
+    step 0 ``drop`` carries step 1's "no", when its pass found one.
     """
     require_rational(problem.objectives, "objectives[{}]".format)
     labels = list(range(problem.n_objectives))
@@ -434,16 +373,7 @@ def reduce_objectives(problem: MolpProblem) -> ReduceResult:
             history.append((labels[pos], result))
             if result.outcome is Outcome.NONESSENTIAL:
                 removals.append(Removal(labels[pos], result.decided_at))
-                # A cached property keeps its value in the instance's __dict__.
-                found = "direction" in stack.__dict__
-                carried = result.decided_at is Step.COMBINATION and found and stack.direction is None
                 stack = stack.drop(pos)
-                if carried:
-                    # Step 1's "no" is some y > 0 with sum_i y_i c_i = 0, and
-                    # the deleted c_k is sum_i alpha_i c_i over the others
-                    # with alpha >= 0: y_i + y_k alpha_i > 0 is the kept
-                    # stack's "no".  It has no certificate to recompute.
-                    stack.__dict__["direction"] = None
                 del labels[pos]
                 removed = True
                 break

@@ -1,21 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, run on integers.
 
-Vectors and matrices are plain tuples of ``fractions.Fraction``, so every
-value is immutable, hashable and exact.  All elimination runs on one
-fraction-free Gauss–Jordan step on integers, ``pivot`` (Bareiss, Edmonds; as
-in ``lrs``).  Every entry it holds is a minor of the row-scaled input, so each
-division is exact; ``Fraction``s are built only when a result is returned,
-by ``ratio``, which shares one object per small rational.
-``bland`` runs Bland's rule on such an integer dictionary with that step.
-It runs the phase 1 that finds a region's first feasible basis, the climbs
-from it to an objective's optimal face (``polytope.face_of``), and the
-phase 1 that decides each feasibility question of the decision tree and yields its
-certificate (``alternative``): the end point when there is a solution, the
-Farkas vector when there is none.  The library
-solves no LP; ``objred.simplex`` runs both its phases on the same kernel.
-Its tie-break, the minimum-ratio row of lowest basic index, is
-``leaving_row``; the vertex search steps along the same rows, so it follows
-exactly the edges Bland's rule can take.
+Vectors and matrices are tuples of ``fractions.Fraction``.  Every
+elimination and every simplex step is ``pivot``, one fraction-free
+Gauss–Jordan step (Bareiss; as in ``lrs``): each entry stays a minor of the
+row-scaled input, so each division is exact, and a ``Fraction`` is built
+only for a result (``ratio``).  That holds only over a frame d, a multiple
+of the rows' denominators (``integer_frame``), which ``phase1`` checks.
+``bland`` runs Bland's rule with ``leaving_row`` as its tie-break, and
+``phase1``, ``drive_out`` and ``alternative`` build on it.  README,
+"Library quickstart", has the design.
 """
 
 from __future__ import annotations
@@ -120,14 +113,14 @@ def pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
+def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int | None:
     """Bland's rule on the dictionary ``rows[:len(basis)]`` over ``d``,
     maximizing the cost row ``rows[cost]``, in place.  Every row below the
     dictionary rides along in each pivot but stays out of the ratio test.
     The entering column is the lowest one whose reduced cost ``rows[cost][j]
-    / d`` is positive, and the leaving row is ``leaving_row``'s.  Stops at an
-    optimum, where no reduced cost is positive, or at a ray, where one still
-    is: its column has no leaving row.  Returns the final pivot."""
+    / d`` is positive, and the leaving row is ``leaving_row``'s.  Returns
+    the final pivot at an optimum, where no reduced cost is positive, and
+    None at a ray: an entering column with no leaving row."""
     last = len(rows[cost]) - 1
     while True:
         costs = rows[cost]
@@ -138,9 +131,27 @@ def bland(rows: list[list[int]], basis: list[int], d: int, cost: int) -> int:
             return d
         r = leaving_row(rows, basis, j, d)
         if r is None:
-            return d
+            return None
         d = pivot(rows, r, j, d)
         basis[r] = j
+
+
+def drive_out(rows: list[list[int]], basis: list[int], d: int, width: int) -> int:
+    """After a phase 1 that reached 0, pivot each artificial column still
+    basic (``basis[i] >= width``, at value 0) out of the dictionary on the
+    lowest nonzero column of its row below ``width``; a row with none is
+    redundant and is deleted.  Then every row keeps its first ``width``
+    columns and its last entry.  In place; returns the final pivot."""
+    for i in reversed(range(len(basis))):
+        if basis[i] >= width:
+            j = next((j for j in range(width) if rows[i][j]), None)
+            if j is None:
+                del rows[i], basis[i]
+            else:
+                d = pivot(rows, i, j, d)
+                basis[i] = j
+    rows[:] = [row[:width] + row[-1:] for row in rows]
+    return d
 
 
 def integer_frame(m: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -203,21 +214,6 @@ def alternative(rows: list[list[int]], d: int = 1) -> tuple[tuple[list[int], int
         return None, [d + u if row[-1] >= 0 else -d - u for row, u in zip(rows, cost[n:-1])]
     values = {c: row[-1] for c, row in zip(basis, tableau)}
     return ([values.get(j, 0) for j in range(n)], d), None
-
-
-def farkas(rows: list[list[int]]) -> list[int] | None:
-    """None when some y >= 0 solves the integer rows ``row[:-1] . y =
-    row[-1]``; otherwise ``alternative``'s Farkas vector z."""
-    return alternative(rows)[1]
-
-
-def integer_solution(m: Matrix) -> tuple[list[int], int] | None:
-    """(y, d) with y / d >= 0 solving ``row[:-1] . y = row[-1]`` for the rows
-    of m, or None.  y / d is where ``phase1`` ends in ``integer_frame(m)``,
-    which makes the pivots of ``simplex.solve``: the point it returns for a
-    zero objective.  Rows scaled to integers one by one would change the
-    cost row, and so the pivots."""
-    return alternative(*integer_frame(m))[0]
 
 
 def leaving_row(rows: list[list[int]], basis: list[int], j: int, d: int) -> int | None:

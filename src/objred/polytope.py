@@ -1,34 +1,15 @@
-"""Feasible regions of the form {x : Ax <= b, x >= 0} with exact geometry.
+"""Regions {x : Ax <= b, x >= 0} with exact geometry.
 
-Everything here pivots one integer dictionary of the slack-extended system
-[A | I] y = b, y >= 0 with the fraction-free step of ``lrs``.  ``start`` is
-its first feasible basis, found by a phase 1 of Bland's rule when some
-b_i < 0; there is none iff the region is empty.  From it, ``walk`` pivots
-from basis to adjacent feasible basis on the edges Bland's rule can take
-(in the feasible-basis graph of Avis & Fukuda's reverse search) and yields
-the vertices and the rays it meets: the region is bounded iff it meets none,
-and c . x has no finite maximum iff c . r > 0 for one of them.  Its work
-grows with the feasible bases those edges reach, not with all C(k + m, m)
-bases.  The results are exact, deterministic and sorted.
-
-One objective's optimal face (``optimal_face``) and the region's
-boundedness (``Polytope.bounded``) are read off ``walk`` when it has run
-(``Polytope.walked``), and otherwise need no whole search: Bland's rule on c
-from ``start`` (``_climb``), then the same search from the optimal
-dictionary with every column of nonzero reduced cost kept out, which lists
-that face alone, and a climb on sum(x).  The Bland kernel lives in
-``linalg``, and the step-3 interior point is the end point of one of its
-phase 1s; no LP is solved.
-
-A point's zero set holds the columns c of [A | I] y = b where y = (x, b - Ax)
-is 0: c < k for x_c = 0, k + i for a tight row i.  Only this module computes
-it: each search reads each vertex's off a dictionary, and ``zero_set`` compares
-any point with the rows of ``Polytope.frame``, the region's one integer
-image of [A | b].  The search runs in integers: a vertex is a primitive key
-(x, d), d > 0, for x / d, with its zero set at its index in ``zero_sets``
-and its ``Fraction``s built once, in ``vertices``; a face is a tuple of
-vertex indices (``faces``).  The efficiency test keeps what it finds on the
-region, one record per set of stack rows (``Polytope.certificates``).
+Each fact about a region is a cached property of its ``Polytope``, computed
+on first use from one integer dictionary of [A | I] y = b over the frame of
+[A | b] (``Polytope.frame``): its first feasible basis (``start``), the
+vertex search along Bland's edges (``walk``) with its vertices, zero sets
+and rays, the face lattice, the interior point, and the efficiency records.
+An objective's optimal face and the region's boundedness are read off the
+search once it has run, and otherwise climbed to (``_climb``).  A point's
+zero set holds the columns of [A | I] y = b where y = (x, b - Ax) is 0: c < k
+for x_c = 0, and k + i for a tight row i.  README, "Library quickstart", has
+the design.
 """
 
 from __future__ import annotations
@@ -45,6 +26,7 @@ from .linalg import (
     Vector,
     alternative,
     bland,
+    drive_out,
     integer_frame,
     integer_rows,
     leaving_row,
@@ -318,9 +300,7 @@ def _climb(p: Polytope, c: list[int]) -> Dictionary | None:
     rows = [*rows, cost]
     basis = basis.copy()
     d = bland(rows, basis, d, len(basis))
-    if any(a * d > 0 for a in rows[-1][:-1]):
-        return None
-    return basis, rows, d
+    return None if d is None else (basis, rows, d)
 
 
 def face_of(p: Polytope, c: list[int]) -> Face:
@@ -360,10 +340,9 @@ def _first_feasible(p: Polytope) -> Dictionary | None:
     auxiliary column x0 = n with -1 in every row and a cost row for max
     -x0; x0 enters on the row of the most negative b_i, which makes the
     dictionary feasible, and Bland's rule then drives x0 to its least value.
-    A positive least value proves the region empty.  Otherwise a zero-valued
-    x0 still basic is pivoted out on the lowest nonzero column of its row
-    (one exists: [A | I] has full row rank), and its column and cost row
-    are dropped.
+    A positive least value proves the region empty.  Otherwise the cost row
+    is dropped, and ``drive_out`` pivots x0 out if it is still basic (its row
+    has a nonzero column: [A | I] has full row rank) and drops its column.
     """
     m = len(p.a)
     k = p.dim
@@ -381,12 +360,7 @@ def _first_feasible(p: Polytope) -> Dictionary | None:
         # The cost row ends holding x0's least value times d.
         if rows.pop()[-1] * d > 0:
             return None
-        if n in basis:
-            r = basis.index(n)
-            j = next(j for j in range(n) if rows[r][j])
-            d = pivot(rows, r, j, d)
-            basis[r] = j
-        rows = [row[:n] + row[-1:] for row in rows]
+        d = drive_out(rows, basis, d, n)
     return basis, rows, d
 
 
@@ -398,7 +372,7 @@ def find_interior_point(p: Polytope) -> Vector | None:
     interior; and any interior point, scaled up, gives such q, s and t.
     The system's rows are built from ``p.frame``: they have the common
     denominator d of [A | b], so the phase 1 over d makes the rational
-    pivots, as ``integer_solution`` on the system would.
+    pivots, as ``alternative`` over ``integer_frame`` of the system would.
     """
     frame, d = p.frame
     m = len(frame)

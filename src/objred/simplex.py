@@ -4,13 +4,12 @@ Maximization problems with <=, ==, >= rows, nonnegative or free variables.
 Pivoting follows Bland's smallest-index rule, which guarantees termination
 even on degenerate (cycling-prone) instances.  The tableau is put over one
 denominator (``linalg.integer_frame``) and pivoted on integers by the
-fraction-free kernel of ``linalg`` (``phase1``, ``bland``, ``pivot``), which
+fraction-free kernel of ``linalg`` (``phase1``, ``drive_out``, ``bland``), which
 makes exactly the pivots of the rational tableau: feasibility and
 optimality are decided without tolerances, and a ``Fraction`` is built only
 for the point returned.  The reduced costs live in the tableau as cost rows
 below the constraints, so each pivot reprices them and no iteration sums
-over the basis.  The decision tree solves no LP: each of its certificates
-is read off the integer phase 1 that decides its answer.  This module stays
+over the basis.  No other module of the library imports this one; it stays
 as a public exact LP solver, and the tests' references run on it.
 """
 
@@ -20,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, Vector, bland, integer_frame, phase1, pivot, ratio
+from .linalg import ONE, ZERO, Vector, bland, drive_out, integer_frame, phase1, ratio
 
 
 class Relation(enum.Enum):
@@ -117,24 +116,11 @@ def solve(problem: LpProblem) -> LpOutcome:
     if tableau.pop()[-1] * d > 0:
         return LpOutcome(LpStatus.INFEASIBLE)
 
-    # Drive zero-valued artificials out of the basis; rows with no real
-    # pivot left are redundant and get dropped.
-    for i in reversed(range(len(basis))):
-        if basis[i] >= width:
-            pivot_col = next((j for j in range(width) if tableau[i][j]), None)
-            if pivot_col is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                d = pivot(tableau, i, pivot_col, d)
-                basis[i] = pivot_col
-    tableau = [row[:width] + row[-1:] for row in tableau]
-
+    d = drive_out(tableau, basis, d, width)
     d = bland(tableau, basis, d, len(basis))
-    cost = tableau[-1]
-    if any(c * d > 0 for c in cost[:-1]):  # Bland's rule stopped on a ray
+    if d is None:  # Bland's rule stopped on a ray
         return LpOutcome(LpStatus.UNBOUNDED)
 
     values = {c: row[-1] for c, row in zip(basis, tableau)}
     x = tuple(ratio(values.get(pos, 0) - values.get(neg, 0), d) for pos, neg in col_of)
-    return LpOutcome(LpStatus.OPTIMAL, value=Fraction(-cost[-1], d), point=x)
+    return LpOutcome(LpStatus.OPTIMAL, value=Fraction(-tableau[-1][-1], d), point=x)

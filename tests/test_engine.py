@@ -338,6 +338,13 @@ def test_a_step_0_deletion_keeps_step_1s_no(monkeypatch):
     assert len(result.history) == 8 and len(calls) == 1
     # The carried "no" has no certificate, so each verdict is classify's.
     assert [v for _, v in result.history] == _classify_each_pass(problem)
+    # The step functions share the carry: once steps 0 and 1 have answered
+    # "yes" and "no" on a stack ending in (1, 0), step 2 reads the "no" that
+    # ``drop`` carries, the answer its own cone test gives.
+    stack = ObjectiveStack(problem.objectives[:1] + problem.objectives[2:] + problem.objectives[1:2])
+    calls.clear()
+    assert (step0(stack), step1(stack), step2(stack)) == (True, False, False)
+    assert len(calls) == 1 and find_cone_point(stack.rows[:-1]) is None
 
 
 def test_the_problem_goes_into_integers_once(monkeypatch):
@@ -375,7 +382,7 @@ def test_the_problem_goes_into_integers_once(monkeypatch):
             pass
         stacks = {id(stack.rows) for stack in made}
         region = tuple(row + (rhs,) for row, rhs in zip(problem.a, problem.b))
-        assert not [c for c in calls if c[1] in ("efficient_at", "_multipliers")], path.name
+        assert not [c for c in calls if c[1] in ("efficient_at", "combination")], path.name
         # Step 1's direction and step 7's kernel scale the rows on their own.
         on_stacks = {caller for name, caller, _, m in calls if id(m) in stacks}
         assert on_stacks <= {"image", "find_cone_point", "null_space"}, path.name
@@ -399,6 +406,55 @@ def test_decisive_verdicts_match_the_definition(seed, candidate):
     verdict = classify(problem, candidate)
     if verdict.outcome is not Outcome.INCONCLUSIVE:
         assert (verdict.outcome is Outcome.ESSENTIAL) == essential_oracle(problem, candidate)
+
+
+def _verdict_key(problem, candidate):
+    try:
+        verdict = classify(problem, candidate)
+    except UnboundedRegion:
+        return UnboundedRegion
+    return verdict.outcome, verdict.decided_at, verdict.relation
+
+
+def _reduce_key(problem):
+    try:
+        result = reduce_objectives(problem)
+    except UnboundedRegion:
+        return UnboundedRegion
+    return result.removals, result.survivors
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32), st.sampled_from(["variables", "row scale", "redundant row"]), st.booleans())
+def test_verdicts_keep_to_the_region_and_the_objectives(seed, change, bounded):
+    # Essentiality depends on the region and the objectives' efficient sets
+    # alone, so a permutation of the variables, a positive scale of one row
+    # of [A | b] and a redundant row (the sum of two rows) keep each
+    # candidate's outcome, step and relation, and a reduce's removals and
+    # survivors under the permutation.  Acceptance criterion 6 checks
+    # objective scales and the two other permutations.
+    rng = random.Random(seed)
+    problem = random_problem(rng, max_variables=4, max_constraints=5, max_objectives=4, ensure_bounded=bounded)
+    a, b = problem.a, problem.b
+    if change == "variables":
+        order = rng.sample(range(problem.n_variables), problem.n_variables)
+        changed = MolpProblem(
+            tuple(tuple(row[j] for j in order) for row in problem.objectives),
+            tuple(tuple(row[j] for j in order) for row in a),
+            b,
+        )
+        assert _reduce_key(changed) == _reduce_key(problem)
+    elif change == "row scale":
+        i = rng.randrange(len(a))
+        factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        scaled = tuple(tuple(factor * c for c in row) if r == i else row for r, row in enumerate(a))
+        changed = MolpProblem(problem.objectives, scaled, tuple(factor * c if r == i else c for r, c in enumerate(b)))
+    else:
+        i, j = rng.sample(range(len(a)), 2) if len(a) > 1 else (0, 0)
+        row = tuple(p + q for p, q in zip(a[i], a[j]))
+        changed = MolpProblem(problem.objectives, a + (row,), b + (b[i] + b[j],))
+    for candidate in range(problem.n_objectives):
+        assert _verdict_key(changed, candidate) == _verdict_key(problem, candidate)
 
 
 def _replayed(problem, result):
@@ -631,6 +687,14 @@ def test_classify_rejects_bad_candidate():
         classify(segment_4obj(), 4)
     with pytest.raises(ValueError):
         classify(segment_4obj(), -1)
+
+
+@pytest.mark.parametrize("candidate", [1.0, Fraction(1), True, False, "1"])
+def test_classify_refuses_a_candidate_that_is_not_an_int(candidate):
+    # 1.0 and Fraction(1) would fail deep inside as slice indices, and True
+    # would test objective 1 in silence: a bool is an int to Python.
+    with pytest.raises(TypeError, match="candidate is a"):
+        classify(segment_4obj(), candidate)
 
 
 def test_classify_needs_two_objectives():

@@ -8,10 +8,8 @@ from objred.linalg import (
     ZERO,
     alternative,
     dot,
-    farkas,
     integer_frame,
     integer_rows,
-    integer_solution,
     intersect_spans,
     leaving_row,
     mat_vec,
@@ -293,7 +291,7 @@ def rational_systems(draw):
 @settings(deadline=None, max_examples=200)
 @given(rational_systems())
 @example(frows([1, 1, 0, 3], [1, "1/2", -3, -1]))  # per-row scales end elsewhere
-def test_integer_solution_is_the_simplex_phase_1_point(m):
+def test_the_framed_phase_1_point_is_the_simplex_phase_1_point(m):
     # Over one denominator, the integer phase 1 makes the Fraction simplex's
     # pivots, so it ends on the point that simplex returns for a zero
     # objective, and on None exactly when the simplex finds no point.
@@ -301,7 +299,7 @@ def test_integer_solution_is_the_simplex_phase_1_point(m):
     rows = tuple((row[:-1], Relation.EQ, row[-1]) for row in m)
     out = solve_reference(LpProblem((ZERO,) * width, rows, (VarKind.NONNEG,) * width))
     assert rational_solution(m) == out.point
-    assert (out.status is LpStatus.INFEASIBLE) == (farkas(integer_rows(m)) is not None)
+    assert (out.status is LpStatus.INFEASIBLE) == (alternative(integer_rows(m))[1] is not None)
     # The same phase 1 reads the Farkas vector off its cost row over the
     # frame's d as over 1.
     z = alternative(*integer_frame(m))[1]
@@ -312,8 +310,9 @@ def test_integer_solution_is_the_simplex_phase_1_point(m):
 
 
 def rational_solution(m):
-    """``integer_solution``'s point y / d as Fractions, or None."""
-    found = integer_solution(m)
+    """The point y / d where ``alternative`` ends over ``integer_frame(m)``,
+    as Fractions, or None."""
+    found = alternative(*integer_frame(m))[0]
     return None if found is None else tuple(Fraction(v, found[1]) for v in found[0])
 
 
@@ -353,11 +352,11 @@ def integer_systems(draw):
 @example([[1, 1, -1]])  # a negated row: s_i = -1
 @example([[1, 0, 1], [1, 0, 2]])  # one pivot, so u is nonzero: z is (1 + u) s, not u s
 @example([[2, -1, 3], [1, 1, -2], [0, 1, 1]])
-def test_farkas_certifies_exactly_the_infeasible_systems(rows):
-    # None exactly when some y >= 0 solves the rows, and then there is one;
-    # otherwise z . column <= 0 on every column and z . rhs > 0, which
-    # proves by itself that none does.
-    z = farkas(rows)
+def test_alternative_certifies_exactly_the_infeasible_systems(rows):
+    # No Farkas vector exactly when some y >= 0 solves the rows, and then
+    # there is one; otherwise z . column <= 0 on every column and
+    # z . rhs > 0, which proves by itself that none does.
+    z = alternative(rows)[1]
     if z is None:
         y = rational_solution(frows(*rows))
         assert all(dot(row[:-1], y) == row[-1] for row in rows) and min(y) >= 0

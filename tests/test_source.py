@@ -95,3 +95,38 @@ def test_no_library_function_keeps_a_module_global_cache():
                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     found += [f"{path.name}:{line}" for line in _global_writes(function, shared)]
     assert found == []
+
+
+def _cached_properties(node: ast.AST) -> set[str]:
+    """The names of a class's methods decorated with ``cached_property``."""
+    if not isinstance(node, ast.ClassDef):
+        return set()
+    names = set()
+    for method in node.body:
+        for decorator in getattr(method, "decorator_list", ()):
+            name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+            if name == "cached_property":
+                names.add(method.name)
+    return names
+
+
+def test_a_dict_entry_is_written_only_by_the_class_it_caches_for():
+    # A cached property keeps its value in the instance's __dict__, so an
+    # entry written there fills that cache.  Only a method of the class
+    # whose cached property it is may write one; anywhere else the writer
+    # would rely on how that class caches.
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            allowed = _cached_properties(top)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    target, key = node.value, node.slice
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                    target, key = node.func.value, None
+                else:
+                    continue
+                if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+                    if not (isinstance(key, ast.Constant) and key.value in allowed):
+                        found.append(f"{path.name}:{node.lineno}: writes {ast.unparse(node)}")
+    assert found == []
