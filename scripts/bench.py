@@ -7,16 +7,16 @@ Ladder rung k has k variables and k + 4 rows with entries in [0, 3] and
 right-hand sides in [3, 9] (``objred.instances.ladder_region``).  Its empty
 variant adds the row -sum(x) <= -1000, and enumerating it proves it empty.
 Its efficient vertices are those of a seeded stack of 3 objectives with
-integer entries in [-3, 3]; that time leaves out enumeration, which runs
-before the clock starts.  Each time is the best of three runs on a fresh
-``Polytope`` or problem, so no fact computed by one run is reused by the
-next.
+integer entries in [-3, 3] (``objred.instances.ladder_stack``); that time
+leaves out enumeration, which runs before the clock starts.  Each time is
+the best of three runs on a fresh ``Polytope`` or problem, so no fact
+computed by one run is reused by the next.
 
 The classify ladder follows: for each rung, ``classify`` on its region with
-k + 1 objectives drawn from ``random.Random(f"{k}:{seed}")`` with integer
-entries in [-2, 3], the last one the candidate.  Each line gives the verdict,
-the step that decided it, the faces of the region and the time; step 7
-sweeps the faces, so its cost grows with them.
+k + 1 objectives with integer entries in [-2, 3], the last one the candidate
+(``objred.instances.ladder_problem``).  Each line gives the verdict, the
+step that decided it, the faces of the region and the time; step 7 sweeps
+the faces, so its cost grows with them.
 
 Two degenerate families follow: the cube [0, 1]^k plus
 x_i + x_j <= 2 for every pair (``objred.instances.degenerate_cube``), for
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import pathlib
-import random
 import sys
 import time
 from fractions import Fraction
@@ -42,8 +41,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from objred import (  # noqa: E402
     Error,
-    MolpProblem,
-    ObjectiveStack,
     Polytope,
     classify,
     efficient_vertices,
@@ -51,7 +48,13 @@ from objred import (  # noqa: E402
     parse_document,
     reduce_objectives,
 )
-from objred.instances import degenerate_cube, ladder_region, ordered_cone  # noqa: E402
+from objred.instances import (  # noqa: E402
+    degenerate_cube,
+    ladder_problem,
+    ladder_region,
+    ladder_stack,
+    ordered_cone,
+)
 from objred.polytope import enumerate_vertices  # noqa: E402
 
 REPEATS = 3
@@ -68,24 +71,6 @@ def best_time(run: Callable[[], object]) -> tuple[object, float]:
         result = run()
         best = min(best, time.perf_counter() - started)
     return result, best
-
-
-def ladder_stack(k: int, seed: int) -> ObjectiveStack:
-    """The 3-objective stack of rung k, drawn from its own stream."""
-    rng = random.Random(f"ladder-stack:{seed}:{k}")
-    return ObjectiveStack(
-        tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)) for _ in range(3))
-    )
-
-
-def ladder_problem(k: int, seed: int) -> MolpProblem:
-    """Rung k's region with k + 1 objectives, drawn from their own stream."""
-    region = ladder_region(k, seed)
-    rng = random.Random(f"{k}:{seed}")
-    objectives = tuple(
-        tuple(Fraction(rng.randint(-2, 3)) for _ in range(k)) for _ in range(k + 1)
-    )
-    return MolpProblem(objectives, region.a, region.b)
 
 
 def main() -> int:

@@ -109,6 +109,23 @@ MUTANTS = (
         (ENGINE_TESTS + "test_step2_fixture", ENGINE_TESTS + "test_reduce_history_matches_classify_of_each_pass"),
     ),
     Mutant(
+        "drop reads a step-1 direction not yet found as no",
+        EFFICIENCY,
+        'self.__dict__.get("direction", ()) is None',
+        'self.__dict__.get("direction") is None',
+        (
+            ENGINE_TESTS + "test_reduce_history_matches_classify_of_each_pass",
+            "tests/test_golden.py::test_section_matches_golden",
+        ),
+    ),
+    Mutant(
+        "combination without its index check",
+        EFFICIENCY,
+        "        self._check_index(k)\n        known = self.combinations\n",
+        "        known = self.combinations\n",
+        (EFFICIENCY_TESTS + "test_combination_and_drop_refuse_an_index_that_is_not_a_row",),
+    ),
+    Mutant(
         "bland returns its pivot at a ray",
         LINALG,
         "        if r is None:\n            return None\n",
@@ -138,6 +155,20 @@ MUTANTS = (
             EFFICIENCY_TESTS + "test_escaping_efficient_point_inside_an_edge",
             ENGINE_TESTS + "test_classify_essential_at_kernel_when_an_edge_escapes",
         ),
+    ),
+    Mutant(
+        "_climb without its c_B subtraction",
+        POLYTOPE,
+        "cost = [a - c[col] * b for a, b in zip(cost, row)]",
+        "cost = cost",
+        (ENGINE_TESTS + "test_climb_matches_the_whole_search",),
+    ),
+    Mutant(
+        "_first_feasible always runs its phase 1",
+        POLYTOPE,
+        "    if any(row[-1] < 0 for row in rows):\n",
+        "    if True:\n",
+        (POLYTOPE_TESTS + "test_nonempty_runs_no_phase_1_when_b_is_nonnegative",),
     ),
     Mutant(
         "walked always False",

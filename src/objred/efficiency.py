@@ -88,6 +88,14 @@ class ObjectiveStack:
     def values(self, x: Vector) -> Vector:
         return mat_vec(self.rows, x)
 
+    def _check_index(self, k: int) -> None:
+        """Refuse a row index that is not an int (a bool too) or not in
+        0..count - 1, before it slices or keys a cache."""
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"objective index is a {type(k).__name__}, not an int")
+        if not 0 <= k < self.count:
+            raise IndexError(f"objective index {k} out of range 0..{self.count - 1}")
+
     def combination(self, k: int) -> tuple[Vector | None, list[int] | None]:
         """Step 0 for row k, once per row: (alpha, None) with alpha >= 0 and
         sum_i alpha_i c_i = c_k over the other rows, or (None, z) with z the
@@ -99,6 +107,7 @@ class ObjectiveStack:
         system on the rows themselves with column i scaled by s_i > 0 and
         the right-hand side by s_k, so Bland's rule takes the same pivots to
         the same basis, and alpha_i = y_i s_i / (d s_k) is the same point."""
+        self._check_index(k)
         known = self.combinations
         if k not in known:
             image = self.image
@@ -123,8 +132,7 @@ class ObjectiveStack:
         some y > 0 with sum_i y_i c_i = 0, and c_index = sum_i alpha_i c_i
         with alpha >= 0, so y_i + y_index alpha_i > 0 is the kept stack's.
         Both facts are read off the caches, never computed."""
-        if not 0 <= index < self.count:
-            raise IndexError("objective index out of range")
+        self._check_index(index)
         kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
         # A cached property keeps its value in the instance's __dict__.
         kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]

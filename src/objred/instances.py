@@ -2,8 +2,9 @@
 
 Instances keep the origin feasible (b >= 0) and are capped to a bounded
 region by default, so classify always runs to a verdict on them.  The
-regions of the vertex-enumeration size ladder come from ``ladder_region``,
-and two degenerate families from ``degenerate_cube`` and ``ordered_cone``.
+rungs of the size ladder come from ``ladder_region``, with objectives from
+``ladder_problem`` and ``ladder_stack``, and two degenerate families from
+``degenerate_cube`` and ``ordered_cone``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from .efficiency import ObjectiveStack
 from .engine import MolpProblem
 from .linalg import Vector
 from .polytope import Polytope, is_bounded
@@ -78,6 +80,22 @@ def ladder_region(k: int, seed: int = 0) -> Polytope:
     a = tuple(tuple(Fraction(rng.randint(0, 3)) for _ in range(k)) for _ in range(k + 4))
     b = tuple(Fraction(rng.randint(3, 9)) for _ in range(k + 4))
     return Polytope(a, b)
+
+
+def ladder_problem(k: int, seed: int = 0) -> MolpProblem:
+    """Rung k's region with k + 1 objectives, integer entries in [-2, 3],
+    drawn from their own stream."""
+    region = ladder_region(k, seed)
+    rng = random.Random(f"{k}:{seed}")
+    objectives = tuple(tuple(Fraction(rng.randint(-2, 3)) for _ in range(k)) for _ in range(k + 1))
+    return MolpProblem(objectives, region.a, region.b)
+
+
+def ladder_stack(k: int, seed: int = 0) -> ObjectiveStack:
+    """Rung k's stack of 3 objectives, integer entries in [-3, 3], drawn
+    from its own stream."""
+    rng = random.Random(f"ladder-stack:{seed}:{k}")
+    return ObjectiveStack(tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)) for _ in range(3)))
 
 
 def degenerate_cube(k: int) -> Polytope:

@@ -2,7 +2,9 @@
 
 Exact arithmetic on the problem's raw data, with its own brute force:
 nothing here calls the rest of objred, so a fault in its integer kernels
-cannot vouch for itself.  Each check returns None when the certificate holds, else why not.
+cannot vouch for itself.  ``feasible_bases`` and ``vertices`` are the tests'
+brute-force vertex reference too.  Each check returns None when the
+certificate holds, else why not.
 Steps 0 to 5 are checked fully (multipliers that rebuild the candidate, a
 semipositive direction, a strictly interior point, positive weights that sum
 to one and equalize every vertex, and the face: exactly the vertices where
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 Row = tuple[Fraction, ...]
 
@@ -30,18 +32,22 @@ def _feasible(a: Sequence[Row], b: Row, x: Sequence[Fraction]) -> bool:
     return all(v >= 0 for v in x) and all(_dot(row, x) <= r for row, r in zip(a, b))
 
 
-def vertices(a: Sequence[Row], b: Row) -> set[Row]:
-    """All vertices of {x >= 0 : Ax <= b}: the feasible x-parts of every
-    basis of [A | I] y = b, each solved by Gauss–Jordan."""
+def feasible_bases(a: Sequence[Row], b: Row) -> Iterator[tuple[tuple[int, ...], list[Fraction]]]:
+    """Each feasible basis of [A | I] y = b, y >= 0, as its columns and
+    their values: every choice of len(a) columns, solved by Gauss–Jordan,
+    whose system is nonsingular and whose solution is nonnegative."""
     m, k = len(a), len(a[0])
     full = [_integer([*row, *(int(i == j) for j in range(m)), b[i]]) for i, row in enumerate(a)]
-    found: set[Row] = set()
     for cols in itertools.combinations(range(k + m), m):
         y = _solve([[row[c] for c in cols] + [row[-1]] for row in full])
         if y is not None and all(v >= 0 for v in y):
-            x = dict(zip(cols, y))
-            found.add(tuple(x.get(j, Fraction(0)) for j in range(k)))
-    return found
+            yield cols, y
+
+
+def vertices(a: Sequence[Row], b: Row) -> set[Row]:
+    """All vertices of {x >= 0 : Ax <= b}: the x-parts of its feasible bases."""
+    k = len(a[0])
+    return {tuple(dict(zip(cols, y)).get(j, Fraction(0)) for j in range(k)) for cols, y in feasible_bases(a, b)}
 
 
 def _extreme_rays(a: Sequence[Row]) -> set[Row]:

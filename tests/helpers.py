@@ -1,15 +1,18 @@
-"""Fixture problems, the independent efficiency and essentiality oracles,
-the plain ``Fraction`` elimination references, the two-LP region checks,
-the LP-based efficiency and optimal-face references, the LP-only step-0 to
-step-4 tests, the ``Fraction`` zero-set and face references and the
-externally priced simplex reference shared by tests."""
+"""Fixture problems, the example problems of ``problems/``, the independent
+efficiency and essentiality oracles, the metamorphic relations and the
+classify-each-pass reference of a reduce, the plain ``Fraction``
+elimination references, the two-LP region checks, the LP-based efficiency
+and optimal-face references, the LP-only step-0 to step-4 tests, the
+``Fraction`` zero-set and face references and the externally priced
+simplex reference shared by tests."""
 
-import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
-from objred import MolpProblem, ObjectiveStack, Polytope, verify
-from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective
-from objred.linalg import ONE, ZERO, Vector, dot, eliminate, integer_rows
+from objred import MolpProblem, ObjectiveStack, Outcome, Polytope, classify, reduce_objectives, verify
+from objred.errors import InfeasibleInput, InfeasibleRegion, UnboundedObjective, UnboundedRegion
+from objred.linalg import ONE, ZERO, Vector, dot
 from objred.polytope import contains
 from objred.simplex import (
     LpOutcome,
@@ -21,6 +24,9 @@ from objred.simplex import (
 )
 
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
 def fvec(xs):
     return tuple(Fraction(x) for x in xs)
 
@@ -29,16 +35,14 @@ def frows(*rs):
     return tuple(fvec(r) for r in rs)
 
 
+def _raise_on_lp(*args, **kwargs):
+    """Monkeypatched over an LP or phase-1 entry point that must not run."""
+    raise AssertionError("an LP or a phase 1 was run")
+
+
 SEGMENT = Polytope(frows([1, 1], [-1, -1]), fvec([1, -1]))
 SQUARE = Polytope(frows([1, 0], [0, 1]), fvec([1, 1]))
 CUBE = Polytope(frows([1, 0, 0], [0, 1, 0], [0, 0, 1]), fvec([1, 1, 1]))
-
-
-def segment_4obj():
-    """Four objectives on the segment x1+x2 = 1; the last two drop out."""
-    return MolpProblem(
-        frows([1, 3], [2, 1], [3, 0], [-3, -1]), SEGMENT.a, SEGMENT.b
-    )
 
 
 def segment_3obj():
@@ -54,47 +58,33 @@ def slab3_3obj():
     return MolpProblem(frows([-1, -2, 2], [2, 3, 0], [-1, -1, -2]), a, b)
 
 
+def example(stem):
+    """``problems/<stem>.json`` as a MolpProblem, read with ``json`` and
+    ``Fraction`` alone, so that engine tests do not rest on the parser."""
+    raw = json.loads((PROBLEMS / f"{stem}.json").read_text())
+    objectives = tuple(fvec(entry["coeffs"]) for entry in raw["objectives"])
+    a = tuple(fvec(row["coeffs"]) for row in raw["constraints"])
+    return MolpProblem(objectives, a, fvec(row["rhs"] for row in raw["constraints"]))
+
+
+def segment_4obj():
+    return example("segment_4obj")
+
+
 def cube_3obj():
-    return MolpProblem(frows([1, 1, 1], [-1, 1, 1], [1, 1, 0]), CUBE.a, CUBE.b)
+    return example("cube_3obj")
 
 
 def simplex_3obj():
-    """Essential at the interior test."""
-    return MolpProblem(
-        frows([1, 1, 0], [1, 1, 1], [-3, -3, -1]), frows([1, 1, 1]), fvec([1])
-    )
+    return example("simplex_3obj")
 
 
 def box5_4obj():
-    """Nonessential at the kernel test."""
-    a = frows(
-        [1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-    )
-    objectives = frows(
-        [1, 1, 1, 1, 1], [-1, 1, 1, 1, 1], [-1, -1, 1, 1, 1], [1, 1, 0, 0, 0]
-    )
-    return MolpProblem(objectives, a, fvec([1, 1, 1, 1, 1]))
+    return example("box5_4obj")
 
 
 def unbounded6_3obj():
-    """Unbounded region on which the classifier ends inconclusive."""
-    a = frows(
-        [1, 3, 0, 0, 0, 0],
-        [3, 1, 0, 0, 0, 0],
-        [1, 4, 1, -1, 0, 0],
-        [-1, 4, -1, 1, 0, 0],
-        [4, 1, 0, 0, 1, -1],
-        [-4, -1, 0, 0, -1, 1],
-    )
-    b = fvec([24, 24, 40, -40, 40, -40])
-    objectives = frows(
-        [0, 0, -1, -1, 0, 0], [0, 0, 0, 0, -1, -1], [0, 0, 0, -1, 0, -1]
-    )
-    return MolpProblem(objectives, a, b)
+    return example("unbounded6_3obj")
 
 
 def wide7_3obj():
@@ -156,6 +146,76 @@ def essential_oracle(problem, candidate):
         if dominance_oracle(vertices, full, centroid) != dominance_oracle(vertices, reduced, centroid):
             return True
     return False
+
+
+# The metamorphic relations of essentiality: it depends on the region and
+# on the objectives' efficient sets alone, so every change here keeps each
+# candidate's outcome, step and relation, and a reduce's removals and
+# survivors under a permutation of the variables.
+
+
+def changed_problem(problem, change, rng):
+    """``problem`` with its "variables" or its "rows" permuted, one row of
+    [A | b] ("row scale") or one objective ("objective scale") scaled by a
+    positive factor, or the sum of two rows added ("redundant row"), with
+    each choice drawn from ``rng``."""
+    objectives, a, b = problem.objectives, problem.a, problem.b
+    if change == "variables":
+        order = rng.sample(range(problem.n_variables), problem.n_variables)
+        return MolpProblem(
+            tuple(tuple(row[j] for j in order) for row in objectives),
+            tuple(tuple(row[j] for j in order) for row in a),
+            b,
+        )
+    if change == "rows":
+        order = rng.sample(range(len(a)), len(a))
+        return MolpProblem(objectives, tuple(a[i] for i in order), tuple(b[i] for i in order))
+    if change == "redundant row":
+        i, j = rng.sample(range(len(a)), 2) if len(a) > 1 else (0, 0)
+        return MolpProblem(objectives, a + (tuple(p + q for p, q in zip(a[i], a[j])),), b + (b[i] + b[j],))
+    rows = {"row scale": a, "objective scale": objectives}[change]
+    i = rng.randrange(len(rows))
+    factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+    scaled = tuple(tuple(factor * c for c in row) if r == i else row for r, row in enumerate(rows))
+    if change == "objective scale":
+        return MolpProblem(scaled, a, b)
+    return MolpProblem(objectives, scaled, tuple(factor * c if r == i else c for r, c in enumerate(b)))
+
+
+def verdict_key(problem, candidate):
+    """The outcome, step and relation of ``classify``, or UnboundedRegion."""
+    try:
+        verdict = classify(problem, candidate)
+    except UnboundedRegion:
+        return UnboundedRegion
+    return verdict.outcome, verdict.decided_at, verdict.relation
+
+
+def reduce_key(problem):
+    """The removals and survivors of ``reduce_objectives``, or UnboundedRegion."""
+    try:
+        result = reduce_objectives(problem)
+    except UnboundedRegion:
+        return UnboundedRegion
+    return result.removals, result.survivors
+
+
+def classify_each_pass(problem):
+    """The verdicts of reduce's passes, each pass's candidates from the
+    highest down until one is nonessential, each found by ``classify`` of
+    that pass's problem on a fresh region."""
+    rows = list(problem.objectives)
+    verdicts = []
+    removed = True
+    while removed and len(rows) > 1:
+        removed = False
+        for pos in reversed(range(len(rows))):
+            verdicts.append(classify(MolpProblem(tuple(rows), problem.a, problem.b), pos))
+            if verdicts[-1].outcome is Outcome.NONESSENTIAL:
+                del rows[pos]
+                removed = True
+                break
+    return verdicts
 
 
 # Plain Fraction Gauss-Jordan references.  The library eliminates on
@@ -251,42 +311,9 @@ def solve_square_reference(m, rhs):
     return tuple(rows[i][n] for i in range(n))
 
 
-def enumerate_vertices_reference(p):
-    """Every basis of [A | I] y = b solved in Fractions; feasible x-parts."""
-    m = len(p.a)
-    k = p.dim
-    full = [
-        tuple(p.a[i]) + tuple(ONE if j == i else ZERO for j in range(m))
-        for i in range(m)
-    ]
-    seen = set()
-    for cols in itertools.combinations(range(k + m), m):
-        square = tuple(tuple(full[i][c] for c in cols) for i in range(m))
-        sol = solve_square_reference(square, p.b)
-        if sol is None or any(v < 0 for v in sol):
-            continue
-        y = [ZERO] * (k + m)
-        for c, v in zip(cols, sol):
-            y[c] = v
-        seen.add(tuple(y[:k]))
-    return tuple(sorted(seen))
-
-
 def count_feasible_bases(p):
-    """Number of feasible bases of [A | I] y = b, y >= 0, found by eliminating
-    every one of the C(k + m, m) bases on integers (the enumeration loop the
-    library used before its search over adjacent feasible bases)."""
-    m = len(p.a)
-    k = p.dim
-    full = integer_rows(
-        tuple(row) + tuple(ONE if j == i else ZERO for j in range(m)) + (p.b[i],)
-        for i, row in enumerate(p.a)
-    )
-    count = 0
-    for cols in itertools.combinations(range(k + m), m):
-        rows, pivots, d = eliminate([[r[c] for c in cols] + [r[-1]] for r in full], m)
-        count += len(pivots) == m and all(r[m] * d >= 0 for r in rows)
-    return count
+    """Number of feasible bases of [A | I] y = b, y >= 0, by brute force."""
+    return sum(1 for _ in verify.feasible_bases(p.a, p.b))
 
 
 # The region checks as two separate LPs.  The library reads both from one

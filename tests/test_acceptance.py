@@ -7,7 +7,6 @@ each after the run.  Everything here goes through the public API only.
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from objred import (
     FULL_WITHIN_REDUCED,
@@ -29,6 +28,7 @@ from objred.simplex import LpProblem, LpStatus, Relation, VarKind, solve
 
 from helpers import (
     CUBE,
+    PROBLEMS,
     SEGMENT,
     SQUARE,
     box5_4obj,
@@ -43,8 +43,6 @@ from helpers import (
     unbounded6_3obj,
     wide7_3obj,
 )
-
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def load(name):

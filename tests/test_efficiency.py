@@ -1,6 +1,4 @@
 import collections
-import importlib.util
-import pathlib
 import random
 from fractions import Fraction
 
@@ -20,7 +18,7 @@ from objred.efficiency import (
 )
 from objred.engine import classify, combination_multipliers, reduce_objectives
 from objred.errors import InfeasibleInput, UnboundedRegion
-from objred.instances import ladder_region, random_problem
+from objred.instances import ladder_problem, ladder_region, random_problem
 from objred.linalg import dot, mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded, zero_set
 from objred.verify import check_step
@@ -29,6 +27,7 @@ from helpers import (
     CUBE,
     SEGMENT,
     SQUARE,
+    _raise_on_lp,
     box5_4obj,
     combination_multipliers_reference,
     cube_3obj,
@@ -68,6 +67,26 @@ def test_stack_values_and_drop():
     assert f.count == 3 and f.dim == 2
     assert f.values(fvec([1, 2])) == fvec([1, 4, 3])
     assert f.drop(1).rows == frows([1, 0], [1, 1])
+
+
+def test_combination_and_drop_refuse_an_index_that_is_not_a_row():
+    # Row 2 of (1, 0), (0, 1), (-1, -1) is no combination of the others.
+    # Unchecked, combination(-1) would slice its way to multipliers (0, 0)
+    # and keep them, True would stand for row 1, and drop(1.0) would fail
+    # only after building the kept stack.
+    f = ObjectiveStack(frows([1, 0], [0, 1], [-1, -1]))
+    for index, error, message in (
+        (1.0, TypeError, "objective index is a float, not an int"),
+        (Fraction(1), TypeError, "objective index is a Fraction, not an int"),
+        (True, TypeError, "objective index is a bool, not an int"),
+        (-1, IndexError, r"objective index -1 out of range 0\.\.2"),
+        (f.count, IndexError, r"objective index 3 out of range 0\.\.2"),
+    ):
+        for method in (f.combination, f.drop):
+            with pytest.raises(error, match=message):
+                method(index)
+    assert f.combinations == {}
+    assert f.combination(2)[0] is None
 
 
 def test_cone_empty_for_balanced_segment_stack():
@@ -283,10 +302,6 @@ def test_efficiency_with_mixed_denominators(a, b, objectives, vertex, expected):
     assert vertex in enumerate_vertices(p)
     assert is_efficient_reference(p, stack, vertex) == expected
     assert is_efficient(p, stack, vertex) == expected
-
-
-def _raise_on_lp(*args, **kwargs):
-    raise AssertionError("an LP was solved")
 
 
 @pytest.mark.parametrize(
@@ -665,17 +680,13 @@ def test_a_zero_set_runs_one_phase_1_for_every_order_of_the_rows(seed, bounded):
 
 
 def test_classify_ladder_k9_runs_few_efficiency_phase_1s(monkeypatch):
-    # scripts/bench.py's k = 9 classify-ladder case sweeps the faces of its
-    # region at step 7.  The supports of the "yes"s answer almost every
-    # test of the sweep: 48 phase 1s, against 3,985 when each zero set ran
+    # The k = 9 case of scripts/bench.py's classify ladder sweeps the faces
+    # of its region at step 7.  The supports of the "yes"s answer almost
+    # every test of the sweep: 48 phase 1s, against 3,985 when each zero set ran
     # its own.
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
-    spec = importlib.util.spec_from_file_location("bench", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
     calls = []
     run = efficiency.alternative
     monkeypatch.setattr(efficiency, "alternative", lambda rows: calls.append(rows) or run(rows))
-    verdict = classify(bench.ladder_problem(9, 0))
+    verdict = classify(ladder_problem(9))
     assert verdict.decided_at == 7
     assert len(calls) <= 100

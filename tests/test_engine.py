@@ -6,7 +6,6 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,8 +50,12 @@ from objred.verify import check_verdict
 
 from helpers import (
     CUBE,
+    PROBLEMS,
     SEGMENT,
+    _raise_on_lp,
     box5_4obj,
+    changed_problem,
+    classify_each_pass,
     combination_multipliers_reference,
     cube_3obj,
     essential_oracle,
@@ -61,16 +64,17 @@ from helpers import (
     fvec,
     is_bounded_reference,
     optimal_face_vertices_reference,
+    reduce_key,
     segment_3obj,
     segment_4obj,
     simplex_3obj,
     slab3_3obj,
     unbounded6_3obj,
+    verdict_key,
     wide7_3obj,
 )
 
 RAY = Polytope(frows([1, -1], [-1, 1]), fvec([0, 0]))  # x1 = x2, x >= 0
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def steps_of(verdict):
@@ -148,10 +152,6 @@ def test_steps_0_and_1_decide_step_2(drawn):
     values = [sum((c * x for c, x in zip(row, entry.certificate)), Fraction(0)) for row in others]
     assert all(v >= 0 for v in values) and any(values)
     assert check_verdict(rows, a, b, verdict) is None
-
-
-def _raise_on_lp(*args, **kwargs):
-    raise AssertionError("an LP was solved")
 
 
 def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
@@ -272,7 +272,7 @@ def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
     assert (sum(len(result.history) for _, result in reduced), len(calls)) == (17, 9)
     # Each shared direction is the one classify finds on its own.
     for problem, result in reduced:
-        assert [v for _, v in result.history] == list(_replayed(problem, result))
+        assert [v for _, v in result.history] == classify_each_pass(problem)
 
 
 def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(monkeypatch):
@@ -337,7 +337,7 @@ def test_a_step_0_deletion_keeps_step_1s_no(monkeypatch):
     assert [(r.objective, r.step) for r in result.removals] == [(1, Step.COMBINATION)]
     assert len(result.history) == 8 and len(calls) == 1
     # The carried "no" has no certificate, so each verdict is classify's.
-    assert [v for _, v in result.history] == _classify_each_pass(problem)
+    assert [v for _, v in result.history] == classify_each_pass(problem)
     # The step functions share the carry: once steps 0 and 1 have answered
     # "yes" and "no" on a stack ending in (1, 0), step 2 reads the "no" that
     # ``drop`` carries, the answer its own cone test gives.
@@ -408,22 +408,6 @@ def test_decisive_verdicts_match_the_definition(seed, candidate):
         assert (verdict.outcome is Outcome.ESSENTIAL) == essential_oracle(problem, candidate)
 
 
-def _verdict_key(problem, candidate):
-    try:
-        verdict = classify(problem, candidate)
-    except UnboundedRegion:
-        return UnboundedRegion
-    return verdict.outcome, verdict.decided_at, verdict.relation
-
-
-def _reduce_key(problem):
-    try:
-        result = reduce_objectives(problem)
-    except UnboundedRegion:
-        return UnboundedRegion
-    return result.removals, result.survivors
-
-
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 2**32), st.sampled_from(["variables", "row scale", "redundant row"]), st.booleans())
 def test_verdicts_keep_to_the_region_and_the_objectives(seed, change, bounded):
@@ -435,39 +419,11 @@ def test_verdicts_keep_to_the_region_and_the_objectives(seed, change, bounded):
     # objective scales and the two other permutations.
     rng = random.Random(seed)
     problem = random_problem(rng, max_variables=4, max_constraints=5, max_objectives=4, ensure_bounded=bounded)
-    a, b = problem.a, problem.b
+    changed = changed_problem(problem, change, rng)
     if change == "variables":
-        order = rng.sample(range(problem.n_variables), problem.n_variables)
-        changed = MolpProblem(
-            tuple(tuple(row[j] for j in order) for row in problem.objectives),
-            tuple(tuple(row[j] for j in order) for row in a),
-            b,
-        )
-        assert _reduce_key(changed) == _reduce_key(problem)
-    elif change == "row scale":
-        i = rng.randrange(len(a))
-        factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        scaled = tuple(tuple(factor * c for c in row) if r == i else row for r, row in enumerate(a))
-        changed = MolpProblem(problem.objectives, scaled, tuple(factor * c if r == i else c for r, c in enumerate(b)))
-    else:
-        i, j = rng.sample(range(len(a)), 2) if len(a) > 1 else (0, 0)
-        row = tuple(p + q for p, q in zip(a[i], a[j]))
-        changed = MolpProblem(problem.objectives, a + (row,), b + (b[i] + b[j],))
+        assert reduce_key(changed) == reduce_key(problem)
     for candidate in range(problem.n_objectives):
-        assert _verdict_key(changed, candidate) == _verdict_key(problem, candidate)
-
-
-def _replayed(problem, result):
-    """Each classification of ``result.history`` run again by ``classify``
-    on the objectives left at that point."""
-    rows = list(problem.objectives)
-    labels = list(range(len(rows)))
-    for label, verdict in result.history:
-        pos = labels.index(label)
-        yield classify(MolpProblem(tuple(rows), problem.a, problem.b), pos)
-        if verdict.outcome is Outcome.NONESSENTIAL:
-            del rows[pos]
-            del labels[pos]
+        assert verdict_key(changed, candidate) == verdict_key(problem, candidate)
 
 
 def test_no_library_module_holds_the_simplex():
@@ -1016,24 +972,6 @@ def test_climb_matches_the_whole_search(drawn, data):
     assert zero_sets == tuple(zero_set(fresh, v) for v in vertices)
 
 
-def _classify_each_pass(problem):
-    """The verdicts of reduce's passes, each pass's candidates from the
-    highest down until one is nonessential, each found by ``classify`` of
-    that pass's problem on a fresh region."""
-    rows = list(problem.objectives)
-    verdicts = []
-    removed = True
-    while removed and len(rows) > 1:
-        removed = False
-        for pos in reversed(range(len(rows))):
-            verdicts.append(classify(MolpProblem(tuple(rows), problem.a, problem.b), pos))
-            if verdicts[-1].outcome is Outcome.NONESSENTIAL:
-                del rows[pos]
-                removed = True
-                break
-    return verdicts
-
-
 @settings(deadline=None, max_examples=100)
 @given(climbing_problems())
 def test_reduce_history_matches_classify_of_each_pass(drawn):
@@ -1042,4 +980,4 @@ def test_reduce_history_matches_classify_of_each_pass(drawn):
     # climbs.  Each verdict, and an error's type and message, must agree.
     _, problem = drawn
     history = _result_or_error(lambda: [verdict for _, verdict in reduce_objectives(problem).history])
-    assert history == _result_or_error(_classify_each_pass, problem)
+    assert history == _result_or_error(classify_each_pass, problem)

@@ -15,7 +15,7 @@ from objred import Error, ObjectiveStack, classify, parse_document, simplex
 from objred.engine import step0, step1, step2, step3, step4, step5, step6, step7
 from objred.verify import check_step, check_verdict
 
-from helpers import fvec
+from helpers import _raise_on_lp, fvec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("freeze_golden", ROOT / "scripts" / "freeze_golden.py")
@@ -23,10 +23,6 @@ freeze_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(freeze_golden)
 
 GOLDEN = json.loads(freeze_golden.GOLDEN.read_text())
-
-
-def _raise_on_lp(*args, **kwargs):
-    raise AssertionError("an LP was solved")
 
 
 def test_corpus_has_every_section():
