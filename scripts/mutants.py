@@ -33,6 +33,7 @@ LINALG = "src/objred/linalg.py"
 POLYTOPE = "src/objred/polytope.py"
 EFFICIENCY_TESTS = "tests/test_efficiency.py::"
 ENGINE_TESTS = "tests/test_engine.py::"
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_step_booleans"
 POLYTOPE_TESTS = "tests/test_polytope.py::"
 
 
@@ -44,6 +45,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# Left out: Bland's leaving row with the tie broken to the highest basic
+# index.  It cycles, so the suite hangs on it instead of failing.
 MUTANTS = (
     Mutant(
         "empty support",
@@ -190,6 +193,69 @@ MUTANTS = (
         "at_zero = [c for c in zeros if c < p.dim]",
         "at_zero = [c for c in zeros if c < p.dim - 1]",
         (ENGINE_TESTS + "test_verdicts_keep_to_the_region_and_the_objectives",),
+    ),
+    Mutant(
+        "zero sets from the nonbasic columns only",
+        POLYTOPE,
+        "found[key] = everything.difference(c for c, row in zip(basis, rows) if row[-1])",
+        "found[key] = everything.difference(basis)",
+        (CRITERION_1, POLYTOPE_TESTS + "test_tight_sets_and_faces_match_fraction_reference"),
+    ),
+    Mutant(
+        "rays left unscaled",
+        POLYTOPE,
+        "rays.add(_primitive(r, d))",
+        "rays.add(tuple(r))",
+        (POLYTOPE_TESTS + "test_optimal_face_pinned_cases_match_lp_reference", POLYTOPE_TESTS + "test_optimal_face_matches_lp_reference"),
+    ),
+    Mutant(
+        "a ray's basic components with the wrong sign",
+        POLYTOPE,
+        "r[c] = -row[j]",
+        "r[c] = row[j]",
+        (POLYTOPE_TESTS + "test_each_ray_direction_is_kept_once", POLYTOPE_TESTS + "test_optimal_face_matches_lp_reference"),
+    ),
+    Mutant(
+        "efficient_at without its width check",
+        EFFICIENCY,
+        '    if f.dim != p.dim:\n        raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")\n',
+        "",
+        (EFFICIENCY_TESTS + "test_stack_width_must_match_region",),
+    ),
+    Mutant(
+        "_isermann's right-hand side with the wrong sign",
+        EFFICIENCY,
+        "+ [-sum(row[j] for row in objectives)]",
+        "+ [sum(row[j] for row in objectives)]",
+        (EFFICIENCY_TESTS + "test_efficiency_on_segment", EFFICIENCY_TESTS + "test_normal_cone_efficiency_matches_slack_lp_reference"),
+    ),
+    Mutant(
+        "the cone test on numerators",
+        EFFICIENCY,
+        "z = alternative(_isermann(integer_rows(c), [], []))[1]",
+        "z = alternative(_isermann([[a.numerator for a in row] for row in c], [], []))[1]",
+        (ENGINE_TESTS + "test_no_answers_of_steps_0_to_2_solve_no_lp", EFFICIENCY_TESTS + "test_cone_point_certificate_property"),
+    ),
+    Mutant(
+        "zero_set without its x >= 0 check",
+        POLYTOPE,
+        "    if min(xs) < 0:\n        return None\n",
+        "",
+        (POLYTOPE_TESTS + "test_contains", POLYTOPE_TESTS + "test_tight_sets_and_faces_match_fraction_reference"),
+    ),
+    Mutant(
+        "the first tied leaving row",
+        LINALG,
+        "if diff > 0 or diff == 0 and c > best_c:",
+        "if diff >= 0:",
+        ("tests/test_linalg.py::test_leaving_row_is_blands_row",),
+    ),
+    Mutant(
+        "efficient_vertices through is_efficient",
+        EFFICIENCY,
+        "return tuple(v for v, zeros in zip(p.vertices, p.zero_sets) if efficient_at(p, f, zeros))",
+        "return tuple(v for v in p.vertices if is_efficient(p, f, v))",
+        (EFFICIENCY_TESTS + "test_vertices_and_faces_are_tested_on_search_zero_sets",),
     ),
 )
 

@@ -8,9 +8,11 @@ alone.  So on each rung k = 7 to 10 and seed s = 0 to 2
 must keep its outcome, decided step and relation under each of these
 changes: a permutation of the variables, a permutation of the rows of
 [A | b], a positive scale of one row of [A | b], a positive scale of one
-objective, and the sum of two rows added as a redundant row.
+objective, the sum of two rows added as a redundant row, and a permutation
+of the objectives, which moves each candidate with its row.
 ``reduce_objectives`` must keep its removals and survivors under the
-variable permutation, and each verdict of its history, on the problem and
+variable permutation (not under the objectives' one: its greedy order
+decides what it keeps), and each verdict of its history, on the problem and
 on the permuted one, must equal ``classify`` of the objectives left at its
 pass.  The changes and the pass-by-pass reference are those of
 ``tests/helpers`` (``changed_problem``, ``classify_each_pass``), which the
@@ -40,7 +42,7 @@ from objred.instances import ladder_problem  # noqa: E402
 
 RUNGS = range(7, 11)
 SEEDS = range(3)
-CHANGES = ("variables", "rows", "row scale", "objective scale", "redundant row")
+CHANGES = ("variables", "rows", "row scale", "objective scale", "redundant row", "objectives")
 
 
 def check(k: int, seed: int) -> int:
@@ -52,7 +54,8 @@ def check(k: int, seed: int) -> int:
     for change in CHANGES:
         changed = changed_problem(problem, change, rng)
         for candidate, want in enumerate(base):
-            got = verdict_key(changed, candidate)
+            moved = changed.objectives.index(problem.objectives[candidate]) if change == "objectives" else candidate
+            got = verdict_key(changed, moved)
             if got != want:
                 faults.append(f"{change}: objective {candidate} was {want}, now {got}")
         if change == "variables":

@@ -44,7 +44,6 @@ from .polytope import (
     nonempty,
     optimal_face,
     require_bounded,
-    vertex_zero_sets,
 )
 
 # Containment notes attached to verdicts.  The first one is proven on its
@@ -316,11 +315,9 @@ def step5(region: Polytope, stack: ObjectiveStack) -> tuple[Vector, ...]:
     return optimal_face(region, stack.rows[-1])[0]
 
 
-def step6(
-    region: Polytope, stack: ObjectiveStack, face: tuple[Vector, ...] | None = None
-) -> bool:
-    found = optimal_face(region, stack.rows[-1]) if face is None else (face, vertex_zero_sets(region, face))
-    return _face_efficient(region, stack.drop(stack.count - 1), found, check_bounded=False).answer
+def step6(region: Polytope, stack: ObjectiveStack) -> bool:
+    face = optimal_face(region, stack.rows[-1])
+    return _face_efficient(region, stack.drop(stack.count - 1), face, check_bounded=False).answer
 
 
 def step7(region: Polytope, stack: ObjectiveStack) -> bool:

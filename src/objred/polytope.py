@@ -412,15 +412,6 @@ def face_vertex_sets(p: Polytope) -> tuple[tuple[Vector, ...], ...]:
     return tuple(tuple(vertices[i] for i in face) for face in p.faces)
 
 
-def vertex_zero_sets(p: Polytope, points: tuple[Vector, ...]) -> tuple[frozenset[int], ...]:
-    """Each point's zero set, read off the vertex search; ValueError names a
-    point that is not a vertex."""
-    index = {v: i for i, v in enumerate(p.vertices)}
-    if missing := [x for x in points if tuple(x) not in index]:
-        raise ValueError(f"({', '.join(map(str, missing[0]))}) is not a vertex of the region")
-    return tuple(p.zero_sets[index[tuple(x)]] for x in points)
-
-
 def optimal_face_vertices(p: Polytope, c: Vector) -> tuple[Vector, ...]:
     """The vertices of ``optimal_face``."""
     return optimal_face(p, c)[0]

@@ -150,16 +150,20 @@ def essential_oracle(problem, candidate):
 
 # The metamorphic relations of essentiality: it depends on the region and
 # on the objectives' efficient sets alone, so every change here keeps each
-# candidate's outcome, step and relation, and a reduce's removals and
-# survivors under a permutation of the variables.
+# candidate's outcome, step and relation (a permutation of the objectives
+# moves the candidate with its row), and a reduce's removals and survivors
+# under a permutation of the variables.
 
 
-def changed_problem(problem, change, rng):
-    """``problem`` with its "variables" or its "rows" permuted, one row of
-    [A | b] ("row scale") or one objective ("objective scale") scaled by a
-    positive factor, or the sum of two rows added ("redundant row"), with
-    each choice drawn from ``rng``."""
+def changed_problem(problem, change, rng, index=None):
+    """``problem`` with its "variables", its "rows" or its "objectives"
+    permuted, one row of [A | b] ("row scale") or one objective ("objective
+    scale") scaled by a positive factor, or the sum of two rows added
+    ("redundant row"), with each choice drawn from ``rng``.  A scale takes
+    the row or objective ``index``, or one drawn when it is None."""
     objectives, a, b = problem.objectives, problem.a, problem.b
+    if change == "objectives":
+        return MolpProblem(tuple(rng.sample(objectives, len(objectives))), a, b)
     if change == "variables":
         order = rng.sample(range(problem.n_variables), problem.n_variables)
         return MolpProblem(
@@ -174,7 +178,7 @@ def changed_problem(problem, change, rng):
         i, j = rng.sample(range(len(a)), 2) if len(a) > 1 else (0, 0)
         return MolpProblem(objectives, a + (tuple(p + q for p, q in zip(a[i], a[j])),), b + (b[i] + b[j],))
     rows = {"row scale": a, "objective scale": objectives}[change]
-    i = rng.randrange(len(rows))
+    i = rng.randrange(len(rows)) if index is None else index
     factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
     scaled = tuple(tuple(factor * c for c in row) if r == i else row for r, row in enumerate(rows))
     if change == "objective scale":

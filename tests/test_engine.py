@@ -1,10 +1,12 @@
 import collections
+import contextlib
 import copy
 import dataclasses
 import functools
 import pickle
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -52,7 +54,6 @@ from helpers import (
     CUBE,
     PROBLEMS,
     SEGMENT,
-    _raise_on_lp,
     box5_4obj,
     changed_problem,
     classify_each_pass,
@@ -154,10 +155,9 @@ def test_steps_0_and_1_decide_step_2(drawn):
     assert check_verdict(rows, a, b, verdict) is None
 
 
-def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
+def test_no_answers_of_steps_0_to_2_solve_no_lp():
     # A "no" of steps 0 to 2 has no certificate: Farkas's and Stiemke's
     # alternatives decide it on integers.
-    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
     stack = segment_3obj().stack()
     cube = cube_3obj().stack().rows
     assert find_cone_point(stack.rows) is None
@@ -168,11 +168,9 @@ def test_no_answers_of_steps_0_to_2_solve_no_lp(monkeypatch):
     no_combination = ObjectiveStack(frows([1, 1, 1], [-1, 1, 1], [1, 1, 0]))
     assert combination_multipliers(no_combination) is None
     assert find_cone_point(stack.drop(2).rows) is not None
-    assert step1(stack) is False
-    assert step2(stack) is True
 
 
-def test_step0_solves_no_lp_with_either_answer(monkeypatch):
+def test_step0_solves_no_lp_with_either_answer():
     # One integer phase 1 decides step 0 and yields its multipliers, the
     # point the step-0 LP used to return.  The target is planted with
     # weights (1, 2, 1).  Each column is one equation, and the second has
@@ -195,8 +193,6 @@ def test_step0_solves_no_lp_with_either_answer(monkeypatch):
     assert expected[1] == fvec([0, 3, "5/6"])
     assert all(combination_multipliers_reference(stack) is None for stack in no)
     problems = [MolpProblem(stack.rows, SEGMENT.a, SEGMENT.b) for stack in yes[:2]] + [duplicate]
-
-    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
     for stack, alpha, problem in zip(yes, expected, problems):
         assert combination_multipliers(stack) == alpha
         assert step0(stack) is True
@@ -233,97 +229,6 @@ def test_float_entries_raise_type_error_naming_their_position():
     assert v.outcome in Outcome
 
 
-def test_reduce_over_problems_solves_no_lp(monkeypatch):
-    # Every certificate is read off the integer phase 1 that decides its
-    # answer.  Building each by an LP made 20 here, and one LP per answer
-    # of steps 0 to 2 made 42.
-    solved = []
-    solve = simplex.solve
-
-    def counted(problem):
-        solved.append(problem)
-        return solve(problem)
-
-    monkeypatch.setattr(simplex, "solve", counted)
-    for path in sorted(PROBLEMS.glob("*.json")):
-        try:
-            reduce_objectives(parse_document(path.read_text()).problem)
-        except InfeasibleRegion:
-            assert path.name == "empty_region.json"
-    assert len(solved) == 0
-
-
-def test_reduce_pass_finds_the_step_1_direction_once(monkeypatch):
-    # The step-1 direction depends on the problem alone, so the candidates
-    # of one reduce pass share it, as ``ObjectiveStack.direction`` of the
-    # pass's stack, and step 2 reads step 0's Farkas vector.  Over
-    # problems/, 17 classifications make 9 cone tests; with a cone test for
-    # each step 2 they made 13, and with one per candidate 21.
-    calls = []
-    find = efficiency.find_cone_point
-    monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
-    reduced = []
-    for path in sorted(PROBLEMS.glob("*.json")):
-        problem = parse_document(path.read_text()).problem
-        try:
-            reduced.append((problem, reduce_objectives(problem)))
-        except InfeasibleRegion:
-            pass
-    assert (sum(len(result.history) for _, result in reduced), len(calls)) == (17, 9)
-    # Each shared direction is the one classify finds on its own.
-    for problem, result in reduced:
-        assert [v for _, v in result.history] == classify_each_pass(problem)
-
-
-def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(monkeypatch):
-    # A reduce builds the stack of the problem's objectives, each deletion
-    # drops its candidate from it for the next pass, once, and a
-    # classification builds the stack without its candidate only when step
-    # 4 or step 6 reads it.  What that stack's efficiency tests found stays
-    # on the region, so the next pass needs no copy of it.
-    made = []
-    check = ObjectiveStack.__post_init__
-    monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
-    counts = {}
-    for path in sorted(PROBLEMS.glob("*.json")):
-        problem = parse_document(path.read_text()).problem
-        made.clear()
-        try:
-            result = reduce_objectives(problem)
-        except InfeasibleRegion:
-            continue
-        reading = sum(v.decided_at >= Step.ALL_EFFICIENT for _, v in result.history)
-        assert len(made) == 1 + len(result.removals) + reading, path.name
-        counts[path.stem] = len(made)
-    assert counts == {
-        "box5_4obj": 6,
-        "cube_3obj": 5,
-        "segment_4obj": 7,
-        "simplex_3obj": 1,
-        "unbounded6_3obj": 4,
-    }
-
-
-def test_reduce_repeats_no_cone_test(monkeypatch):
-    # Within one reduce, every cone test is a pass's step-1 direction, and
-    # each pass has its own objectives, so no cone test repeats the rows of
-    # an earlier one.  A cone test for each step 2 repeated one in
-    # segment_4obj.
-    calls = []
-    find = efficiency.find_cone_point
-    monkeypatch.setattr(efficiency, "find_cone_point", lambda c: calls.append(c) or find(c))
-    tested = 0
-    for path in sorted(PROBLEMS.glob("*.json")):
-        calls.clear()
-        try:
-            reduce_objectives(parse_document(path.read_text()).problem)
-        except InfeasibleRegion:
-            continue
-        assert len(set(calls)) == len(calls), path.name
-        tested += len(calls)
-    assert tested == 9
-
-
 def test_a_step_0_deletion_keeps_step_1s_no(monkeypatch):
     # The objectives span the plane, so no direction improves one of them
     # and hurts none: step 1 says "no".  (1, 0) is half of (2, 0), so step
@@ -345,54 +250,6 @@ def test_a_step_0_deletion_keeps_step_1s_no(monkeypatch):
     calls.clear()
     assert (step0(stack), step1(stack), step2(stack)) == (True, False, False)
     assert len(calls) == 1 and find_cone_point(stack.rows[:-1]) is None
-
-
-def test_the_problem_goes_into_integers_once(monkeypatch):
-    # Step 0 and every efficiency test read the stack's integer image, which
-    # a reduce builds once and ``drop`` hands down, and the region's phase 1s
-    # and every efficiency test's tight rows come from its one frame.
-    # Neither step 0 nor ``efficient_at`` scales a stack's Fraction rows
-    # itself, and nothing scales [A | b] row by row.  Over problems/, the
-    # efficiency tests scaled the stacks 136 times and step 0 framed its
-    # system 18 times, the start and the interior point framed the region 8
-    # times, and a second, row-wise image of [A | b] was built 4 times.
-    calls = []
-    for name in ("integer_rows", "integer_frame"):
-        convert = getattr(linalg, name)
-
-        def counted(m, convert=convert, name=name):
-            rows = tuple(tuple(row) for row in m)
-            calls.append((name, sys._getframe(1).f_code.co_name, rows, m))
-            return convert(rows)
-
-        for module in (linalg, efficiency, polytope, engine):
-            if getattr(module, name, None) is convert:
-                monkeypatch.setattr(module, name, counted)
-    made = []
-    check = ObjectiveStack.__post_init__
-    monkeypatch.setattr(ObjectiveStack, "__post_init__", lambda self: made.append(self) or check(self))
-    images = 0
-    for path in sorted(PROBLEMS.glob("*.json")):
-        problem = parse_document(path.read_text()).problem
-        calls.clear()
-        made.clear()
-        try:
-            reduce_objectives(problem)
-        except InfeasibleRegion:
-            pass
-        stacks = {id(stack.rows) for stack in made}
-        region = tuple(row + (rhs,) for row, rhs in zip(problem.a, problem.b))
-        assert not [c for c in calls if c[1] in ("efficient_at", "combination")], path.name
-        # Step 1's direction and step 7's kernel scale the rows on their own.
-        on_stacks = {caller for name, caller, _, m in calls if id(m) in stacks}
-        assert on_stacks <= {"image", "find_cone_point", "null_space"}, path.name
-        built = [rows for name, caller, rows, _ in calls if caller == "image"]
-        assert built == [problem.objectives][: len(built)], path.name
-        framed = [c[:2] for c in calls if c[2] == region]
-        assert framed == [("integer_frame", "frame")], path.name
-        images += len(built)
-    # The empty region ends after step 0, which builds the image too.
-    assert images == 6
 
 
 @settings(deadline=None, max_examples=80)
@@ -468,18 +325,15 @@ def test_step6_fixtures():
 
 
 def test_step6_names_a_face_point_that_is_not_a_vertex():
-    # x1 + x2 <= 4 has the vertices (0, 0), (0, 4) and (4, 0); a face given
-    # by hand is read by vertex, and a point that is none is named.
+    # x1 + x2 <= 4 has the vertices (0, 0), (0, 4) and (4, 0); x1 + x2 is
+    # optimal on the edge from (0, 4) to (4, 0), where x1 and x2 are
+    # efficient.  step6 reads the face step5 names, so every point of it is
+    # a vertex.
     region = Polytope(frows([1, 1]), fvec([4]))
     stack = ObjectiveStack(frows([1, 0], [0, 1], [1, 1]))
-    with pytest.raises(ValueError, match=r"^\(1, 1\) is not a vertex of the region$"):
-        step6(region, stack, (fvec([1, 1]),))
-    with pytest.raises(ValueError, match=r"^\(2, 5/2\) is not a vertex"):
-        step6(region, stack, (fvec([0, 4]), fvec([2, "5/2"])))
     assert step5(region, stack) == (fvec([0, 4]), fvec([4, 0]))
-    assert step6(region, stack, (fvec([0, 4]), fvec([4, 0]))) is step6(region, stack) is True
-    assert step6(region, stack, ((0, 4),)) is True
-    assert step6(region, stack, (fvec([0, 0]),)) is False
+    assert all(point in region.vertices for point in step5(region, stack))
+    assert step6(region, stack) is True
 
 
 def test_steps_4_and_6_test_vertices_on_search_zero_sets(monkeypatch):
@@ -774,7 +628,9 @@ def test_step_functions_answer_on_unbounded_regions():
     assert step6(RAY, ObjectiveStack(frows([1, 0], [-1, -1]))) is False
 
 
-# Each region fact is computed at most once per classify or reduce call.
+# One counted run over problems/: each document is reduced once, and each of
+# its objectives classified once, with every counter installed.  The pins
+# below read its log.
 
 REGION_FUNCTIONS = ("enumerate_vertices", "find_interior_point")
 REGION_PROPERTIES = ("frame", "start", "walk", "bounded", "faces")
@@ -782,65 +638,207 @@ REGION_PROPERTIES = ("frame", "start", "walk", "bounded", "faces")
 REGION_VIEWS = ("face_vertex_sets",)
 
 
-@pytest.fixture
-def fact_counts(monkeypatch):
-    """Counts vertex enumeration, the interior-point phase 1 and the public
-    face lattice wherever objred calls them, and each computation of the
-    region's first feasible dictionary, of its vertex search and of its face
-    lattice (as vertex indices)."""
-    counts = collections.Counter()
-
-    def counting(name, fn):
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return counted
-
-    for name in (*REGION_FUNCTIONS, "face_vertex_sets"):
-        original = getattr(polytope, name)
-        wrapper = counting(name, original)
-        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
-    for name in REGION_PROPERTIES:
-        fact = functools.cached_property(counting(name, Polytope.__dict__[name].func))
-        fact.__set_name__(Polytope, name)
-        monkeypatch.setattr(Polytope, name, fact)
-    return counts
+def _tallied(counter, name, fn):
+    """fn, with each call counted in counter[name]."""
+    return lambda *args: counter.update([name]) or fn(*args)
 
 
-@pytest.mark.parametrize("make", [box5_4obj, segment_4obj, cube_3obj, simplex_3obj])
-def test_reduce_computes_each_region_fact_once(fact_counts, make):
-    result = reduce_objectives(make())
-    assert len(result.history) > 1
-    assert fact_counts["start"] == 1
-    assert max(fact_counts.values()) == 1
-    assert not set(fact_counts) & set(REGION_VIEWS)
+@contextlib.contextmanager
+def counted():
+    """Install every counter wherever objred calls it, and yield the log
+    they fill: the call's ``result``, set by the caller; the rows of each
+    cone test; each ObjectiveStack built; each ``integer_rows`` or
+    ``integer_frame`` call as (name, caller, rows, argument); each
+    ``_search`` or ``_climb`` as (kind, region); each LP that
+    ``simplex.solve`` was given; and how often each region fact (a cached
+    property, counted when computed), or the public face lattice, was
+    computed."""
+    log = types.SimpleNamespace(result=None, cones=[], stacks=[], conversions=[], events=[], lps=[])
+    log.facts = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        find, check, solve = efficiency.find_cone_point, ObjectiveStack.__post_init__, simplex.solve
+        patch.setattr(simplex, "solve", lambda lp: log.lps.append(lp) or solve(lp))
+        patch.setattr(efficiency, "find_cone_point", lambda c: log.cones.append(c) or find(c))
+        patch.setattr(ObjectiveStack, "__post_init__", lambda self: log.stacks.append(self) or check(self))
+        for name in ("integer_rows", "integer_frame"):
+            convert = getattr(linalg, name)
+
+            def conversion(m, convert=convert, name=name):
+                rows = tuple(tuple(row) for row in m)
+                log.conversions.append((name, sys._getframe(1).f_code.co_name, rows, m))
+                return convert(rows)
+
+            for module in (linalg, efficiency, polytope, engine):
+                if getattr(module, name, None) is convert:
+                    patch.setattr(module, name, conversion)
+        search, climb = polytope._search, polytope._climb
+        patch.setattr(polytope, "_search", lambda p: log.events.append(("search", p)) or search(p))
+        patch.setattr(polytope, "_climb", lambda p, c: log.events.append(("climb", p)) or climb(p, c))
+        for name in (*REGION_FUNCTIONS, *REGION_VIEWS):
+            original = getattr(polytope, name)
+            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "objred"]:
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, _tallied(log.facts, name, original))
+        for name in REGION_PROPERTIES:
+            fact = functools.cached_property(_tallied(log.facts, name, Polytope.__dict__[name].func))
+            fact.__set_name__(Polytope, name)
+            patch.setattr(Polytope, name, fact)
+        yield log
 
 
-@pytest.mark.parametrize("make", [box5_4obj, segment_4obj, cube_3obj, simplex_3obj])
-def test_classify_computes_each_region_fact_once(fact_counts, make):
-    problem = make()
-    for candidate in range(problem.n_objectives):
-        fact_counts.clear()
-        classify(problem, candidate)
-        assert max(fact_counts.values(), default=0) <= 1
-        assert not set(fact_counts) & set(REGION_VIEWS)
+@pytest.fixture(scope="module")
+def counted_run():
+    """{stem: (problem, the reduce's log, [each classify's log])} for each
+    ``problems/*.json`` document; only the empty region raises, an
+    InfeasibleRegion, which its logs hold as their result."""
+
+    def run(call, *args):
+        with counted() as log:
+            try:
+                log.result = call(*args)
+            except InfeasibleRegion:
+                log.result = InfeasibleRegion
+        return log
+
+    runs = {}
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = parse_document(path.read_text()).problem
+        classified = [run(classify, problem, c) for c in range(problem.n_objectives)]
+        runs[path.stem] = problem, run(reduce_objectives, problem), classified
+    return runs
 
 
-def test_fact_counts_see_every_kind_of_fact(fact_counts):
-    # The fixtures above reach every counted fact, so the bound is not vacuous.
-    for make in (box5_4obj, segment_4obj):
-        reduce_objectives(make())
-    assert set(fact_counts) == {*REGION_PROPERTIES, *REGION_FUNCTIONS}
+def _reduced(counted_run):
+    """(stem, problem, log) of each reduce that returned a result."""
+    return [(stem, problem, log) for stem, (problem, log, _) in counted_run.items() if log.result is not InfeasibleRegion]
+
+
+def test_reduce_over_problems_solves_no_lp(counted_run):
+    # Every certificate is read off the integer phase 1 that decides its
+    # answer.  Building each by an LP made 20 here, and one LP per answer
+    # of steps 0 to 2 made 42.  tests/test_source.py holds the static rule
+    # behind this: no library module but __init__ imports objred.simplex.
+    reduced = _reduced(counted_run)
+    assert [stem for stem, *_ in reduced] == sorted(set(counted_run) - {"empty_region"})
+    assert counted_run["empty_region"][2][0].result is InfeasibleRegion
+    assert [lp for _, log, classified in counted_run.values() for run in (log, *classified) for lp in run.lps] == []
+
+
+def test_reduce_pass_finds_the_step_1_direction_once(counted_run):
+    # The step-1 direction depends on the problem alone, so the candidates
+    # of one reduce pass share it, as ``ObjectiveStack.direction`` of the
+    # pass's stack, and step 2 reads step 0's Farkas vector.  Over
+    # problems/, 17 classifications make 9 cone tests; with a cone test for
+    # each step 2 they made 13, and with one per candidate 21.
+    reduced = _reduced(counted_run)
+    history = sum(len(log.result.history) for *_, log in reduced)
+    assert (history, sum(len(log.cones) for _, log, _ in counted_run.values())) == (17, 9)
+    # Each shared direction is the one classify finds on its own.
+    for _, problem, log in reduced:
+        assert [v for _, v in log.result.history] == classify_each_pass(problem)
+
+
+def test_reduce_builds_one_stack_per_pass_and_one_per_step_4_or_6(counted_run):
+    # A reduce builds the stack of the problem's objectives, each deletion
+    # drops its candidate from it for the next pass, once, and a
+    # classification builds the stack without its candidate only when step
+    # 4 or step 6 reads it.  What that stack's efficiency tests found stays
+    # on the region, so the next pass needs no copy of it.
+    counts = {}
+    for stem, _, log in _reduced(counted_run):
+        reading = sum(v.decided_at >= Step.ALL_EFFICIENT for _, v in log.result.history)
+        assert len(log.stacks) == 1 + len(log.result.removals) + reading, stem
+        counts[stem] = len(log.stacks)
+    assert counts == {"box5_4obj": 6, "cube_3obj": 5, "segment_4obj": 7, "simplex_3obj": 1, "unbounded6_3obj": 4}
+
+
+def test_reduce_repeats_no_cone_test(counted_run):
+    # Within one reduce, every cone test is a pass's step-1 direction, and
+    # each pass has its own objectives, so no cone test repeats the rows of
+    # an earlier one.  A cone test for each step 2 repeated one in
+    # segment_4obj.
+    for stem, _, log in _reduced(counted_run):
+        assert len(set(log.cones)) == len(log.cones), stem
+
+
+def test_the_problem_goes_into_integers_once(counted_run):
+    # Step 0 and every efficiency test read the stack's integer image, which
+    # a reduce builds once and ``drop`` hands down, and the region's phase 1s
+    # and every efficiency test's tight rows come from its one frame.
+    # Neither step 0 nor ``efficient_at`` scales a stack's Fraction rows
+    # itself, and nothing scales [A | b] row by row.  Over problems/, the
+    # efficiency tests scaled the stacks 136 times and step 0 framed its
+    # system 18 times, the start and the interior point framed the region 8
+    # times, and a second, row-wise image of [A | b] was built 4 times.
+    images = 0
+    for stem, (problem, log, _) in counted_run.items():
+        stacks = {id(stack.rows) for stack in log.stacks}
+        region = tuple(row + (rhs,) for row, rhs in zip(problem.a, problem.b))
+        assert not [c for c in log.conversions if c[1] in ("efficient_at", "combination")], stem
+        # Step 1's direction and step 7's kernel scale the rows on their own.
+        on_stacks = {caller for name, caller, _, m in log.conversions if id(m) in stacks}
+        assert on_stacks <= {"image", "find_cone_point", "null_space"}, stem
+        built = [rows for name, caller, rows, _ in log.conversions if caller == "image"]
+        assert built == [problem.objectives][: len(built)], stem
+        framed = [c[:2] for c in log.conversions if c[2] == region]
+        assert framed == [("integer_frame", "frame")], stem
+        images += len(built)
+    # The empty region ends after step 0, which builds the image too.
+    assert images == 6
+
+
+def test_reduce_climbs_until_a_step_searches_its_region(counted_run):
+    # reduce classifies every candidate on one region: it climbs to each
+    # optimal face and on sum(x) until a step 4 or 7 builds the region's
+    # whole vertex search, and from then on reads both off that search.  So
+    # each region is searched at most once, and never climbed on after.
+    counts = {}
+    for stem, (_, log, _) in counted_run.items():
+        kinds = [kind for kind, _ in log.events]
+        assert len({id(p) for _, p in log.events}) <= 1
+        assert kinds.count("search") <= 1
+        if "search" in kinds:
+            assert "climb" not in kinds[kinds.index("search") :]
+        if kinds:
+            counts[stem] = dict(collections.Counter(kinds))
+    assert counts == {
+        "box5_4obj": {"climb": 1, "search": 1},
+        "cube_3obj": {"climb": 1, "search": 1},
+        "unbounded6_3obj": {"climb": 1, "search": 1},
+        "segment_4obj": {"search": 1},
+    }
+
+
+# Each region fact is computed at most once per classify or reduce call.
+
+EXAMPLES = ["box5_4obj", "segment_4obj", "cube_3obj", "simplex_3obj", "unbounded6_3obj"]
+
+
+@pytest.mark.parametrize("stem", EXAMPLES)
+def test_reduce_computes_each_region_fact_once(counted_run, stem):
+    log = counted_run[stem][1]
+    assert len(log.result.history) > 1
+    assert log.facts["start"] == 1
+    assert max(log.facts.values()) == 1
+    assert not set(log.facts) & set(REGION_VIEWS)
+
+
+@pytest.mark.parametrize("stem", EXAMPLES)
+def test_classify_computes_each_region_fact_once(counted_run, stem):
+    for log in counted_run[stem][2]:
+        assert max(log.facts.values(), default=0) <= 1
+        assert not set(log.facts) & set(REGION_VIEWS)
+
+
+def test_fact_counts_see_every_kind_of_fact(counted_run):
+    # The reduces above reach every counted fact, so the bound is not vacuous.
+    seen = set(counted_run["box5_4obj"][1].facts) | set(counted_run["segment_4obj"][1].facts)
+    assert seen == {*REGION_PROPERTIES, *REGION_FUNCTIONS}
     # The view is counted too, built on its own facts.
-    fact_counts.clear()
-    region = cube_3obj().region()
-    assert len(polytope.face_vertex_sets(region)) == len(region.vertices) + 19
-    assert fact_counts == dict.fromkeys(
-        ("frame", "start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1
-    )
+    with counted() as log:
+        region = cube_3obj().region()
+        assert len(polytope.face_vertex_sets(region)) == len(region.vertices) + 19
+    assert log.facts == dict.fromkeys(("frame", "start", "walk", "faces", "enumerate_vertices", *REGION_VIEWS), 1)
 
 
 # Steps 5 and 6 climb to the candidate's optimal face until the region's
@@ -861,36 +859,6 @@ def test_classify_ending_at_step_6_runs_no_search(monkeypatch, make, candidate):
     monkeypatch.setattr(efficiency, "zero_set", _refused)
     verdict = classify(make(), candidate)
     assert (verdict.outcome, verdict.decided_at) == (Outcome.ESSENTIAL, Step.FACE_EFFICIENT)
-
-
-def test_reduce_climbs_until_a_step_searches_its_region(monkeypatch):
-    # reduce classifies every candidate on one region: it climbs to each
-    # optimal face and on sum(x) until a step 4 or 7 builds the region's
-    # whole vertex search, and from then on reads both off that search.  So
-    # each region is searched at most once, and never climbed on after.
-    events = []
-    search, climb = polytope._search, polytope._climb
-    monkeypatch.setattr(polytope, "_search", lambda p: events.append(("search", p)) or search(p))
-    monkeypatch.setattr(polytope, "_climb", lambda p, c: events.append(("climb", p)) or climb(p, c))
-    counts = {}
-    for path in sorted(PROBLEMS.glob("*.json")):
-        events.clear()
-        try:
-            reduce_objectives(parse_document(path.read_text()).problem)
-        except InfeasibleRegion:
-            assert path.name == "empty_region.json"
-        kinds = [kind for kind, _ in events]
-        assert len({id(p) for _, p in events}) <= 1
-        assert kinds.count("search") <= 1
-        if "search" in kinds:
-            assert "climb" not in kinds[kinds.index("search") :]
-        counts[path.stem] = collections.Counter(kinds)
-    assert {name: dict(c) for name, c in counts.items() if c} == {
-        "box5_4obj": {"climb": 1, "search": 1},
-        "cube_3obj": {"climb": 1, "search": 1},
-        "unbounded6_3obj": {"climb": 1, "search": 1},
-        "segment_4obj": {"search": 1},
-    }
 
 
 @st.composite

