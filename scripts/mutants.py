@@ -8,9 +8,10 @@ to a temporary directory, and each entry in turn is applied to the copy, its
 tests are run there with ``-x`` and a fixed hypothesis seed, and the file is
 put back.  A mutant is killed when pytest reports a failing test (exit code
 1).  The run fails when a mutant survives, when its tests cannot run (any
-other exit code), or when an entry's old text is not in its file exactly
-once, as after a refactor of the code it mutates: then the entry is to be
-rewritten against the new code, with the tests that now kill it.
+other exit code) or run past ``LIMIT_S`` seconds, or when an entry's old
+text is not in its file exactly once, as after a refactor of the code it
+mutates: then the entry is to be rewritten against the new code, with the
+tests that now kill it.
 
     python3 scripts/mutants.py
 """
@@ -45,8 +46,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# The wall-clock limit of one replay: a mutant whose tests run past it, as
+# one that makes Bland's rule cycle would, is reported, not waited for.
+LIMIT_S = 120
+
 # Left out: Bland's leaving row with the tie broken to the highest basic
-# index.  It cycles, so the suite hangs on it instead of failing.
+# index.  It cycles, so its tests run until the limit instead of failing.
 MUTANTS = (
     Mutant(
         "empty support",
@@ -218,8 +223,8 @@ MUTANTS = (
     Mutant(
         "efficient_at without its width check",
         EFFICIENCY,
-        '    if f.dim != p.dim:\n        raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")\n',
-        "",
+        '``_covering``."""\n    if f.dim != p.dim:\n        raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")\n',
+        '``_covering``."""\n',
         (EFFICIENCY_TESTS + "test_stack_width_must_match_region",),
     ),
     Mutant(
@@ -253,9 +258,29 @@ MUTANTS = (
     Mutant(
         "efficient_vertices through is_efficient",
         EFFICIENCY,
-        "return tuple(v for v, zeros in zip(p.vertices, p.zero_sets) if efficient_at(p, f, zeros))",
+        "return tuple(v for v, efficient in zip(p.vertices, vertex_efficiency(p, f)) if efficient)",
         "return tuple(v for v in p.vertices if is_efficient(p, f, v))",
         (EFFICIENCY_TESTS + "test_vertices_and_faces_are_tested_on_search_zero_sets",),
+    ),
+    Mutant(
+        "dominance without its tie check",
+        EFFICIENCY,
+        "return min(gaps) >= 0 and max(gaps) > 0",
+        "return min(gaps) >= 0",
+        (
+            EFFICIENCY_TESTS + "test_cube_efficient_vertices_under_reduced_stack",
+            EFFICIENCY_TESTS + "test_vertex_efficiency_matches_slack_lp_reference_with_ties",
+        ),
+    ),
+    Mutant(
+        "the sweep's lattice guard at three outer-efficient vertices",
+        EFFICIENCY,
+        "if sum(outer_eff) < 2:",
+        "if sum(outer_eff) < 3:",
+        (
+            EFFICIENCY_TESTS + "test_vertices_and_faces_are_tested_on_search_zero_sets",
+            EFFICIENCY_TESTS + "test_search_lattice_and_sweep_hash_and_compare_no_fraction",
+        ),
     ),
 )
 
@@ -272,7 +297,9 @@ def replay(tree: pathlib.Path, mutant: Mutant) -> str | None:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         command += ["--hypothesis-seed=0", *mutant.tests]
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        run = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+        run = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=LIMIT_S)
+    except subprocess.TimeoutExpired:
+        return f"its tests ran past the {LIMIT_S} s limit and were stopped"
     finally:
         path.write_text(source)
     if run.returncode == 1:

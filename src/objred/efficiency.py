@@ -8,9 +8,11 @@ integer phase 1 (``linalg.alternative``), whose end point or Farkas vector
 is its certificate.  The efficiency test reads only a point's zero set and
 keeps each certificate on the region, one record per set of stack rows
 (``Polytope.certificates``, laid out by ``_record``), which answers later
-zero sets it settles with no phase 1.  It relies on a positive scale of an
-objective keeping the efficient set, and of a tight row the normal cone.
-README, "Library quickstart", has the design.
+zero sets it settles with no phase 1.  The vertices of a walked region are
+tested in turn by ``vertex_efficiency``, which answers "no" with no phase 1
+for a vertex that one anchor vertex dominates.  It relies on a positive
+scale of an objective keeping the efficient set, and of a tight row the
+normal cone.  README, "Library quickstart", has the design.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .errors import InfeasibleInput
 from .linalg import (
@@ -32,7 +35,7 @@ from .linalg import (
     require_rational,
     vsub,
 )
-from .polytope import Polytope, require_bounded, zero_set
+from .polytope import Key, Polytope, require_bounded, zero_set
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,20 @@ class ObjectiveStack:
         with alpha >= 0, so y_i + y_index alpha_i > 0 is the kept stack's.
         Both facts are read off the caches, never computed."""
         self._check_index(index)
-        kept = ObjectiveStack(tuple(row for i, row in enumerate(self.rows) if i != index))
+        kept = _checked(tuple(row for i, row in enumerate(self.rows) if i != index))
         # A cached property keeps its value in the instance's __dict__.
         kept.__dict__["image"] = self.image[:index] + self.image[index + 1 :]
         if self.__dict__.get("direction", ()) is None and self.combinations.get(index, (None,))[0] is not None:
             kept.__dict__["direction"] = None
         return kept
+
+
+def _checked(rows: Matrix) -> ObjectiveStack:
+    """The stack of ``rows``, which some stack's ``__post_init__`` has
+    already checked, built without checking them again."""
+    stack = object.__new__(ObjectiveStack)
+    object.__setattr__(stack, "rows", rows)  # as the frozen dataclass's __init__ does
+    return stack
 
 
 def find_cone_point(c: Matrix) -> Vector | None:
@@ -269,9 +280,61 @@ def _covering(p: Polytope, f: ObjectiveStack, zeros: frozenset[int]) -> list[int
     return next((d for d, covered in _record(p, f)[1] if zeros <= covered), None)
 
 
+def vertex_efficiency(p: Polytope, f: ObjectiveStack) -> Iterator[bool]:
+    """Whether each vertex of the region is efficient for f, in the order of
+    ``p.vertices``, one answer per step.
+
+    The record of f's row set answers first (``_supporting``,
+    ``_covering``).  A vertex it does not settle is compared with one
+    anchor, the vertex of greatest sum of f's ``image``: when the anchor's
+    F is at least as high everywhere and higher somewhere, the vertex is
+    not efficient, with no phase 1.  The anchor is feasible, so that holds
+    on unbounded regions too.  Only the vertices left go to
+    ``efficient_at``.  A dominance answer does not join the record."""
+    if f.dim != p.dim:
+        raise ValueError(f"the stack has {f.dim} columns and the region {p.dim}")
+    keys = p.walk[0]
+    image = f.image
+    anchor = None
+    for key, zeros in zip(keys, p.zero_sets):
+        if _supporting(p, f, zeros) is not None:
+            yield True
+        elif _covering(p, f, zeros) is not None:
+            yield False
+        else:
+            if anchor is None:
+                anchor = _anchor(image, keys)
+            yield not _dominates(image, anchor, key) and efficient_at(p, f, zeros)
+
+
+def _anchor(image: list[list[int]], keys: tuple[Key, ...]) -> tuple[list[int], int]:
+    """(F x, d) on the integer rows ``image`` at the key (x, d) of greatest
+    sum of the rows' values x / d, the first of those in ``keys``: values
+    over two keys' d > 0 compare by cross-multiplying."""
+    # zip stops at len(sums), so each key's d is left out of its sum.
+    sums = [sum(column) for column in zip(*image)]
+    best = keys[0]
+    top = sum(a * x for a, x in zip(sums, best))
+    for key in keys[1:]:
+        value = sum(a * x for a, x in zip(sums, key))
+        if value * best[-1] > top * key[-1]:
+            best, top = key, value
+    return [sum(a * x for a, x in zip(row, best)) for row in image], best[-1]
+
+
+def _dominates(image: list[list[int]], anchor: tuple[list[int], int], key: Key) -> bool:
+    """Whether the anchor's F is at least F at the key (x, d) in every row
+    and above it in some row, in integers: each side over the other's d."""
+    values, e = anchor
+    d = key[-1]
+    # zip stops at len(row), so the key's d is left out of each sum.
+    gaps = [a * d - sum(c * x for c, x in zip(row, key)) * e for a, row in zip(values, image)]
+    return min(gaps) >= 0 and max(gaps) > 0
+
+
 def efficient_vertices(p: Polytope, f: ObjectiveStack) -> tuple[Vector, ...]:
     """The efficient vertices of the region, sorted lexicographically."""
-    return tuple(v for v, zeros in zip(p.vertices, p.zero_sets) if efficient_at(p, f, zeros))
+    return tuple(v for v, efficient in zip(p.vertices, vertex_efficiency(p, f)) if efficient)
 
 
 def efficient_point_outside(
@@ -284,15 +347,19 @@ def efficient_point_outside(
     efficient exactly when the centroid of its vertices is, whose zero set is
     the meet of theirs: a centroid is built only for the face returned.
     Faces whose vertices are not all outer-efficient cannot be
-    outer-efficient and are skipped.  Raises UnboundedRegion on an unbounded
-    region, where a face need not be spanned by its vertices.
+    outer-efficient and are skipped, so with fewer than two outer-efficient
+    vertices no face is left to test and the lattice is not built.  Raises
+    UnboundedRegion on an unbounded region, where a face need not be
+    spanned by its vertices.
     """
     require_bounded(p, "the face-by-face efficiency sweep")
     vertices, zero_sets = p.vertices, p.zero_sets
-    outer_eff = [efficient_at(p, outer, zeros) for zeros in zero_sets]
+    outer_eff = list(vertex_efficiency(p, outer))
     for v, zeros, efficient in zip(vertices, zero_sets, outer_eff):
         if efficient and not efficient_at(p, inner, zeros):
             return v
+    if sum(outer_eff) < 2:
+        return None
     for face in p.faces:
         if len(face) < 2 or not all(outer_eff[i] for i in face):
             continue

@@ -24,6 +24,7 @@ from .efficiency import (
     efficient_vertices,
     equalizing_weights,
     opposite,
+    vertex_efficiency,
 )
 from .errors import InfeasibleRegion, UnboundedObjective, UnboundedRegion
 from .linalg import (
@@ -167,8 +168,8 @@ def kernel_separation(
 def _all_efficient(region: Polytope, reduced: ObjectiveStack, check_bounded: bool) -> TraceEntry:
     """Step 4: a vertex the reduced stack leaves inefficient, or else strictly
     positive weights equalizing the reduced stack across all vertices."""
-    pairs = zip(region.vertices, region.zero_sets)
-    bad = next((v for v, zeros in pairs if not efficient_at(region, reduced, zeros)), None)
+    pairs = zip(region.vertices, vertex_efficiency(region, reduced))
+    bad = next((v for v, efficient in pairs if not efficient), None)
     if bad is not None:
         return TraceEntry(Step.ALL_EFFICIENT, False, bad)
     if check_bounded:

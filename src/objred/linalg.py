@@ -275,7 +275,9 @@ def null_space(m: Matrix) -> list[Vector]:
         v[f] = d
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
-        basis.append(_normalized(v))
+        # Scaled so that its first nonzero entry is +1, as ``_normalized`` does.
+        first = next(a for a in v if a)
+        basis.append(tuple(ratio(a, first) for a in v))
     return basis
 
 

@@ -15,11 +15,12 @@ from objred.efficiency import (
     equalizing_weights,
     find_cone_point,
     is_efficient,
+    vertex_efficiency,
 )
-from objred.engine import classify, combination_multipliers, reduce_objectives
+from objred.engine import MolpProblem, Outcome, Step, classify, combination_multipliers, reduce_objectives
 from objred.errors import InfeasibleInput, UnboundedRegion
 from objred.instances import ladder_problem, ladder_region, random_problem
-from objred.linalg import dot, mat_vec
+from objred.linalg import ZERO, dot, mat_vec
 from objred.polytope import Polytope, enumerate_vertices, face_vertex_sets, is_bounded, zero_set
 from objred.verify import check_step
 
@@ -229,7 +230,28 @@ def test_search_lattice_and_sweep_hash_and_compare_no_fraction(monkeypatch, regi
     monkeypatch.undo()
     assert counts == {}
     assert escaped is None and len(faces) == {3: 27, 5: 279}[region.dim]
-    assert len({(f.row_set, zeros) for f, zeros in tested}) > len(region.vertices)
+    # The sweep reached the lattice: it tested a face's zero set that is no
+    # vertex's zero set.
+    assert {zeros for _, zeros in tested} - set(region.zero_sets)
+
+
+def test_a_sweep_with_one_outer_efficient_vertex_tests_no_face(monkeypatch):
+    # (6, 0) is the ideal point of x1 and x1 + x2 on this quadrilateral, so
+    # it is the one efficient vertex for the full stack and for x1 alone.
+    # Step 7 ends nonessential: its kernel test and its sweep compare every
+    # other vertex with (6, 0) and run no phase 1 for them, and with one
+    # outer-efficient vertex no face of two or more can be efficient, so
+    # the lattice is not built.
+    problem = MolpProblem(frows([1, 0], [1, 1]), frows([-2, 1], [1, 1]), fvec([2, 6]))
+    region = problem.region()
+    assert region.vertices == (fvec([0, 0]), fvec([0, 2]), fvec(["4/3", "14/3"]), fvec([6, 0]))
+    for stack in (problem.stack(), problem.stack().drop(1)):
+        assert [is_efficient_reference(region, stack, v) for v in region.vertices] == [False, False, False, True]
+    tested = _recording_tests(monkeypatch)
+    monkeypatch.setattr(Polytope, "faces", property(lambda p: pytest.fail("the face lattice was built")))
+    verdict = classify(problem)
+    assert (verdict.outcome, verdict.decided_at) == (Outcome.NONESSENTIAL, Step.KERNEL)
+    assert {zeros for _, zeros in tested} == {region.zero_sets[3]}
 
 
 def test_escaping_efficient_vertex_found():
@@ -551,6 +573,24 @@ def test_normal_cone_efficiency_matches_slack_lp_reference(drawn):
     assert is_bounded(p) == (kind == "bounded")
     for x in sample_points(p):
         assert is_efficient(p, stack, x) == is_efficient_reference(p, stack, x), x
+
+
+@settings(deadline=None, max_examples=80)
+@given(regions_and_stacks(), st.data())
+def test_vertex_efficiency_matches_slack_lp_reference_with_ties(drawn, data):
+    # Each answer, whether read off the record, off the anchor's dominance
+    # or off a phase 1, is the slack LP's, on bounded and unbounded regions.
+    # Zeroed objective columns give distinct vertices one F, so that the
+    # anchor ties with some of them.  The answers are the same on a fresh
+    # region and once every vertex's answer is in the record.
+    _, p, stack = drawn
+    zeroed = data.draw(st.sets(st.integers(0, p.dim - 1), max_size=p.dim - 1))
+    stack = ObjectiveStack(tuple(tuple(ZERO if j in zeroed else a for j, a in enumerate(row)) for row in stack.rows))
+    expected = [is_efficient_reference(p, stack, v) for v in enumerate_vertices(p)]
+    fresh = Polytope(p.a, p.b)
+    assert list(vertex_efficiency(fresh, stack)) == expected
+    assert [efficient_at(fresh, stack, zeros) for zeros in fresh.zero_sets] == expected
+    assert list(vertex_efficiency(fresh, stack)) == expected
 
 
 def _recording_covers(monkeypatch):

@@ -660,6 +660,10 @@ def counted():
         patch.setattr(simplex, "solve", lambda lp: log.lps.append(lp) or solve(lp))
         patch.setattr(efficiency, "find_cone_point", lambda c: log.cones.append(c) or find(c))
         patch.setattr(ObjectiveStack, "__post_init__", lambda self: log.stacks.append(self) or check(self))
+        # ``drop`` builds its stack without ``__post_init__``, from rows
+        # already checked.
+        checked = efficiency._checked
+        patch.setattr(efficiency, "_checked", lambda rows: log.stacks.append(checked(rows)) or log.stacks[-1])
         for name in ("integer_rows", "integer_frame"):
             convert = getattr(linalg, name)
 
